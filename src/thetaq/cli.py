@@ -3,7 +3,7 @@
 Complex numbers are written as "re,im"; either component may use a pi*
 literal prefix, so --z pi*0.25,0 is z = pi/4.  Exit codes: 0 pass,
 1 identity failure, 2 domain error, 3 numeric error (convergence/pole),
-4 unsupported mode.
+4 unsupported mode, 5 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -245,6 +245,10 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a crash must not read as exit 1, "identity failure"
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import mpmath as mp
 
@@ -55,84 +56,32 @@ from .theta import (
     theta_eval,
 )
 
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
+DEFAULT_FORMAL_ORDER = 12
 
 
 @dataclass(frozen=True)
 class IdentityInfo:
+    """Everything the checkers know about one identity.
+
+    pairs(x, y, p, policy) gives the (lhs, rhs) values at one sample point;
+    it is None for the classical limits, which run over a fixed q sequence
+    instead.  relations(order) gives (label, lhs, rhs) triples of exact
+    series; it is None for identities that need division.  The builders
+    look up the evaluators they call as module globals when they run.
+    """
+
     name: str
-    modes: tuple
     nvars: int            # sampled complex variables (0 = fixed-point check)
-    constraint: Optional[str]
     tolerance: float
     description: str
+    pairs: Optional[Callable] = None
+    relations: Optional[Callable] = None
+    formal_order: int = DEFAULT_FORMAL_ORDER
 
-
-def _info(name, modes, nvars, constraint, tolerance, description):
-    return IdentityInfo(name, modes, nvars, constraint, tolerance, description)
-
-
-REGISTRY: dict = {}
-for _k in (1, 2, 3, 4):
-    REGISTRY["quasi_period_%d" % _k] = _info(
-        "quasi_period_%d" % _k, ("numeric", "formal"), 1, None, 1e-10,
-        "theta%d shift laws for z+pi and z+pi*tau" % _k)
-for _k in (1, 2, 3, 4):
-    REGISTRY["half_period_%d" % _k] = _info(
-        "half_period_%d" % _k, ("numeric", "formal"), 1, None, 1e-10,
-        "theta%d(z+pi*tau/2) = mult * theta%d(z)" % (_k, HALF_PERIOD_MAP[_k]))
-REGISTRY["duplication_12"] = _info(
-    "duplication_12", ("numeric", "formal"), 1, None, 1e-10,
-    "2 theta1(z|2tau) theta4(z|2tau) = theta2(0|tau) theta1(z|tau)")
-REGISTRY["duplication_23"] = _info(
-    "duplication_23", ("numeric", "formal"), 1, None, 1e-10,
-    "2 theta2(z|2tau) theta3(z|2tau) = theta2(0|tau) theta2(z|tau)")
-for _k in (1, 2, 3, 4):
-    REGISTRY["triple_product_%d" % _k] = _info(
-        "triple_product_%d" % _k, ("numeric", "formal"), 1, None, 1e-10,
-        "theta%d series form equals its infinite product form" % _k)
-REGISTRY["thm2"] = _info(
-    "thm2", ("numeric", "formal"), 2, None, 1e-10,
-    "four-factor theta identity linking nome q and q^2 in x, y")
-REGISTRY["thm1_tan"] = _info(
-    "thm1_tan", ("numeric",), 2, "pi", 1e-10,
-    "q-tangent sum identity under x+y+z = pi")
-REGISTRY["thm1_cot"] = _info(
-    "thm1_cot", ("numeric",), 2, "pi", 1e-10,
-    "q-cotangent pair identity under x+y+z = pi")
-REGISTRY["cor_cot"] = _info(
-    "cor_cot", ("numeric",), 2, "half_pi", 1e-10,
-    "q-cotangent sum identity under x+y+z = pi/2")
-REGISTRY["cor_tan"] = _info(
-    "cor_tan", ("numeric",), 2, "half_pi", 1e-10,
-    "q-tangent pair identity under x+y+z = pi/2")
-REGISTRY["cosq_shift"] = _info(
-    "cosq_shift", ("numeric",), 1, None, 1e-10,
-    "cos_q z = sin_q(pi/2 - z) = sin_q(pi/2 + z)")
-REGISTRY["f_constancy"] = _info(
-    "f_constancy", ("numeric",), 1, None, 1e-10,
-    "the elliptic quotient behind thm2 is identically 1")
-REGISTRY["classical_limit_tan"] = _info(
-    "classical_limit_tan", ("numeric",), 0, None, 1e-2,
-    "tan-sum residual shrinks strictly along q = 0.9, 0.99, 0.999")
-REGISTRY["classical_limit_cot"] = _info(
-    "classical_limit_cot", ("numeric",), 0, None, 1e-2,
-    "cot-pair residual shrinks strictly along q = 0.9, 0.99, 0.999")
-
-IDENTITY_IDS = tuple(REGISTRY)
-
-FORMAL_DEFAULT_ORDER = {"duplication_12": 20, "duplication_23": 20}
-DEFAULT_FORMAL_ORDER = 12
-
-
-def identity_info(identity: str) -> IdentityInfo:
-    try:
-        return REGISTRY[identity]
-    except KeyError:
-        raise DomainError("unknown identity %r (choose from %s)"
-                          % (identity, ", ".join(IDENTITY_IDS))) from None
+    @property
+    def modes(self) -> tuple:
+        # every identity has a numeric check, sampled or classical
+        return ("numeric",) if self.relations is None else ("numeric", "formal")
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +153,11 @@ def report_as_dict(report: IdentityReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# numeric side
+# numeric pair builders: (x, y, p, policy) -> [(lhs, rhs), ...]
 # ---------------------------------------------------------------------------
 
 
-def _pairs_quasi(kind: int, z: complex, p: ModularParam, policy) -> list:
+def _pairs_quasi(kind: int, z: complex, _y, p: ModularParam, policy) -> list:
     base = theta_eval(kind, z, p, policy)
     with_pi = theta_eval(kind, z + math.pi, p, policy)
     mult = PI_TAU_SHIFT_SIGN[kind] / p.q * cmath.exp(-2j * z)
@@ -216,25 +165,23 @@ def _pairs_quasi(kind: int, z: complex, p: ModularParam, policy) -> list:
     return [(with_pi, PI_SHIFT_SIGN[kind] * base), (with_tau, mult * base)]
 
 
-def _pairs_half(kind: int, z: complex, p: ModularParam, policy) -> list:
+def _pairs_half(kind: int, z: complex, _y, p: ModularParam, policy) -> list:
     shifted = theta_eval(kind, z + math.pi * p.tau / 2, p, policy)
     rule = half_period_shift(kind, z, p)
     return [(shifted, rule.multiplier * theta_eval(rule.new_kind, z, p, policy))]
 
 
-def _pairs_duplication(row: str, z: complex, p: ModularParam, policy) -> list:
+def _pairs_duplication(a: int, b: int, z: complex, _y, p: ModularParam,
+                       policy) -> list:
+    """2 theta_a(z|2tau) theta_b(z|2tau) = theta2(0|tau) theta_a(z|tau)."""
     p2 = qsquared_param(p)
     null2 = theta_eval(2, 0.0, p, policy)
-    if row == "12":
-        lhs = 2 * theta_eval(1, z, p2, policy) * theta_eval(4, z, p2, policy)
-        rhs = null2 * theta_eval(1, z, p, policy)
-    else:
-        lhs = 2 * theta_eval(2, z, p2, policy) * theta_eval(3, z, p2, policy)
-        rhs = null2 * theta_eval(2, z, p, policy)
+    lhs = 2 * theta_eval(a, z, p2, policy) * theta_eval(b, z, p2, policy)
+    rhs = null2 * theta_eval(a, z, p, policy)
     return [(lhs, rhs)]
 
 
-def _pairs_triple(kind: int, z: complex, p: ModularParam, policy) -> list:
+def _pairs_triple(kind: int, z: complex, _y, p: ModularParam, policy) -> list:
     return [(theta_eval(kind, z, p, policy, "series"),
              theta_eval(kind, z, p, policy, "product"))]
 
@@ -252,54 +199,29 @@ def _pairs_thm2(x: complex, y: complex, p: ModularParam, policy) -> list:
     return [(lhs, rhs)]
 
 
-def _pairs_thm1_tan(x, y, p, policy) -> list:
-    z = math.pi - x - y
+def _pairs_qtrig(total: float, form: str, x, y, p, policy) -> list:
+    """thm1 (total pi) and its corollaries (total pi/2), z = total - x - y.
+
+    With ss, cc = ssn_q, ccs_q at x - y and f at nome q^2 for x, y:
+    the "sum" form is cc f(x) + cc f(y) + ss f(z) = ss f(x) f(y) f(z), the
+    "pair" form ss f(x) f(y) + cc f(y) f(z) + cc f(z) f(x) = ss.  f is
+    tan_q for the pi sum and cot_q for the pi pair; substituting pi/2 - x,
+    pi/2 - y, pi/2 - z turns every cot into a tan, so the pi/2 forms swap.
+    """
+    fn = "tan_q" if (total == math.pi) == (form == "sum") else "cot_q"
+    z = total - x - y
     p2 = qsquared_param(p)
     ss = qtrig_theta("ssn_q", x - y, p, policy)
     cc = qtrig_theta("ccs_q", x - y, p, policy)
-    tx = qtrig_theta("tan_q", x, p2, policy)
-    ty = qtrig_theta("tan_q", y, p2, policy)
-    tz = qtrig_theta("tan_q", z, p, policy)
-    return [(cc * tx + cc * ty + ss * tz, ss * tx * ty * tz)]
+    fx = qtrig_theta(fn, x, p2, policy)
+    fy = qtrig_theta(fn, y, p2, policy)
+    fz = qtrig_theta(fn, z, p, policy)
+    if form == "sum":
+        return [(cc * fx + cc * fy + ss * fz, ss * fx * fy * fz)]
+    return [(ss * fx * fy + cc * fy * fz + cc * fz * fx, ss)]
 
 
-def _pairs_thm1_cot(x, y, p, policy) -> list:
-    z = math.pi - x - y
-    p2 = qsquared_param(p)
-    ss = qtrig_theta("ssn_q", x - y, p, policy)
-    cc = qtrig_theta("ccs_q", x - y, p, policy)
-    cx = qtrig_theta("cot_q", x, p2, policy)
-    cy = qtrig_theta("cot_q", y, p2, policy)
-    cz = qtrig_theta("cot_q", z, p, policy)
-    return [(ss * cx * cy + cc * cy * cz + cc * cz * cx, ss)]
-
-
-def _pairs_cor_cot(x, y, p, policy) -> list:
-    z = math.pi / 2 - x - y
-    p2 = qsquared_param(p)
-    ss = qtrig_theta("ssn_q", x - y, p, policy)
-    cc = qtrig_theta("ccs_q", x - y, p, policy)
-    cx = qtrig_theta("cot_q", x, p2, policy)
-    cy = qtrig_theta("cot_q", y, p2, policy)
-    cz = qtrig_theta("cot_q", z, p, policy)
-    return [(cc * cx + cc * cy + ss * cz, ss * cx * cy * cz)]
-
-
-def _pairs_cor_tan(x, y, p, policy) -> list:
-    # Substituting (pi/2 - x, pi/2 - y, pi/2 - z) into the cotangent pair
-    # identity turns every cot into a tan and leaves ssn_q(x-y) on the
-    # right-hand side.
-    z = math.pi / 2 - x - y
-    p2 = qsquared_param(p)
-    ss = qtrig_theta("ssn_q", x - y, p, policy)
-    cc = qtrig_theta("ccs_q", x - y, p, policy)
-    tx = qtrig_theta("tan_q", x, p2, policy)
-    ty = qtrig_theta("tan_q", y, p2, policy)
-    tz = qtrig_theta("tan_q", z, p, policy)
-    return [(ss * tx * ty + cc * ty * tz + cc * tz * tx, ss)]
-
-
-def _pairs_cosq_shift(z, p, policy) -> list:
+def _pairs_cosq_shift(z, _y, p, policy) -> list:
     c = qtrig_theta("cos_q", z, p, policy)
     return [(c, qtrig_theta("sin_q", math.pi / 2 - z, p, policy)),
             (c, qtrig_theta("sin_q", math.pi / 2 + z, p, policy))]
@@ -327,24 +249,157 @@ def constancy_probe(x: complex, y: complex, tau: complex,
     return num / den
 
 
-_PAIR_FUNCS: dict = {}
-for _k in (1, 2, 3, 4):
-    _PAIR_FUNCS["quasi_period_%d" % _k] = (
-        lambda x, y, p, policy, _k=_k: _pairs_quasi(_k, x, p, policy))
-    _PAIR_FUNCS["half_period_%d" % _k] = (
-        lambda x, y, p, policy, _k=_k: _pairs_half(_k, x, p, policy))
-    _PAIR_FUNCS["triple_product_%d" % _k] = (
-        lambda x, y, p, policy, _k=_k: _pairs_triple(_k, x, p, policy))
-_PAIR_FUNCS["duplication_12"] = lambda x, y, p, policy: _pairs_duplication("12", x, p, policy)
-_PAIR_FUNCS["duplication_23"] = lambda x, y, p, policy: _pairs_duplication("23", x, p, policy)
-_PAIR_FUNCS["thm2"] = lambda x, y, p, policy: _pairs_thm2(x, y, p, policy)
-_PAIR_FUNCS["thm1_tan"] = lambda x, y, p, policy: _pairs_thm1_tan(x, y, p, policy)
-_PAIR_FUNCS["thm1_cot"] = lambda x, y, p, policy: _pairs_thm1_cot(x, y, p, policy)
-_PAIR_FUNCS["cor_cot"] = lambda x, y, p, policy: _pairs_cor_cot(x, y, p, policy)
-_PAIR_FUNCS["cor_tan"] = lambda x, y, p, policy: _pairs_cor_tan(x, y, p, policy)
-_PAIR_FUNCS["cosq_shift"] = lambda x, y, p, policy: _pairs_cosq_shift(x, p, policy)
-_PAIR_FUNCS["f_constancy"] = (
-    lambda x, y, p, policy: [(constancy_probe(x, PROBE_Y, p.tau, policy), 1.0 + 0j)])
+def _pairs_probe(x, _y, p, policy) -> list:
+    return [(constancy_probe(x, PROBE_Y, p.tau, policy), 1.0 + 0j)]
+
+
+# ---------------------------------------------------------------------------
+# formal relation builders: order -> [(label, lhs, rhs), ...]
+# ---------------------------------------------------------------------------
+
+
+def _theta_u(kind: int, scale: int, order: int) -> GradedSeries:
+    return theta_series(kind, scale, (1, 0), order)
+
+
+def _relations_quasi(kind: int, order: int) -> list:
+    plain = _theta_u(kind, 1, order)
+    lhs_pi = shift_argument(plain, "plus_pi", "u")
+    rhs_pi = plain if PI_SHIFT_SIGN[kind] == 1 else -plain
+    wide = _theta_u(kind, 1, order + shift_margin(order))
+    lhs_tau = shift_argument(wide, "plus_pi_tau", "u")
+    mono = GradedSeries.from_poly(LaurentPoly.monomial(-2, 0), -4, order + 2)
+    rhs_tau = (mono * _theta_u(kind, 1, order + 2)).scale(PI_TAU_SHIFT_SIGN[kind])
+    return [("theta%d(z+pi)" % kind, lhs_pi, rhs_pi),
+            ("theta%d(z+pi*tau)" % kind, lhs_tau, rhs_tau)]
+
+
+def _relations_half(kind: int, order: int) -> list:
+    wide = _theta_u(kind, 1, order + shift_margin(order))
+    lhs = shift_argument(wide, "plus_half_pi_tau", "u")
+    coeff = Gaussian(0, 1) if HALF_PERIOD_HAS_I[kind] else Gaussian(1)
+    mult = GradedSeries.from_poly(
+        LaurentPoly.monomial(-1, 0, coeff=coeff), -1, order + 1)
+    rhs = mult * _theta_u(HALF_PERIOD_MAP[kind], 1, order + 1)
+    return [("theta%d(z+pi*tau/2)" % kind, lhs, rhs)]
+
+
+def _relations_duplication(a: int, b: int, order: int) -> list:
+    lhs = (_theta_u(a, 2, order) * _theta_u(b, 2, order)).scale(2)
+    rhs = theta_series(2, 1, (0, 0), order) * _theta_u(a, 1, order)
+    return [("2 theta%d theta%d at 2tau" % (a, b), lhs, rhs)]
+
+
+def _relations_triple(kind: int, order: int) -> list:
+    series = _theta_u(kind, 1, order)
+    if kind == 1:
+        head = GradedSeries.from_poly(
+            LaurentPoly({(1, 0): Gaussian(0, -1), (-1, 0): Gaussian(0, 1)}),
+            1, order)
+        factors = (geometric_factors(-1, 2, 2, None, order)
+                   + geometric_factors(-1, 2, 2, (2, 0), order)
+                   + geometric_factors(-1, 2, 2, (-2, 0), order))
+    elif kind == 2:
+        head = GradedSeries.from_poly(
+            LaurentPoly({(1, 0): Gaussian(1), (-1, 0): Gaussian(1)}), 1, order)
+        factors = (geometric_factors(-1, 2, 2, None, order)
+                   + geometric_factors(1, 2, 2, (2, 0), order)
+                   + geometric_factors(1, 2, 2, (-2, 0), order))
+    elif kind == 3:
+        head = GradedSeries.one(order)
+        factors = (geometric_factors(-1, 2, 2, None, order)
+                   + geometric_factors(1, 1, 2, (2, 0), order)
+                   + geometric_factors(1, 1, 2, (-2, 0), order))
+    else:
+        head = GradedSeries.one(order)
+        factors = (geometric_factors(-1, 2, 2, None, order)
+                   + geometric_factors(-1, 1, 2, (2, 0), order)
+                   + geometric_factors(-1, 1, 2, (-2, 0), order))
+    product = head * pochhammer_product(factors, order)
+    return [("theta%d series vs product" % kind, series, product)]
+
+
+def thm2_sides(order: int, flip_sign: bool = False):
+    """Both sides of the two-variable theta identity as exact series.
+
+    x+y and x-y are encoded as the monomials u*v and u*v^-1.  flip_sign
+    deliberately corrupts the right-hand side (minus to plus) to exercise
+    the failure path of the certifier.
+    """
+    t = theta_series
+    lhs = (t(2, 2, (1, 1), order) * t(3, 2, (1, -1), order)
+           * (t(1, 1, (1, 0), order) * t(2, 1, (0, 1), order)
+              + t(1, 1, (0, 1), order) * t(2, 1, (1, 0), order)))
+    cross = t(1, 1, (1, 0), order) * t(1, 1, (0, 1), order)
+    prod = t(2, 1, (1, 0), order) * t(2, 1, (0, 1), order)
+    inner = (prod + cross) if flip_sign else (prod - cross)
+    rhs = t(1, 2, (1, 1), order) * t(4, 2, (1, -1), order) * inner
+    return lhs, rhs
+
+
+def _relations_thm2(order: int) -> list:
+    lhs, rhs = thm2_sides(order)
+    return [("thm2", lhs, rhs)]
+
+
+# ---------------------------------------------------------------------------
+# registry
+# ---------------------------------------------------------------------------
+
+_KINDS = (1, 2, 3, 4)
+
+REGISTRY: dict = {info.name: info for info in [
+    *(IdentityInfo("quasi_period_%d" % k, 1, 1e-10,
+                   "theta%d shift laws for z+pi and z+pi*tau" % k,
+                   partial(_pairs_quasi, k), partial(_relations_quasi, k))
+      for k in _KINDS),
+    *(IdentityInfo("half_period_%d" % k, 1, 1e-10,
+                   "theta%d(z+pi*tau/2) = mult * theta%d(z)" % (k, HALF_PERIOD_MAP[k]),
+                   partial(_pairs_half, k), partial(_relations_half, k))
+      for k in _KINDS),
+    *(IdentityInfo("duplication_%s" % row, 1, 1e-10,
+                   "2 theta%d(z|2tau) theta%d(z|2tau) = theta2(0|tau) theta%d(z|tau)"
+                   % (a, b, a),
+                   partial(_pairs_duplication, a, b),
+                   partial(_relations_duplication, a, b), formal_order=20)
+      for row, a, b in (("12", 1, 4), ("23", 2, 3))),
+    *(IdentityInfo("triple_product_%d" % k, 1, 1e-10,
+                   "theta%d series form equals its infinite product form" % k,
+                   partial(_pairs_triple, k), partial(_relations_triple, k))
+      for k in _KINDS),
+    IdentityInfo("thm2", 2, 1e-10,
+                 "four-factor theta identity linking nome q and q^2 in x, y",
+                 _pairs_thm2, _relations_thm2),
+    *(IdentityInfo(name, 2, 1e-10, description, partial(_pairs_qtrig, total, form))
+      for name, total, form, description in (
+          ("thm1_tan", math.pi, "sum", "q-tangent sum identity under x+y+z = pi"),
+          ("thm1_cot", math.pi, "pair", "q-cotangent pair identity under x+y+z = pi"),
+          ("cor_cot", math.pi / 2, "sum", "q-cotangent sum identity under x+y+z = pi/2"),
+          ("cor_tan", math.pi / 2, "pair", "q-tangent pair identity under x+y+z = pi/2"))),
+    IdentityInfo("cosq_shift", 1, 1e-10,
+                 "cos_q z = sin_q(pi/2 - z) = sin_q(pi/2 + z)", _pairs_cosq_shift),
+    IdentityInfo("f_constancy", 1, 1e-10,
+                 "the elliptic quotient behind thm2 is identically 1", _pairs_probe),
+    IdentityInfo("classical_limit_tan", 0, 1e-2,
+                 "tan-sum residual shrinks strictly along q = 0.9, 0.99, 0.999"),
+    IdentityInfo("classical_limit_cot", 0, 1e-2,
+                 "cot-pair residual shrinks strictly along q = 0.9, 0.99, 0.999"),
+]}
+
+IDENTITY_IDS = tuple(REGISTRY)
+
+
+def identity_info(identity: str) -> IdentityInfo:
+    try:
+        return REGISTRY[identity]
+    except KeyError:
+        raise DomainError("unknown identity %r (choose from %s)"
+                          % (identity, ", ".join(IDENTITY_IDS))) from None
+
+
+# ---------------------------------------------------------------------------
+# numeric side
+# ---------------------------------------------------------------------------
 
 
 def _normalized(lhs: complex, rhs: complex) -> float:
@@ -361,14 +416,13 @@ def numeric_residual(identity: str, x: complex, y: Optional[complex] = None,
     PoleError so callers can resample.
     """
     info = identity_info(identity)
-    if identity.startswith("classical_limit"):
+    if info.pairs is None:
         raise DomainError("classical limit checks run over a q sequence; "
                           "use verify_numeric")
     if info.nvars == 2 and y is None:
         raise DomainError("identity %s needs both x and y" % identity)
     p = make_param(tau)
-    pairs = _PAIR_FUNCS[identity](complex(x), None if y is None else complex(y),
-                                  p, policy)
+    pairs = info.pairs(complex(x), None if y is None else complex(y), p, policy)
     return max(_normalized(lhs, rhs) for lhs, rhs in pairs)
 
 
@@ -505,13 +559,13 @@ def verify_numeric(identity: str, plan: SamplePlan = DEFAULT_PLAN,
     are recorded and fail the identity without raising.
     """
     info = identity_info(identity)
-    if "numeric" not in info.modes:
-        raise DomainError("identity %s has no numeric mode" % identity)
     if tolerance is None:
         tolerance = info.tolerance
-    if identity.startswith("classical_limit"):
+    if info.pairs is None:
         return _verify_classical(identity, tolerance)
-    if identity == "f_constancy":
+    if info.pairs is _pairs_probe:
+        # the probe is judged by the mean and spread of the quotient over
+        # its own fixed box and tau, not by per-sample residuals
         return _verify_probe(plan, tolerance, policy)
 
     rng = random.Random("%d:%s" % (plan.seed, identity))
@@ -563,115 +617,32 @@ def verify_numeric(identity: str, plan: SamplePlan = DEFAULT_PLAN,
 # ---------------------------------------------------------------------------
 
 
-def _theta_u(kind: int, scale: int, order: int) -> GradedSeries:
-    return theta_series(kind, scale, (1, 0), order)
-
-
-def _triple_product_sides(kind: int, order: int):
-    series = _theta_u(kind, 1, order)
-    if kind == 1:
-        head = GradedSeries.from_poly(
-            LaurentPoly({(1, 0): Gaussian(0, -1), (-1, 0): Gaussian(0, 1)}),
-            1, order)
-        factors = (geometric_factors(-1, 2, 2, None, order)
-                   + geometric_factors(-1, 2, 2, (2, 0), order)
-                   + geometric_factors(-1, 2, 2, (-2, 0), order))
-    elif kind == 2:
-        head = GradedSeries.from_poly(
-            LaurentPoly({(1, 0): Gaussian(1), (-1, 0): Gaussian(1)}), 1, order)
-        factors = (geometric_factors(-1, 2, 2, None, order)
-                   + geometric_factors(1, 2, 2, (2, 0), order)
-                   + geometric_factors(1, 2, 2, (-2, 0), order))
-    elif kind == 3:
-        head = GradedSeries.one(order)
-        factors = (geometric_factors(-1, 2, 2, None, order)
-                   + geometric_factors(1, 1, 2, (2, 0), order)
-                   + geometric_factors(1, 1, 2, (-2, 0), order))
-    else:
-        head = GradedSeries.one(order)
-        factors = (geometric_factors(-1, 2, 2, None, order)
-                   + geometric_factors(-1, 1, 2, (2, 0), order)
-                   + geometric_factors(-1, 1, 2, (-2, 0), order))
-    return series, head * pochhammer_product(factors, order)
-
-
-def thm2_sides(order: int, flip_sign: bool = False):
-    """Both sides of the two-variable theta identity as exact series.
-
-    x+y and x-y are encoded as the monomials u*v and u*v^-1.  flip_sign
-    deliberately corrupts the right-hand side (minus to plus) to exercise
-    the failure path of the certifier.
-    """
-    t = theta_series
-    lhs = (t(2, 2, (1, 1), order) * t(3, 2, (1, -1), order)
-           * (t(1, 1, (1, 0), order) * t(2, 1, (0, 1), order)
-              + t(1, 1, (0, 1), order) * t(2, 1, (1, 0), order)))
-    cross = t(1, 1, (1, 0), order) * t(1, 1, (0, 1), order)
-    prod = t(2, 1, (1, 0), order) * t(2, 1, (0, 1), order)
-    inner = (prod + cross) if flip_sign else (prod - cross)
-    rhs = t(1, 2, (1, 1), order) * t(4, 2, (1, -1), order) * inner
-    return lhs, rhs
-
-
 def formal_relations(identity: str, order: int) -> list:
     """(label, lhs, rhs) triples of exact series for a certifiable identity."""
     info = identity_info(identity)
-    if "formal" not in info.modes:
+    if info.relations is None:
         raise UnsupportedFormal(
             "identity %s needs division and has no formal mode" % identity)
     if order < 0:
         raise DomainError("order must be >= 0")
-
-    if identity.startswith("quasi_period_"):
-        kind = int(identity[-1])
-        plain = _theta_u(kind, 1, order)
-        lhs_pi = shift_argument(plain, "plus_pi", "u")
-        rhs_pi = plain if PI_SHIFT_SIGN[kind] == 1 else -plain
-        wide = _theta_u(kind, 1, order + shift_margin(order))
-        lhs_tau = shift_argument(wide, "plus_pi_tau", "u")
-        mono = GradedSeries.from_poly(LaurentPoly.monomial(-2, 0), -4, order + 2)
-        rhs_tau = (mono * _theta_u(kind, 1, order + 2)).scale(PI_TAU_SHIFT_SIGN[kind])
-        return [("theta%d(z+pi)" % kind, lhs_pi, rhs_pi),
-                ("theta%d(z+pi*tau)" % kind, lhs_tau, rhs_tau)]
-
-    if identity.startswith("half_period_"):
-        kind = int(identity[-1])
-        wide = _theta_u(kind, 1, order + shift_margin(order))
-        lhs = shift_argument(wide, "plus_half_pi_tau", "u")
-        coeff = Gaussian(0, 1) if HALF_PERIOD_HAS_I[kind] else Gaussian(1)
-        mult = GradedSeries.from_poly(
-            LaurentPoly.monomial(-1, 0, coeff=coeff), -1, order + 1)
-        rhs = mult * _theta_u(HALF_PERIOD_MAP[kind], 1, order + 1)
-        return [("theta%d(z+pi*tau/2)" % kind, lhs, rhs)]
-
-    if identity == "duplication_12":
-        lhs = (_theta_u(1, 2, order) * _theta_u(4, 2, order)).scale(2)
-        rhs = theta_series(2, 1, (0, 0), order) * _theta_u(1, 1, order)
-        return [("2 theta1 theta4 at 2tau", lhs, rhs)]
-    if identity == "duplication_23":
-        lhs = (_theta_u(2, 2, order) * _theta_u(3, 2, order)).scale(2)
-        rhs = theta_series(2, 1, (0, 0), order) * _theta_u(2, 1, order)
-        return [("2 theta2 theta3 at 2tau", lhs, rhs)]
-
-    if identity.startswith("triple_product_"):
-        kind = int(identity[-1])
-        series, product = _triple_product_sides(kind, order)
-        return [("theta%d series vs product" % kind, series, product)]
-
-    lhs, rhs = thm2_sides(order)
-    return [("thm2", lhs, rhs)]
+    return info.relations(order)
 
 
-def formal_certify(identity: str, order: Optional[int] = None) -> IdentityReport:
-    """Certify an identity by exact coefficient comparison to the order."""
+def _certify(identity: str, order: Optional[int]) -> tuple:
+    """Build the relations once and compare each once.
+
+    Returns (report, checked) with checked a list of
+    (label, lhs, rhs, SeriesMatch), so a certificate can print the very
+    series the report was decided on.
+    """
     if order is None:
-        order = FORMAL_DEFAULT_ORDER.get(identity, DEFAULT_FORMAL_ORDER)
-    relations = formal_relations(identity, order)
+        order = identity_info(identity).formal_order
+    checked = [(label, lhs, rhs, series_equal(lhs, rhs))
+               for label, lhs, rhs in formal_relations(identity, order)]
     failures = []
     min_order = None
     rel_params = []
-    for label, lhs, rhs in relations:
-        match = series_equal(lhs, rhs)
+    for label, _, _, match in checked:
         rel_params.append({"relation": label,
                            "compared_through": grade_str(match.boundary)})
         if not match.equal:
@@ -693,11 +664,17 @@ def formal_certify(identity: str, order: Optional[int] = None) -> IdentityReport
     else:
         certified = min_order if min_order is not None else 0
         status = "pass" if certified >= order else "fail"
-    return IdentityReport(id=identity, mode="formal", status=status,
-                          certified_order=certified,
-                          params={"requested_order": order,
-                                  "relations": rel_params},
-                          failures=failures)
+    report = IdentityReport(id=identity, mode="formal", status=status,
+                            certified_order=certified,
+                            params={"requested_order": order,
+                                    "relations": rel_params},
+                            failures=failures)
+    return report, checked
+
+
+def formal_certify(identity: str, order: Optional[int] = None) -> IdentityReport:
+    """Certify an identity by exact coefficient comparison to the order."""
+    return _certify(identity, order)[0]
 
 
 def certificate_text(identity: str, order: Optional[int] = None) -> tuple:
@@ -706,15 +683,12 @@ def certificate_text(identity: str, order: Optional[int] = None) -> tuple:
     Returns (report, text).  Lines are sorted by grade then monomial, so a
     certificate for a given identity and order is byte-stable.
     """
-    if order is None:
-        order = FORMAL_DEFAULT_ORDER.get(identity, DEFAULT_FORMAL_ORDER)
-    report = formal_certify(identity, order)
+    report, checked = _certify(identity, order)
     lines = ["certificate: %s" % identity,
-             "requested order: q^%d" % order,
+             "requested order: q^%d" % report.params["requested_order"],
              "status: %s" % report.status,
              ""]
-    for label, lhs, rhs in formal_relations(identity, order):
-        match = series_equal(lhs, rhs)
+    for label, lhs, rhs, match in checked:
         lines.append("relation: %s" % label)
         lines.append("compared through: %s" % grade_str(match.boundary))
         for side_name, side in (("lhs", lhs), ("rhs", rhs)):
@@ -746,20 +720,15 @@ def run_suite(plan: SamplePlan = DEFAULT_PLAN,
     Deterministic for a given plan seed.
     """
     reports = []
-    for name in IDENTITY_IDS:
-        info = REGISTRY[name]
-        if "numeric" in info.modes:
+    for name, info in REGISTRY.items():
+        for mode in info.modes:
             try:
-                reports.append(verify_numeric(name, plan, tolerance, policy))
+                if mode == "numeric":
+                    report = verify_numeric(name, plan, tolerance, policy)
+                else:
+                    report = formal_certify(name, order)
             except ThetaQError as exc:
-                reports.append(IdentityReport(
-                    id=name, mode="numeric", status="fail",
-                    failures=[{"error": str(exc)}]))
-        if "formal" in info.modes:
-            try:
-                reports.append(formal_certify(name, order))
-            except ThetaQError as exc:
-                reports.append(IdentityReport(
-                    id=name, mode="formal", status="fail",
-                    failures=[{"error": str(exc)}]))
+                report = IdentityReport(id=name, mode=mode, status="fail",
+                                        failures=[{"error": str(exc)}])
+            reports.append(report)
     return reports

@@ -56,26 +56,26 @@ def qtrig_theta(kind: str, z: complex, p: ModularParam,
     check_qtrig_kind(kind)
     z = complex(z)
     pp = tau_prime(p)
-    scale = abs(theta_sum(2, 0.0, pp, policy))  # prefactor-free theta2 null
-    eps_pole = POLE_RATIO * scale
+    if kind == "ssn_q":
+        return theta_sum(4, z, pp, policy) / theta_sum(3, 0.0, pp, policy)
+    if kind == "ccs_q":
+        return theta_sum(3, z, pp, policy) / theta_sum(3, 0.0, pp, policy)
 
+    null2 = theta_sum(2, 0.0, pp, policy)  # prefactor-free theta2 null
     if kind == "sin_q":
-        return -1j * theta_sum(1, z, pp, policy) / theta_sum(2, 0.0, pp, policy)
+        return -1j * theta_sum(1, z, pp, policy) / null2
     if kind == "cos_q":
-        return theta_sum(2, z, pp, policy) / theta_sum(2, 0.0, pp, policy)
+        return theta_sum(2, z, pp, policy) / null2
+    eps_pole = POLE_RATIO * abs(null2)
     if kind == "tan_q":
         den = theta_sum(2, z, pp, policy)
         if abs(den) < eps_pole:
             raise PoleError("tan_q pole: theta2(z|tau') ~ 0 at z = %r" % (z,))
         return -1j * theta_sum(1, z, pp, policy) / den
-    if kind == "cot_q":
-        den = theta_sum(1, z, pp, policy)
-        if abs(den) < eps_pole:
-            raise PoleError("cot_q pole: theta1(z|tau') ~ 0 at z = %r" % (z,))
-        return 1j * theta_sum(2, z, pp, policy) / den
-    if kind == "ssn_q":
-        return theta_sum(4, z, pp, policy) / theta_sum(3, 0.0, pp, policy)
-    return theta_sum(3, z, pp, policy) / theta_sum(3, 0.0, pp, policy)
+    den = theta_sum(1, z, pp, policy)
+    if abs(den) < eps_pole:
+        raise PoleError("cot_q pole: theta1(z|tau') ~ 0 at z = %r" % (z,))
+    return 1j * theta_sum(2, z, pp, policy) / den
 
 
 def _sin_q_product(w: complex, q: complex, policy: TruncationPolicy) -> complex:

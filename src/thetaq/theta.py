@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
@@ -48,6 +49,15 @@ class ShiftResult:
     multiplier: complex
 
 
+# log of the largest finite double
+_LN_DOUBLE_MAX = math.log(sys.float_info.max)
+
+
+def _overflow(kind: int, z: complex) -> ConvergenceError:
+    return ConvergenceError("theta%d series overflowed double range at z = %r "
+                            "(reduce the argument first)" % (kind, z))
+
+
 def theta_sum(kind: int, z: complex, p: ModularParam,
               policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """The bare lattice sum of theta_kind, without the q^(1/4) prefactors.
@@ -58,6 +68,10 @@ def theta_sum(kind: int, z: complex, p: ModularParam,
     which matters when q^(1/4) underflows.
     """
     check_kind(kind)
+    # the largest argument factor is |e^(iz)|^2 for kinds 3, 4 and |e^(iz)|
+    # for kinds 1, 2; past double range exp overflows or 1/e^(2iz) divides by 0
+    if abs(z.imag) * (2 if kind in (3, 4) else 1) > _LN_DOUBLE_MAX:
+        raise _overflow(kind, z)
     q = p.q
     if abs(q) == 0.0:
         # nome underflowed (huge Im tau); the q -> 0 limit is the correctly
@@ -79,9 +93,7 @@ def theta_sum(kind: int, z: complex, p: ModularParam,
 
     def finished(total: complex) -> complex:
         if not (math.isfinite(total.real) and math.isfinite(total.imag)):
-            raise ConvergenceError(
-                "theta%d series overflowed double range at z = %r "
-                "(reduce the argument first)" % (kind, z))
+            raise _overflow(kind, z)
         return total
 
     if kind in (3, 4):

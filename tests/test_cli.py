@@ -1,7 +1,11 @@
 import json
 import math
 
+import pytest
+
+from thetaq import cli
 from thetaq.cli import format_value, main, parse_complex
+from thetaq.errors import GradeMismatch
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +74,28 @@ def test_eval_convergence_error(capsys):
     code, _, err = run_cli(capsys, "eval", "--fn", "theta3",
                            "--z", "0.1,0", "--tau", "0,0.00001")
     assert code == 3
+
+
+def test_eval_huge_imaginary_argument(capsys):
+    for fn in ("theta1", "theta2", "theta3", "theta4"):
+        for z in ("0,800", "0,-800"):
+            code, _, err = run_cli(capsys, "eval", "--fn", fn,
+                                   "--z", z, "--tau", "0,1")
+            assert code == 3, (fn, z)
+            assert "overflowed double range" in err
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), GradeMismatch("boom")])
+def test_internal_error_exit_code(capsys, monkeypatch, exc):
+    def crash(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_eval", crash)
+    code, out, err = run_cli(capsys, "eval", "--fn", "theta3",
+                             "--z", "0,0", "--tau", "0,1")
+    assert code == 5
+    assert out == ""
+    assert err == "internal error: %s: boom\n" % type(exc).__name__
 
 
 def test_eval_unknown_function(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -181,6 +182,37 @@ def test_certificate_text_structure():
     assert "q^(1/2)    u          2" in text    # leading coefficient of each side
     report2, text2 = certificate_text("duplication_23", 6)
     assert text == text2  # byte-stable
+
+
+# SHA-256 of certificate_text(id)[1] at the default order, for every formal id
+CERTIFICATE_SHA256 = {
+    "quasi_period_1": "a85827a1b7baeed9d1b37f8f9f9ed3ecc292f5de3e822a9989a6442ce0f98973",
+    "quasi_period_2": "944f06910d9e7d28b2e6933fefd44b186bfced4610c7a8ad77131a85acb373a3",
+    "quasi_period_3": "7b84864bffb1d2aa6873cf20b607df17ce2e97aa1b5b288be1102c72a6e7e286",
+    "quasi_period_4": "471a1e4b5a56c5fed5b018c2be1b7cc31ada5a0ca19498899bf0542b29e1e814",
+    "half_period_1": "4f5cbbdb9e2ba317dcdc35b3010203131778434add502af31b77bf33cc0c429f",
+    "half_period_2": "23695928f991d61e662423c05c22b15aa4fc78826614408d2836dd4400bd186b",
+    "half_period_3": "a3f457d4ec6a1f85243373feb8aa4c3dec7e97373fb3eb28a71fb1a9376d6386",
+    "half_period_4": "a48b8e837189b4050a0080ac30c5f0f8e6c2164a71043bd37b784ee9258eccac",
+    "duplication_12": "daee3007b9741bf1fbdf9d4831697343fa2728044e2e09c2c1f293057b2c733d",
+    "duplication_23": "24628971f28a7036e45244df758ce19e8416fbb62ec7f695ab886ab924956fe1",
+    "triple_product_1": "8ff7ecdcabd225a64ef9192b7ce115d205bb9fb11082bf8604b2f340f8a89a31",
+    "triple_product_2": "d20b3e2a8726a46987ca5b3d8eaa3ab0b53fe5e173a7dd3f3c4662f9e708cae4",
+    "triple_product_3": "2c211c04f28e376afa48d15bd167d0e52c8a2e6e8fed0262e09b5d542cbd3cc4",
+    "triple_product_4": "5a21506eb282c01bc6577f8f56bb865e2fb54543019296df2e0b21fa0a6e7003",
+    "thm2": "ab46f0e085c0d2b5aaa1b688c449dfc73ac86c9e46d4682b52288cdca1b78d9d",
+}
+
+
+def test_certificates_at_default_order_are_pinned():
+    formal_ids = [i for i in IDENTITY_IDS if "formal" in identity_info(i).modes]
+    assert formal_ids == list(CERTIFICATE_SHA256)
+    for name, digest in CERTIFICATE_SHA256.items():
+        report, text = certificate_text(name)
+        expected_order = 20 if name.startswith("duplication_") else 12
+        assert report.params["requested_order"] == expected_order, name
+        assert report.passed, (name, report.failures)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
 def test_classical_residuals_strictly_decreasing():

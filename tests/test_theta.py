@@ -15,6 +15,7 @@ from thetaq import (
     reduce_argument,
     theta_eval,
     theta_null,
+    theta_sum,
 )
 
 TAU = 0.2 + 1.3j
@@ -208,6 +209,19 @@ def test_convergence_error_instead_of_silent_precision_loss():
         theta_eval(3, 0.1, make_param(1e-5j))
     with pytest.raises(ConvergenceError):
         theta_eval(2, 0.1, p, TruncationPolicy(max_terms=1, eps=1e-30))
+
+
+def test_huge_imaginary_argument_raises_convergence_error():
+    # exp(2iz) under- or overflows at |Im z| = 800; the q -> 0 branch
+    # (tau = 1000i underflows the nome) must not return a value either
+    for tau in (1.1j, 1000j):
+        p = make_param(tau)
+        for kind in (1, 2, 3, 4):
+            for z in (800j, -800j):
+                with pytest.raises(ConvergenceError, match="overflowed double range"):
+                    theta_sum(kind, z, p)
+                with pytest.raises(ConvergenceError):
+                    theta_eval(kind, z, p)
 
 
 def test_kind_validation():
