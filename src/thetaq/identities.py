@@ -10,8 +10,9 @@ Each identity can be verified in one or both of two modes:
 The classical-limit checks are the one exception to plain double
 precision: the deviation of the q-deformed tangent from the ordinary one
 shrinks superexponentially as q -> 1 and falls below the double rounding
-floor well before q = 0.9, so those residuals are computed with mpmath at
-an adaptive working precision that actually resolves them.
+floor well before q = 0.9, so those residuals are computed with mpmath,
+expanded in that small deviation itself so that no O(1) terms cancel, at 25
+digits above the caller's precision.
 """
 
 from __future__ import annotations
@@ -427,54 +428,75 @@ def numeric_residual(identity: str, x: complex, y: Optional[complex] = None,
 
 
 # ---------------------------------------------------------------------------
-# classical limits (adaptive precision)
+# classical limits (epsilon expansion)
 # ---------------------------------------------------------------------------
 
 
-def _mp_tan_q(z, qprime, terms: int = 8):
-    """tan_q via the prefactor-free theta quotient at real nome' qprime."""
-    num = mp.mpf(0)
-    den = mp.mpf(0)
-    for k in range(terms):
+def _mp_tan_eps(z, qprime, terms: int = 8) -> tuple:
+    """(tan z, eps) with tan_q z = tan z * (1 + eps), at real nome' qprime.
+
+    tan_q is the prefactor-free theta quotient; its k = 0 terms are sin z
+    and cos z, so tan_q z = tan z * (1 + a) / (1 + b) with a, b the k >= 1
+    tails of the two sums.  eps = (a - b) / (1 + b) is formed from the tails
+    alone and carries no cancellation against the O(1) terms.
+    """
+    s, c = mp.sin(z), mp.cos(z)
+    a = mp.mpf(0)
+    b = mp.mpf(0)
+    for k in range(1, terms):
         w = qprime ** (k * (k + 1))
-        s = -1 if k % 2 else 1
-        num += s * w * mp.sin((2 * k + 1) * z)
-        den += w * mp.cos((2 * k + 1) * z)
-    return num / den
+        a += (-w if k % 2 else w) * mp.sin((2 * k + 1) * z)
+        b += w * mp.cos((2 * k + 1) * z)
+    a /= s
+    b /= c
+    return s / c, (a - b) / (1 + b)
 
 
 def classical_residuals(which: str, qs=CLASSICAL_Q) -> list:
     """Residuals of the classical tan/cot identities evaluated with the
     q-analogues at real nome values, as mpmath floats.
 
-    Precision is chosen per q so the superexponentially small deviation
-    (scale exp(-2*pi^2 / |ln q|)) is actually resolved.  Each residual is
-    returned rounded to the caller's mpmath precision: the exponent of an
-    mpf is unbounded, so magnitudes such as 1e-8568 are kept, while
-    the working mantissa (thousands of digits) is dropped.
+    The deviation of tan_q from tan has scale exp(-2*pi^2 / |ln q|), about
+    1e-8569 at q = 0.999.  Rather than subtract O(1) quantities at that many
+    digits, each tan_q is written as T (1 + eps) with T the classical value,
+    and the exact classical terms are dropped algebraically (x + y + z = pi
+    gives sum T = prod T and sum of cot pairs = 1):
+
+      tan: sum T_i eps_i - prod T (e1 + e2 + e3), e_k elementary symmetric
+           in the eps_i;
+      cot: sum over pairs C_i C_j (d_i + d_j + d_i d_j), d = -eps/(1 + eps).
+
+    The mpf exponent is unbounded, so only relative precision is needed:
+    the work runs at the caller's precision plus 25 digits and each residual
+    is returned rounded to the caller's precision.
     """
     if which not in ("tan", "cot"):
         raise DomainError("which must be 'tan' or 'cot'")
     out = []
     for qv in qs:
-        lnq = -math.log(qv)
-        digits = int(2 * math.pi ** 2 / lnq / math.log(10)) + 80
-        with mp.workdps(digits):
+        with mp.workdps(mp.mp.dps + 25):
             qprime = mp.exp(-mp.pi ** 2 / mp.log(mp.mpf(1) / qv))
             x = mp.mpf(CLASSICAL_X)
             y = mp.mpf(CLASSICAL_Y)
             z = mp.pi - x - y
-            tx = _mp_tan_q(x, qprime)
-            ty = _mp_tan_q(y, qprime)
-            tz = _mp_tan_q(z, qprime)
+            (tx, ex), (ty, ey), (tz, ez) = (_mp_tan_eps(v, qprime)
+                                            for v in (x, y, z))
             if which == "tan":
-                lhs = tx + ty + tz
-                rhs = tx * ty * tz
+                e1 = ex + ey + ez
+                e2 = ex * ey + ey * ez + ez * ex
+                e3 = ex * ey * ez
+                prod = tx * ty * tz
+                diff = tx * ex + ty * ey + tz * ez - prod * (e1 + e2 + e3)
+                lhs = tx * (1 + ex) + ty * (1 + ey) + tz * (1 + ez)
+                rhs = prod * (1 + ex) * (1 + ey) * (1 + ez)
             else:
                 cx, cy, cz = 1 / tx, 1 / ty, 1 / tz
-                lhs = cx * cy + cy * cz + cz * cx
+                dx, dy, dz = (-e / (1 + e) for e in (ex, ey, ez))
+                diff = (cx * cy * (dx + dy + dx * dy) + cy * cz * (dy + dz + dy * dz)
+                        + cz * cx * (dz + dx + dz * dx))
+                lhs = 1 + diff
                 rhs = mp.mpf(1)
-            res = abs(lhs - rhs) / max(mp.mpf(1), abs(lhs), abs(rhs))
+            res = abs(diff) / max(mp.mpf(1), abs(lhs), abs(rhs))
         out.append(+res)
     return out
 
