@@ -64,8 +64,11 @@ def _policy(args) -> TruncationPolicy:
 def _report_lines(report: IdentityReport) -> list:
     bits = ["%-20s %-8s %s" % (report.id, report.mode, report.status)]
     if report.mode == "numeric":
-        bits.append("  samples=%d max_residual=%.3e"
-                    % (report.samples, report.max_abs_residual))
+        line = "  samples=%d max_residual=%.3e" % (report.samples,
+                                                    report.max_abs_residual)
+        if "log10_residuals" in report.params:
+            line += " log10_residual=%.6f" % report.params["log10_residuals"][-1]
+        bits.append(line)
     else:
         bits.append("  certified_order=q^%d" % report.certified_order)
     for fail in report.failures:

@@ -524,7 +524,11 @@ def _verify_classical(identity: str, tolerance: float) -> IdentityReport:
         params={"q_values": list(CLASSICAL_Q),
                 "residuals": [mp.nstr(r, 6) for r in residuals],
                 "x": CLASSICAL_X, "y": CLASSICAL_Y,
-                "tolerance": tolerance})
+                "tolerance": tolerance,
+                # max_abs_residual underflows to 0.0 below double range;
+                # mp.log10 keeps the exponent, str(mpf) would not
+                "log10_residuals": [round(float(mp.log10(r)), 6)
+                                    for r in residuals]})
     if status == "fail":
         report.failures.append({"error": "residuals not strictly decreasing"
                                 if not decreasing else "final residual above tolerance",

@@ -53,9 +53,15 @@ class ShiftResult:
 _LN_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
-def _overflow(kind: int, z: complex) -> ConvergenceError:
-    return ConvergenceError("theta%d series overflowed double range at z = %r "
-                            "(reduce the argument first)" % (kind, z))
+def _overflow(kind: int, z: complex, path: str) -> ConvergenceError:
+    return ConvergenceError("theta%d %s overflowed double range at z = %r "
+                            "(reduce the argument first)" % (kind, path, z))
+
+
+def _check_exp_range(kind: int, z: complex, scale: int, path: str) -> None:
+    """Raise before exp(scale*i*z) or its inverse leaves double range."""
+    if abs(z.imag) * scale > _LN_DOUBLE_MAX:
+        raise _overflow(kind, z, path)
 
 
 def theta_sum(kind: int, z: complex, p: ModularParam,
@@ -70,8 +76,7 @@ def theta_sum(kind: int, z: complex, p: ModularParam,
     check_kind(kind)
     # the largest argument factor is |e^(iz)|^2 for kinds 3, 4 and |e^(iz)|
     # for kinds 1, 2; past double range exp overflows or 1/e^(2iz) divides by 0
-    if abs(z.imag) * (2 if kind in (3, 4) else 1) > _LN_DOUBLE_MAX:
-        raise _overflow(kind, z)
+    _check_exp_range(kind, z, 2 if kind in (3, 4) else 1, "series")
     q = p.q
     if abs(q) == 0.0:
         # nome underflowed (huge Im tau); the q -> 0 limit is the correctly
@@ -93,7 +98,7 @@ def theta_sum(kind: int, z: complex, p: ModularParam,
 
     def finished(total: complex) -> complex:
         if not (math.isfinite(total.real) and math.isfinite(total.imag)):
-            raise _overflow(kind, z)
+            raise _overflow(kind, z, "series")
         return total
 
     if kind in (3, 4):
@@ -181,24 +186,31 @@ def theta_eval(kind: int, z: complex, p: ModularParam,
     if method != "product":
         raise DomainError("method must be 'series' or 'product', got %r" % (method,))
 
+    # every kind's product carries e^(2iz) and its inverse
+    _check_exp_range(kind, z, 2, "product")
     q = p.q
     q2 = q * q
     w = cmath.exp(2j * z)
     winv = 1 / w
     base = qpochhammer(q2, q2, policy)
     if kind == 1:
-        return (2 * p.q_quarter * cmath.sin(z) * base
-                * qpochhammer(q2 * w, q2, policy)
-                * qpochhammer(q2 * winv, q2, policy))
-    if kind == 2:
-        return (2 * p.q_quarter * cmath.cos(z) * base
-                * qpochhammer(-q2 * w, q2, policy)
-                * qpochhammer(-q2 * winv, q2, policy))
-    if kind == 3:
-        return (base * qpochhammer(-q * w, q2, policy)
-                * qpochhammer(-q * winv, q2, policy))
-    return (base * qpochhammer(q * w, q2, policy)
-            * qpochhammer(q * winv, q2, policy))
+        value = (2 * p.q_quarter * cmath.sin(z) * base
+                 * qpochhammer(q2 * w, q2, policy)
+                 * qpochhammer(q2 * winv, q2, policy))
+    elif kind == 2:
+        value = (2 * p.q_quarter * cmath.cos(z) * base
+                 * qpochhammer(-q2 * w, q2, policy)
+                 * qpochhammer(-q2 * winv, q2, policy))
+    elif kind == 3:
+        value = (base * qpochhammer(-q * w, q2, policy)
+                 * qpochhammer(-q * winv, q2, policy))
+    else:
+        value = (base * qpochhammer(q * w, q2, policy)
+                 * qpochhammer(q * winv, q2, policy))
+    # e^(2iz) is in range, but the partial products can still overflow
+    if not cmath.isfinite(value):
+        raise _overflow(kind, z, "product")
+    return value
 
 
 def theta_null(j: int, p: ModularParam,

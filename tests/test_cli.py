@@ -77,12 +77,13 @@ def test_eval_convergence_error(capsys):
 
 
 def test_eval_huge_imaginary_argument(capsys):
-    for fn in ("theta1", "theta2", "theta3", "theta4"):
-        for z in ("0,800", "0,-800"):
-            code, _, err = run_cli(capsys, "eval", "--fn", fn,
-                                   "--z", z, "--tau", "0,1")
-            assert code == 3, (fn, z)
-            assert "overflowed double range" in err
+    for method in ("series", "product"):
+        for fn in ("theta1", "theta2", "theta3", "theta4"):
+            for z in ("0,800", "0,-800", "0,400"):
+                code, _, err = run_cli(capsys, "eval", "--fn", fn, "--z", z,
+                                       "--tau", "0,1", "--method", method)
+                assert code == 3, (method, fn, z)
+                assert "%s overflowed double range" % method in err
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("boom"), GradeMismatch("boom")])
@@ -122,6 +123,13 @@ def test_verify_classical_limit(capsys):
     code, out, _ = run_cli(capsys, "verify", "--id", "classical_limit_tan")
     assert code == 0
     assert "pass" in out
+
+
+def test_verify_classical_limit_prints_log10_residual(capsys):
+    # max_residual underflows to 0.0; the log10 carries the magnitude
+    code, out, _ = run_cli(capsys, "verify", "--id", "classical_limit_tan")
+    assert code == 0
+    assert "max_residual=0.000e+00 log10_residual=-8567.940627" in out
 
 
 def test_verify_impossible_tolerance(capsys):
@@ -199,3 +207,15 @@ def test_suite_custom_tau(capsys):
     code, out, _ = run_cli(capsys, "suite", "--seed", "3", "--count", "10",
                            "--tau", "0.3,1.1", "--format", "csv")
     assert code == 0
+
+
+def test_suite_json_reports_classical_exponents(capsys):
+    code, out, _ = run_cli(capsys, "suite", "--seed", "7", "--count", "12",
+                           "--format", "json")
+    assert code == 0
+    reports, _ = json.JSONDecoder().raw_decode(out)
+    classical = {r["id"]: r["params"]["log10_residuals"] for r in reports
+                 if r["id"].startswith("classical_limit_")}
+    assert set(classical) == {"classical_limit_tan", "classical_limit_cot"}
+    for logs in classical.values():
+        assert [round(v, 3) for v in logs] == [-80.963, -852.568, -8567.941]

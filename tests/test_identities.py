@@ -228,9 +228,9 @@ CLASSICAL_LOG10 = (-80.96292225964498, -852.5676479807125, -8567.940626972595)
 
 
 def test_classical_residuals_format_at_caller_precision():
-    # the residuals are computed with up to ~8,650 working digits; they must
-    # come back at the caller's precision, or mp.nstr meets CPython's
-    # 4300-digit int->str limit on mpmath's pure-Python backend
+    # the residuals must come back at the caller's precision: a residual
+    # carrying a working mantissa of thousands of digits makes mp.nstr meet
+    # CPython's 4300-digit int->str limit on mpmath's pure-Python backend
     for which in ("tan", "cot"):
         r = classical_residuals(which)
         assert len(r) == len(CLASSICAL_LOG10)
@@ -238,6 +238,48 @@ def test_classical_residuals_format_at_caller_precision():
             text = mp.nstr(value, 6)
             assert abs(float(mp.log10(mp.mpf(text))) - expected) < 1e-5
             assert abs(float(mp.log10(value)) - expected) < 1e-6
+
+
+def _brute_tan_q(z, qprime, terms=8):
+    """tan_q as the plain quotient of the prefactor-free theta sums."""
+    num = mp.mpf(0)
+    den = mp.mpf(0)
+    for k in range(terms):
+        w = qprime ** (k * (k + 1))
+        s = -1 if k % 2 else 1
+        num += s * w * mp.sin((2 * k + 1) * z)
+        den += w * mp.cos((2 * k + 1) * z)
+    return num / den
+
+
+def _brute_classical_residual(which, qv):
+    """Reference: subtract the O(1) sides at enough digits to resolve the
+    exp(-2*pi^2/|ln q|) gap, then round to the caller's precision."""
+    digits = int(2 * math.pi ** 2 / -math.log(qv) / math.log(10)) + 80
+    with mp.workdps(digits):
+        qprime = mp.exp(-mp.pi ** 2 / mp.log(mp.mpf(1) / qv))
+        x, y = mp.mpf(0.7), mp.mpf(1.1)
+        tx, ty, tz = (_brute_tan_q(v, qprime) for v in (x, y, mp.pi - x - y))
+        if which == "tan":
+            lhs, rhs = tx + ty + tz, tx * ty * tz
+        else:
+            cx, cy, cz = 1 / tx, 1 / ty, 1 / tz
+            lhs, rhs = cx * cy + cy * cz + cz * cx, mp.mpf(1)
+        res = abs(lhs - rhs) / max(mp.mpf(1), abs(lhs), abs(rhs))
+    return +res
+
+
+def test_classical_residuals_match_brute_force_reference():
+    # at q = 0.2 the eps are ~1e-5, so the second- and third-order terms
+    # and the k >= 2 tails show at 30 digits; q = 0.999 needs ~8,650
+    # reference digits, and the log10 pins cover it
+    qs = (0.2, 0.9, 0.99)
+    with mp.workdps(50):
+        for which in ("tan", "cot"):
+            fast = classical_residuals(which, qs)
+            for qv, value in zip(qs, fast):
+                ref = _brute_classical_residual(which, qv)
+                assert abs(value - ref) <= mp.mpf("1e-30") * ref, (which, qv)
 
 
 def test_verify_numeric_classical_limits_pass():

@@ -224,6 +224,15 @@ def test_huge_imaginary_argument_raises_convergence_error():
                     theta_eval(kind, z, p)
 
 
+def test_product_path_huge_imaginary_argument_raises_convergence_error():
+    # e^(2iz) under- or overflows past |Im z| = log(DBL_MAX)/2 for every
+    # kind; closer in, the partial products overflow to inf/nan
+    p = make_param(1j)
+    for kind, z in ((3, 800j), (1, 400j), (4, -800j), (2, -400j), (3, 300j)):
+        with pytest.raises(ConvergenceError, match="product overflowed double range"):
+            theta_eval(kind, z, p, method="product")
+
+
 def test_kind_validation():
     with pytest.raises(DomainError):
         theta_eval(5, 0, make_param(1j))
