@@ -50,14 +50,12 @@ from .params import (
     TruncationPolicy,
     make_param,
     param_from_nome,
-    principal_power,
     tau_prime,
 )
 from .qtrig import (
     QTRIG_KINDS,
     qsquared_param,
     qtrig_crosscheck,
-    qtrig_product,
     qtrig_product_any,
     qtrig_theta,
 )

@@ -78,18 +78,3 @@ def param_from_nome(q: complex) -> ModularParam:
 def tau_prime(p: ModularParam) -> ModularParam:
     """The companion parameter -1/tau (an involution on the half-plane)."""
     return make_param(-1 / p.tau)
-
-
-def principal_power(q: complex, w: complex) -> complex:
-    """q**w on the principal branch: exp(w * Log q).
-
-    For q on the positive real segment (0, 1) this is the ordinary real
-    power.  Raises DomainError at q = 0.
-    """
-    q = complex(q)
-    if q == 0:
-        raise DomainError("principal_power undefined at q = 0")
-    w = complex(w)
-    if w == 0:
-        return 1.0 + 0j
-    return cmath.exp(w * cmath.log(q))

@@ -14,8 +14,10 @@ agreement, which is itself one of the verified claims.
 
 The theta-quotient path cancels the q^(1/4) prefactors analytically, so it
 stays well conditioned even when tau' has a huge imaginary part (nome q
-close to 1).  Fractional powers of complex q use the principal branch
-throughout, which assumes |Re tau| < 1 so that Log q = i*pi*tau.
+close to 1).  The product path writes every fractional nome power as
+q^a = exp(i*pi*tau*a), taking tau from the ModularParam, so it holds on the
+whole upper half-plane: the principal Log q equals i*pi*tau only while
+|Re tau| < 1.
 
 ssn_q and ccs_q are the quotients sin_{q^2}/sin_q and cos_{q^2}/cos_q; the
 nome-q^2 functions correspond to doubling tau.
@@ -31,13 +33,11 @@ from .params import (
     ModularParam,
     TruncationPolicy,
     make_param,
-    principal_power,
     tau_prime,
 )
 from .theta import qpochhammer, theta_sum
 
 QTRIG_KINDS = ("sin_q", "cos_q", "tan_q", "cot_q", "ssn_q", "ccs_q")
-PRODUCT_KINDS = ("sin_q", "cos_q", "tan_q", "cot_q")
 
 # |denominator| below POLE_RATIO times its natural scale counts as a pole
 POLE_RATIO = 1e-10
@@ -78,75 +78,58 @@ def qtrig_theta(kind: str, z: complex, p: ModularParam,
     return 1j * theta_sum(2, z, pp, policy) / den
 
 
-def _sin_q_product(w: complex, q: complex, policy: TruncationPolicy) -> complex:
-    q2 = q * q
-    num = (qpochhammer(principal_power(q, 2 - 2 * w), q2, policy)
-           * qpochhammer(principal_power(q, 2 * w), q2, policy))
-    den = qpochhammer(q, q2, policy) ** 2
-    return num / den * principal_power(q, (w - 0.5) ** 2)
+def _nome_power(p: ModularParam, a: complex) -> complex:
+    """q^a as exp(i*pi*tau*a): the branch follows tau, never Log q."""
+    return cmath.exp(1j * cmath.pi * p.tau * a)
 
 
-def _cos_q_product(w: complex, q: complex, policy: TruncationPolicy) -> complex:
-    q2 = q * q
-    num = (qpochhammer(principal_power(q, 1 - 2 * w), q2, policy)
-           * qpochhammer(principal_power(q, 1 + 2 * w), q2, policy))
-    den = qpochhammer(q, q2, policy) ** 2
-    return num / den * principal_power(q, w * w)
+def _sin_q_factors(w: complex, p: ModularParam, policy: TruncationPolicy) -> complex:
+    """(q^(2-2w);q^2) (q^(2w);q^2), the w-dependent factors of sin_q(pi w).
+
+    Raises DomainError unless 0 < |q| < 1.
+    """
+    if p.q == 0 or abs(p.q) >= 1:
+        raise DomainError("product form needs 0 < |q| < 1, got |q| = %g" % abs(p.q))
+    q2 = p.q * p.q
+    return (qpochhammer(_nome_power(p, 2 - 2 * w), q2, policy)
+            * qpochhammer(_nome_power(p, 2 * w), q2, policy))
 
 
-def qtrig_product(kind: str, z_over_pi: complex, q: complex,
-                  policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Evaluate sin_q/cos_q/tan_q/cot_q at pi*z_over_pi by the product forms.
+def _sin_q(w: complex, p: ModularParam, policy: TruncationPolicy) -> complex:
+    num = _sin_q_factors(w, p, policy)
+    den = qpochhammer(p.q, p.q * p.q, policy) ** 2
+    return num / den * _nome_power(p, (w - 0.5) ** 2)
+
+
+def qtrig_product_any(kind: str, z_over_pi: complex, p: ModularParam,
+                      policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """Evaluate any q-trig function at pi*z_over_pi by the product forms.
 
     This path never touches theta functions, so it is fully independent of
-    qtrig_theta.  Raises PoleError when a denominator product vanishes and
-    DomainError unless 0 < |q| < 1.
-    """
-    if kind not in PRODUCT_KINDS:
-        raise DomainError("product form is defined for %s, got %r"
-                          % (", ".join(PRODUCT_KINDS), kind))
-    q = complex(q)
-    if q == 0 or abs(q) >= 1:
-        raise DomainError("product form needs 0 < |q| < 1, got |q| = %g" % abs(q))
-    w = complex(z_over_pi)
-    q2 = q * q
-
-    if kind == "sin_q":
-        return _sin_q_product(w, q, policy)
-    if kind == "cos_q":
-        return _cos_q_product(w, q, policy)
-
-    tan_num = (qpochhammer(principal_power(q, 2 - 2 * w), q2, policy)
-               * qpochhammer(principal_power(q, 2 * w), q2, policy))
-    tan_den = (qpochhammer(principal_power(q, 1 - 2 * w), q2, policy)
-               * qpochhammer(principal_power(q, 1 + 2 * w), q2, policy))
-    if kind == "tan_q":
-        if abs(tan_den) < POLE_RATIO * max(1.0, abs(tan_num)):
-            raise PoleError("tan_q pole at pi*%r" % (w,))
-        return tan_num / tan_den * principal_power(q, 0.25 - w)
-    if abs(tan_num) < POLE_RATIO * max(1.0, abs(tan_den)):
-        raise PoleError("cot_q pole at pi*%r" % (w,))
-    return tan_den / tan_num * principal_power(q, w - 0.25)
-
-
-def qtrig_product_any(kind: str, z_over_pi: complex, q: complex,
-                      policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Product-path value for every q-trig kind.
-
-    ssn_q and ccs_q are built from their defining quotients, e.g.
-    ssn_q = sin_{q^2} / sin_q, with both pieces on the product path.
+    qtrig_theta.  cos_q(pi w) = sin_q(pi (w + 1/2)) term for term, so both
+    come from one builder; tan_q and cot_q are its quotient with (q;q^2)^2
+    cancelled, and ssn_q = sin_{q^2} / sin_q, ccs_q = cos_{q^2} / cos_q take
+    the q^2 side at qsquared_param(p).  Raises PoleError when a denominator
+    vanishes and DomainError when the nome underflows to 0.
     """
     check_qtrig_kind(kind)
-    if kind in PRODUCT_KINDS:
-        return qtrig_product(kind, z_over_pi, q, policy)
-    q = complex(q)
     w = complex(z_over_pi)
-    if kind == "ssn_q":
-        den = qtrig_product("sin_q", w, q, policy)
-        num = qtrig_product("sin_q", w, q * q, policy)
-    else:
-        den = qtrig_product("cos_q", w, q, policy)
-        num = qtrig_product("cos_q", w, q * q, policy)
+    if kind in ("tan_q", "cot_q"):
+        tan_num = _sin_q_factors(w, p, policy)
+        tan_den = _sin_q_factors(w + 0.5, p, policy)
+        if kind == "tan_q":
+            if abs(tan_den) < POLE_RATIO * max(1.0, abs(tan_num)):
+                raise PoleError("tan_q pole at pi*%r" % (w,))
+            return tan_num / tan_den * _nome_power(p, 0.25 - w)
+        if abs(tan_num) < POLE_RATIO * max(1.0, abs(tan_den)):
+            raise PoleError("cot_q pole at pi*%r" % (w,))
+        return tan_den / tan_num * _nome_power(p, w - 0.25)
+
+    v = w + 0.5 if kind in ("cos_q", "ccs_q") else w
+    if kind in ("sin_q", "cos_q"):
+        return _sin_q(v, p, policy)
+    den = _sin_q(v, p, policy)
+    num = _sin_q(v, qsquared_param(p), policy)
     if abs(den) < POLE_RATIO * max(1.0, abs(num)):
         raise PoleError("%s pole at pi*%r" % (kind, w))
     return num / den
@@ -156,13 +139,13 @@ def qtrig_crosscheck(kind: str, z: complex, p: ModularParam,
                      policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """|theta path - product path| for one function at one point.
 
-    The product path takes the nome q = exp(i*pi*tau) and the argument as
-    z/pi; the theta path evaluates at tau' = -1/tau.  Propagates PoleError.
+    The product path takes p itself and the argument as z/pi; the theta
+    path evaluates at tau' = -1/tau.  Propagates PoleError.
     """
     check_qtrig_kind(kind)
     z = complex(z)
     via_theta = qtrig_theta(kind, z, p, policy)
-    via_product = qtrig_product_any(kind, z / cmath.pi, p.q, policy)
+    via_product = qtrig_product_any(kind, z / cmath.pi, p, policy)
     return abs(via_theta - via_product)
 
 

@@ -12,7 +12,7 @@ from thetaq import (
     formal_certify,
     make_param,
     qtrig_crosscheck,
-    qtrig_product,
+    qtrig_product_any,
     qtrig_theta,
     series_equal,
     theta_eval,
@@ -144,7 +144,7 @@ def test_criterion_9_cross_path_agreement():
 
     p = make_param(1.1j)
     via_theta = qtrig_theta("tan_q", math.pi / 4, p)
-    via_product = qtrig_product("tan_q", 0.25, p.q)
+    via_product = qtrig_product_any("tan_q", 0.25, p)
     point_ok = abs(via_theta - 1) <= 1e-12 and abs(via_product - 1) <= 1e-12
     ok = paths_ok and point_ok
     assert _line(9, ok, "worst relative path disagreement %.2e over 600 "

@@ -8,7 +8,6 @@ from thetaq import (
     TruncationPolicy,
     make_param,
     param_from_nome,
-    principal_power,
     tau_prime,
 )
 
@@ -51,26 +50,6 @@ def test_tau_prime_is_involution():
         tau = complex(rng.uniform(-2, 2), rng.uniform(0.05, 3))
         back = tau_prime(tau_prime(make_param(tau))).tau
         assert abs(back - tau) <= 1e-14 * abs(tau)
-
-
-def test_principal_power_basics():
-    assert abs(principal_power(0.25, 0.5) - 0.5) < 1e-15
-    assert principal_power(0.3 + 0.4j, 0) == 1
-    q = math.exp(-math.pi)
-    assert abs(principal_power(q, 0.25) - math.exp(-math.pi / 4)) < 1e-15
-    with pytest.raises(DomainError):
-        principal_power(0.0, 0.5)
-
-
-def test_principal_power_additivity_on_real_segment():
-    rng = random.Random(23)
-    for _ in range(60):
-        q = rng.uniform(0.05, 0.95)
-        a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        b = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        lhs = principal_power(q, a + b)
-        rhs = principal_power(q, a) * principal_power(q, b)
-        assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
 
 
 def test_param_from_nome_round_trip():

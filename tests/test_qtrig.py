@@ -11,7 +11,6 @@ from thetaq import (
     param_from_nome,
     qsquared_param,
     qtrig_crosscheck,
-    qtrig_product,
     qtrig_product_any,
     qtrig_theta,
     tau_prime,
@@ -19,6 +18,9 @@ from thetaq import (
 )
 
 TAUS = (1.1j, 0.3 + 1.1j, 1.3j)
+# Log q != i*pi*tau once |Re tau| >= 1, and Log q^2 != 2*pi*i*tau once
+# |Re tau| > 1/2: a product path that powers a bare q disagrees here
+BRANCH_TAUS = (0.55 + 1j, 0.9 + 0.3j, 1.5 + 1j, -1.5 + 1j, 3.3 + 0.7j, 2 + 5j)
 
 
 def test_tan_q_at_quarter_pi_is_one():
@@ -94,18 +96,34 @@ def test_ssn_ccs_quotient_definitions():
 
 
 def test_product_path_basics():
-    assert abs(qtrig_product("sin_q", 0.0, 0.5)) < 1e-14
-    assert abs(qtrig_product("cos_q", 0.0, 0.5) - 1) < 1e-14
+    p = param_from_nome(0.5)
+    assert abs(qtrig_product_any("sin_q", 0.0, p)) < 1e-14
+    assert abs(qtrig_product_any("cos_q", 0.0, p) - 1) < 1e-14
     # sin_q(pi/2) = cos_q(0) = 1
-    assert abs(qtrig_product("sin_q", 0.5, 0.5) - 1) < 1e-13
+    assert abs(qtrig_product_any("sin_q", 0.5, p) - 1) < 1e-13
     for q in (0.3, 0.7):
-        assert abs(qtrig_product("tan_q", 0.25, q) - 1) <= 1e-12
-    with pytest.raises(DomainError):
-        qtrig_product("sin_q", 0.3, 1.1)
-    with pytest.raises(DomainError):
-        qtrig_product("ssn_q", 0.3, 0.5)
+        assert abs(qtrig_product_any("tan_q", 0.25, param_from_nome(q)) - 1) <= 1e-12
     with pytest.raises(PoleError):
-        qtrig_product("cot_q", 0.0, 0.5)
+        qtrig_product_any("cot_q", 0.0, p)
+
+
+def test_product_path_poles():
+    # cos_q and ccs_q are built at w + 1/2; the message names the caller's w
+    poles = (("cot_q", 0.0, r"pi\*0j"), ("tan_q", 0.5, r"pi\*\(0\.5\+0j\)"),
+             ("ssn_q", 0.0, r"pi\*0j"), ("ccs_q", 0.5, r"pi\*\(0\.5\+0j\)"))
+    for tau in TAUS + BRANCH_TAUS:
+        p = make_param(tau)
+        for kind, w, where in poles:
+            with pytest.raises(PoleError, match=kind + " pole at " + where):
+                qtrig_product_any(kind, w, p)
+
+
+def test_product_path_rejects_underflowed_nome():
+    p = make_param(1000j)
+    assert p.q == 0
+    for kind in ("sin_q", "cos_q", "tan_q", "cot_q", "ssn_q", "ccs_q"):
+        with pytest.raises(DomainError, match="product form needs 0 < \\|q\\| < 1"):
+            qtrig_product_any(kind, 0.3, p)
 
 
 def test_crosscheck_every_kind():
@@ -113,7 +131,7 @@ def test_crosscheck_every_kind():
     kinds = ("sin_q", "cos_q", "tan_q", "cot_q", "ssn_q", "ccs_q")
     for kind in kinds:
         for _ in range(25):
-            tau = rng.choice(TAUS)
+            tau = rng.choice(TAUS + BRANCH_TAUS)
             z = complex(rng.uniform(0.15, 1.35), rng.uniform(-0.2, 0.2))
             p = make_param(tau)
             diff = qtrig_crosscheck(kind, z, p)
@@ -127,7 +145,7 @@ def test_crosscheck_examples():
     # both cos_q paths equal 1 at z = 0
     p = make_param(1.1j)
     assert abs(qtrig_theta("cos_q", 0.0, p) - 1) < 1e-14
-    assert abs(qtrig_product_any("cos_q", 0.0, p.q) - 1) < 1e-14
+    assert abs(qtrig_product_any("cos_q", 0.0, p) - 1) < 1e-14
 
 
 def test_unknown_kind_rejected():
