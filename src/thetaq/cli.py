@@ -38,9 +38,17 @@ def parse_complex(text: str) -> complex:
 
     def one(piece: str) -> float:
         piece = piece.strip()
+        scale = 1.0
         if piece.startswith("pi*"):
-            return math.pi * float(piece[3:])
-        return float(piece)
+            scale, piece = math.pi, piece[3:]
+        try:
+            value = scale * float(piece)
+        except ValueError:
+            raise DomainError("cannot parse %r in complex value %r"
+                              % (piece, text)) from None
+        if not math.isfinite(value):
+            raise DomainError("complex value %r must be finite" % (text,))
+        return value
 
     parts = text.split(",")
     if len(parts) > 2:

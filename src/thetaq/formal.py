@@ -89,8 +89,6 @@ class Gaussian:
 
 
 G_ZERO = Gaussian(0)
-G_ONE = Gaussian(1)
-G_I = Gaussian(0, 1)
 
 
 def _as_gaussian(c) -> Gaussian:
@@ -421,26 +419,18 @@ def theta_series(kind: int, nome_scale: int, monomial: tuple,
         add = LaurentPoly({mono: c})
         coeffs[n] = add if poly is None else poly + add
 
+    # the index form of theta.theta_sum: exponent k(k+odd), unit power
+    # 2k+odd, sign (-1)^k for kinds 1 and 4, kind 1 also carries -i
+    odd = 1 if kind in (1, 2) else 0
     kmax = math.isqrt(order // s) + 2
-    if kind in (3, 4):
-        for k in range(-kmax, kmax + 1):
-            g = s * k * k
-            if g > order:
-                continue
-            c = Gaussian(-1 if (kind == 4 and k % 2) else 1)
-            put(g, (2 * k * a, 2 * k * b), c)
-        return GradedSeries(0, coeffs, order)
-
-    for k in range(-kmax - 1, kmax + 1):
-        g = s * k * (k + 1)
+    for k in range(-kmax - odd, kmax + 1):
+        g = s * k * (k + odd)
         if g > order:
             continue
-        if kind == 1:
-            c = Gaussian(0, 1) if k % 2 else Gaussian(0, -1)  # -i * (-1)^k
-        else:
-            c = G_ONE
-        put(g, ((2 * k + 1) * a, (2 * k + 1) * b), c)
-    return GradedSeries(s, coeffs, order)
+        sign = -1 if kind in (1, 4) and k % 2 else 1
+        c = Gaussian(0, -sign) if kind == 1 else Gaussian(sign)
+        put(g, ((2 * k + odd) * a, (2 * k + odd) * b), c)
+    return GradedSeries(s * odd, coeffs, order)
 
 
 def pochhammer_product(factors: Iterable[tuple], order: int) -> GradedSeries:

@@ -53,6 +53,7 @@ from .theta import (
     HALF_PERIOD_MAP,
     PI_SHIFT_SIGN,
     PI_TAU_SHIFT_SIGN,
+    PRODUCT_FACTOR,
     half_period_shift,
     theta_eval,
 )
@@ -92,12 +93,11 @@ class IdentityInfo:
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Seeded sampling domain for the numeric checks."""
+    """Seeded sampling plan for the numeric checks; x and y are drawn from
+    SAMPLE_BOX."""
 
     seed: int = 42
     count: int = 500
-    x_box: tuple = (0.25 - 0.3j, 1.15 + 0.3j)
-    y_box: tuple = (0.25 - 0.3j, 1.15 + 0.3j)
     tau_set: tuple = (1.1j, 0.3 + 1.1j, 0.5 + 0.9j)
 
     def __post_init__(self):
@@ -110,6 +110,9 @@ class SamplePlan:
 
 DEFAULT_PLAN = SamplePlan()
 
+# Both sampled variables are drawn uniformly from this box (corners lo, hi).
+SAMPLE_BOX = (0.25 - 0.3j, 1.15 + 0.3j)
+
 # The constancy probe holds y and tau fixed while x walks a box chosen to
 # stay clear of the four zeros of the denominator.
 PROBE_Y = 0.7
@@ -120,6 +123,7 @@ PROBE_COUNT = 50
 CLASSICAL_Q = (0.9, 0.99, 0.999)
 CLASSICAL_X = 0.7
 CLASSICAL_Y = 1.1
+CLASSICAL_TERMS = 8    # summation indices k < 8 in each classical tan_q
 
 
 @dataclass
@@ -187,16 +191,20 @@ def _pairs_triple(kind: int, z: complex, _y, p: ModularParam, policy) -> list:
              theta_eval(kind, z, p, policy, "product"))]
 
 
-def _pairs_thm2(x: complex, y: complex, p: ModularParam, policy) -> list:
+def _thm2_thetas(x: complex, y: complex, p: ModularParam, policy) -> tuple:
+    """The eight distinct thetas of thm2, in the order its left side first
+    uses them: theta2(x+y|2tau), theta3(x-y|2tau), theta1(x), theta2(y),
+    theta1(y), theta2(x), then theta1(x+y|2tau), theta4(x-y|2tau)."""
     p2 = qsquared_param(p)
+    return tuple(theta_eval(kind, z, pp, policy) for kind, z, pp in (
+        (2, x + y, p2), (3, x - y, p2), (1, x, p), (2, y, p), (1, y, p),
+        (2, x, p), (1, x + y, p2), (4, x - y, p2)))
 
-    def t(kind, z, pp):
-        return theta_eval(kind, z, pp, policy)
 
-    lhs = t(2, x + y, p2) * t(3, x - y, p2) * (
-        t(1, x, p) * t(2, y, p) + t(1, y, p) * t(2, x, p))
-    rhs = t(1, x + y, p2) * t(4, x - y, p2) * (
-        t(2, x, p) * t(2, y, p) - t(1, x, p) * t(1, y, p))
+def _pairs_thm2(x: complex, y: complex, p: ModularParam, policy) -> list:
+    s2, d3, x1, y2, y1, x2, s1, d4 = _thm2_thetas(x, y, p, policy)
+    lhs = s2 * d3 * (x1 * y2 + y1 * x2)
+    rhs = s1 * d4 * (x2 * y2 - x1 * y1)
     return [(lhs, rhs)]
 
 
@@ -235,16 +243,9 @@ def constancy_probe(x: complex, y: complex, tau: complex,
     Numerator and denominator are the two four-factor combinations from the
     identity; x must stay away from the zeros of the denominator.
     """
-    p = make_param(tau)
-    p2 = qsquared_param(p)
-
-    def t(kind, z, pp):
-        return theta_eval(kind, z, pp, policy)
-
-    num = (t(1, x + y, p2) * t(4, x - y, p2) * t(2, x, p) * t(2, y, p)
-           - t(2, x + y, p2) * t(3, x - y, p2)
-           * (t(1, x, p) * t(2, y, p) + t(1, y, p) * t(2, x, p)))
-    den = t(1, x + y, p2) * t(4, x - y, p2) * t(1, x, p) * t(1, y, p)
+    s2, d3, x1, y2, y1, x2, s1, d4 = _thm2_thetas(x, y, make_param(tau), policy)
+    num = s1 * d4 * x2 * y2 - s2 * d3 * (x1 * y2 + y1 * x2)
+    den = s1 * d4 * x1 * y1
     if abs(den) < 1e-10 * max(1.0, abs(num)):
         raise PoleError("probe denominator ~ 0 at x = %r" % (x,))
     return num / den
@@ -293,29 +294,18 @@ def _relations_duplication(a: int, b: int, order: int) -> list:
 
 def _relations_triple(kind: int, order: int) -> list:
     series = _theta_u(kind, 1, order)
-    if kind == 1:
+    head = GradedSeries.one(order)
+    if kind in (1, 2):
+        # 2 sin z = -i (u - 1/u), 2 cos z = u + 1/u, times q^(1/4)
+        lead = Gaussian(0, -1) if kind == 1 else Gaussian(1)
         head = GradedSeries.from_poly(
-            LaurentPoly({(1, 0): Gaussian(0, -1), (-1, 0): Gaussian(0, 1)}),
+            LaurentPoly({(1, 0): lead, (-1, 0): -lead if kind == 1 else lead}),
             1, order)
-        factors = (geometric_factors(-1, 2, 2, None, order)
-                   + geometric_factors(-1, 2, 2, (2, 0), order)
-                   + geometric_factors(-1, 2, 2, (-2, 0), order))
-    elif kind == 2:
-        head = GradedSeries.from_poly(
-            LaurentPoly({(1, 0): Gaussian(1), (-1, 0): Gaussian(1)}), 1, order)
-        factors = (geometric_factors(-1, 2, 2, None, order)
-                   + geometric_factors(1, 2, 2, (2, 0), order)
-                   + geometric_factors(1, 2, 2, (-2, 0), order))
-    elif kind == 3:
-        head = GradedSeries.one(order)
-        factors = (geometric_factors(-1, 2, 2, None, order)
-                   + geometric_factors(1, 1, 2, (2, 0), order)
-                   + geometric_factors(1, 1, 2, (-2, 0), order))
-    else:
-        head = GradedSeries.one(order)
-        factors = (geometric_factors(-1, 2, 2, None, order)
-                   + geometric_factors(-1, 1, 2, (2, 0), order)
-                   + geometric_factors(-1, 1, 2, (-2, 0), order))
+    # (a;q^2) = prod (1 - a q^2n), so the factor sign is -s
+    sign, power = PRODUCT_FACTOR[kind]
+    factors = (geometric_factors(-1, 2, 2, None, order)
+               + geometric_factors(-sign, power, 2, (2, 0), order)
+               + geometric_factors(-sign, power, 2, (-2, 0), order))
     product = head * pochhammer_product(factors, order)
     return [("theta%d series vs product" % kind, series, product)]
 
@@ -432,7 +422,7 @@ def numeric_residual(identity: str, x: complex, y: Optional[complex] = None,
 # ---------------------------------------------------------------------------
 
 
-def _mp_tan_eps(z, qprime, terms: int = 8) -> tuple:
+def _mp_tan_eps(z, qprime) -> tuple:
     """(tan z, eps) with tan_q z = tan z * (1 + eps), at real nome' qprime.
 
     tan_q is the prefactor-free theta quotient; its k = 0 terms are sin z
@@ -443,7 +433,7 @@ def _mp_tan_eps(z, qprime, terms: int = 8) -> tuple:
     s, c = mp.sin(z), mp.cos(z)
     a = mp.mpf(0)
     b = mp.mpf(0)
-    for k in range(1, terms):
+    for k in range(1, CLASSICAL_TERMS):
         w = qprime ** (k * (k + 1))
         a += (-w if k % 2 else w) * mp.sin((2 * k + 1) * z)
         b += w * mp.cos((2 * k + 1) * z)
@@ -604,8 +594,8 @@ def verify_numeric(identity: str, plan: SamplePlan = DEFAULT_PLAN,
     while done < plan.count and attempts < 10 * plan.count:
         attempts += 1
         tau = taus[done % len(taus)]
-        x = _draw(rng, plan.x_box)
-        y = _draw(rng, plan.y_box) if info.nvars == 2 else None
+        x = _draw(rng, SAMPLE_BOX)
+        y = _draw(rng, SAMPLE_BOX) if info.nvars == 2 else None
         try:
             res = numeric_residual(identity, x, y, tau, policy)
         except PoleError:

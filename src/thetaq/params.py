@@ -58,11 +58,20 @@ def check_kind(kind: int) -> int:
 
 
 def make_param(tau: complex) -> ModularParam:
-    """Validate tau and derive q = exp(i*pi*tau), q^{1/4} = exp(i*pi*tau/4)."""
+    """Validate tau and derive q = exp(i*pi*tau), q^{1/4} = exp(i*pi*tau/4).
+
+    Raises DomainError unless tau is finite with Im(tau) > 0 and |q| < 1
+    holds in double precision (below Im(tau) ~ 1.8e-17, |q| rounds to 1).
+    """
     tau = complex(tau)
     if not tau.imag > 0:
         raise DomainError("tau must satisfy Im(tau) > 0, got %r" % (tau,))
+    if not cmath.isfinite(tau):
+        raise DomainError("tau must be finite, got %r" % (tau,))
     q = cmath.exp(1j * cmath.pi * tau)
+    if not abs(q) < 1:
+        raise DomainError("tau = %r is too close to the real axis: |q| rounds "
+                          "to 1 in double precision" % (tau,))
     q_quarter = cmath.exp(1j * cmath.pi * tau / 4)
     return ModularParam(tau=tau, q=q, q_quarter=q_quarter)
 

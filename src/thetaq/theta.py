@@ -5,10 +5,13 @@ Two independent paths are provided:
 * series  -- the defining bilateral sums, e.g.
              theta3(z|tau) = sum_k q^(k^2) e^(2kzi),
              theta1(z|tau) = -i q^(1/4) sum_k (-1)^k q^(k(k+1)) e^((2k+1)zi),
-             summed in symmetric pairs until a geometric tail bound meets
-             the policy tolerance;
+             summed in symmetric pairs by one loop for all four kinds (the
+             kind only sets the index offset, the sign pattern and the
+             pairing; see theta_sum) until a geometric tail bound meets the
+             policy tolerance;
 * product -- the infinite product forms built from q-shifted factorials,
-             e.g. theta4(z|tau) = (q^2;q^2) (q e^(2zi);q^2) (q e^(-2zi);q^2).
+             e.g. theta4(z|tau) = (q^2;q^2) (q e^(2zi);q^2) (q e^(-2zi);q^2),
+             read for every kind from the one table PRODUCT_FACTOR.
 
 Arguments are never reduced implicitly.  For z far outside the fundamental
 box use reduce_argument first; evaluation raises ConvergenceError rather
@@ -39,6 +42,11 @@ PI_TAU_SHIFT_SIGN = {1: -1, 2: 1, 3: 1, 4: -1}
 HALF_PERIOD_MAP = {1: 4, 2: 3, 3: 2, 4: 1}
 HALF_PERIOD_HAS_I = {1: True, 2: False, 3: False, 4: True}
 
+# Product forms: theta_k = head * (q^2;q^2) (s q^c e^(2iz);q^2) (s q^c e^(-2iz);q^2)
+# with (s, c) = PRODUCT_FACTOR[k]; head is 2 q^(1/4) sin z, 2 q^(1/4) cos z
+# for kinds 1, 2 and 1 for kinds 3, 4; (a;q) = prod_{n>=0} (1 - a q^n).
+PRODUCT_FACTOR = {1: (1, 2), 2: (-1, 2), 3: (-1, 1), 4: (1, 1)}
+
 
 @dataclass(frozen=True)
 class ShiftResult:
@@ -51,6 +59,7 @@ class ShiftResult:
 
 # log of the largest finite double
 _LN_DOUBLE_MAX = math.log(sys.float_info.max)
+_LN_2 = math.log(2.0)
 
 
 def _overflow(kind: int, z: complex, path: str) -> ConvergenceError:
@@ -72,75 +81,50 @@ def theta_sum(kind: int, z: complex, p: ModularParam,
     -i*q^(1/4), for kind 2 by q^(1/4).  Exposed separately because theta
     quotients (q-trigonometric functions) cancel those prefactors exactly,
     which matters when q^(1/4) underflows.
+
+    One loop serves every kind.  With odd = 1 for kinds 1, 2 and 0 for
+    kinds 3, 4, index k >= 1 - odd contributes
+
+        q^(k(k+odd)) (e^((2k+odd)iz) +- e^(-(2k+odd)iz)),
+
+    the difference for kind 1, a sign (-1)^k for kinds 1 and 4, and the
+    k = 0 term of kinds 3, 4 is the 1 the sum starts from.  It stops once
+    the geometric tail past k, first term 2 |q|^(k(k+odd)) e^((2k+odd)|Im z|)
+    and ratio |q|^(2k+1+odd) e^(2|Im z|), is below policy.eps.
     """
     check_kind(kind)
-    # the largest argument factor is |e^(iz)|^2 for kinds 3, 4 and |e^(iz)|
-    # for kinds 1, 2; past double range exp overflows or 1/e^(2iz) divides by 0
-    _check_exp_range(kind, z, 2 if kind in (3, 4) else 1, "series")
+    odd = 1 if kind in (1, 2) else 0
+    # the largest argument factor is |e^(iz)|^(2-odd); past double range
+    # exp overflows or its inverse divides by 0
+    _check_exp_range(kind, z, 2 - odd, "series")
+    up = cmath.exp((2 - odd) * 1j * z)    # e^((2k+odd)iz), stepped with k
+    um = 1 / up
     q = p.q
     if abs(q) == 0.0:
         # nome underflowed (huge Im tau); the q -> 0 limit is the correctly
         # rounded value: only the innermost summation indices survive
-        if kind in (3, 4):
+        if not odd:
             return 1 + 0j
-        u = cmath.exp(1j * z)
-        return u - 1 / u if kind == 1 else u + 1 / u
+        return up - um if kind == 1 else up + um
+    step, step_inv = (up * up, um * um) if odd else (up, um)
     # tail bounds live in log space so huge |Im z| cannot overflow a float
     ln_q = math.log(abs(q))
     ln_eps = math.log(policy.eps)
     imz2 = 2.0 * abs(z.imag)   # log of the growth factor |e^(2zi)|^(+-1)
-
-    def tail_met(ln_bound: float, ln_ratio: float) -> bool:
-        if ln_ratio >= 0.0:
-            return False
-        ratio = math.exp(ln_ratio)
-        return ln_bound + ln_ratio - math.log1p(-ratio) < ln_eps
-
-    def finished(total: complex) -> complex:
-        if not (math.isfinite(total.real) and math.isfinite(total.imag)):
-            raise _overflow(kind, z, "series")
-        return total
-
-    if kind in (3, 4):
-        w = cmath.exp(2j * z)
-        winv = 1 / w
-        sign = -1 if kind == 4 else 1
-        total = 1 + 0j
-        wk = 1 + 0j
-        wik = 1 + 0j
-        for k in range(1, policy.max_terms + 1):
-            wk *= w
-            wik *= winv
-            qk = q ** (k * k)
-            s = sign if k % 2 else 1
-            total += s * qk * (wk + wik)
-            ln_bound = math.log(2.0) + (k * k) * ln_q + k * imz2
-            ln_ratio = (2 * k + 1) * ln_q + imz2
-            if tail_met(ln_bound, ln_ratio):
-                return finished(total)
-        raise ConvergenceError(
-            "theta%d series did not meet eps=%g in %d terms (reduce the argument?)"
-            % (kind, policy.eps, policy.max_terms))
-
-    # kinds 1 and 2: terms e^((2k+1)zi) paired as k and -k-1
-    u = cmath.exp(1j * z)
-    uinv = 1 / u
-    total = 0 + 0j
-    up = u        # u^(2k+1)
-    um = uinv     # u^-(2k+1)
-    for k in range(0, policy.max_terms + 1):
-        qk = q ** (k * (k + 1))
-        if kind == 1:
-            pair = qk * (up - um)
-            total += -pair if k % 2 else pair
-        else:
-            total += qk * (up + um)
-        ln_bound = math.log(2.0) + (k * (k + 1)) * ln_q + (k + 0.5) * imz2
-        ln_ratio = (2 * k + 2) * ln_q + imz2
-        if tail_met(ln_bound, ln_ratio):
-            return finished(total)
-        up *= u * u
-        um *= uinv * uinv
+    total = 0j if odd else 1 + 0j
+    for k in range(1 - odd, policy.max_terms + 1):
+        qk = q ** (k * (k + odd))
+        term = qk * (up - um) if kind == 1 else qk * (up + um)
+        total += -term if kind in (1, 4) and k % 2 else term
+        ln_ratio = (2 * k + 1 + odd) * ln_q + imz2
+        if ln_ratio < 0.0:
+            ln_bound = _LN_2 + (k * (k + odd)) * ln_q + (k + odd / 2) * imz2
+            if ln_bound + ln_ratio - math.log1p(-math.exp(ln_ratio)) < ln_eps:
+                if not cmath.isfinite(total):
+                    raise _overflow(kind, z, "series")
+                return total
+        up *= step
+        um *= step_inv
     raise ConvergenceError(
         "theta%d series did not meet eps=%g in %d terms (reduce the argument?)"
         % (kind, policy.eps, policy.max_terms))
@@ -173,7 +157,11 @@ def qpochhammer(a: complex, q: complex,
 def theta_eval(kind: int, z: complex, p: ModularParam,
                policy: TruncationPolicy = DEFAULT_POLICY,
                method: str = "series") -> complex:
-    """Evaluate theta_kind(z|tau) by the series or the product path."""
+    """Evaluate theta_kind(z|tau) by the series or the product path.
+
+    The product path forms head * (q^2;q^2) (a e^(2iz);q^2) (a e^(-2iz);q^2)
+    with a = s q^c from PRODUCT_FACTOR and head as documented there.
+    """
     check_kind(kind)
     z = complex(z)
     if method == "series":
@@ -193,20 +181,16 @@ def theta_eval(kind: int, z: complex, p: ModularParam,
     w = cmath.exp(2j * z)
     winv = 1 / w
     base = qpochhammer(q2, q2, policy)
-    if kind == 1:
-        value = (2 * p.q_quarter * cmath.sin(z) * base
-                 * qpochhammer(q2 * w, q2, policy)
-                 * qpochhammer(q2 * winv, q2, policy))
-    elif kind == 2:
-        value = (2 * p.q_quarter * cmath.cos(z) * base
-                 * qpochhammer(-q2 * w, q2, policy)
-                 * qpochhammer(-q2 * winv, q2, policy))
-    elif kind == 3:
-        value = (base * qpochhammer(-q * w, q2, policy)
-                 * qpochhammer(-q * winv, q2, policy))
-    else:
-        value = (base * qpochhammer(q * w, q2, policy)
-                 * qpochhammer(q * winv, q2, policy))
+    sign, power = PRODUCT_FACTOR[kind]
+    a = q2 if power == 2 else q
+    if sign < 0:
+        a = -a
+    value = base
+    if kind in (1, 2):
+        trig = cmath.sin if kind == 1 else cmath.cos
+        value = 2 * p.q_quarter * trig(z) * base
+    value = (value * qpochhammer(a * w, q2, policy)
+             * qpochhammer(a * winv, q2, policy))
     # e^(2iz) is in range, but the partial products can still overflow
     if not cmath.isfinite(value):
         raise _overflow(kind, z, "product")

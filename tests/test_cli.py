@@ -5,7 +5,7 @@ import pytest
 
 from thetaq import cli
 from thetaq.cli import format_value, main, parse_complex
-from thetaq.errors import GradeMismatch
+from thetaq.errors import DomainError, GradeMismatch
 
 
 def run_cli(capsys, *argv):
@@ -20,6 +20,9 @@ def test_parse_complex():
     assert parse_complex("pi*0.25,0") == complex(math.pi / 4, 0)
     assert parse_complex("0,pi*0.5") == complex(0, math.pi / 2)
     assert parse_complex("-0.3,1.1") == -0.3 + 1.1j
+    for bad in ("abc", "pi*x,0", "nan,0", "1e400,0", "0,pi*1e308", "1,2,3"):
+        with pytest.raises(DomainError):
+            parse_complex(bad)
 
 
 def test_format_value():
@@ -61,6 +64,17 @@ def test_eval_domain_error(capsys):
                              "--z", "0,0", "--tau", "0,-1")
     assert code == 2
     assert "tau" in err
+    # unparsable or non-finite numbers are domain errors, not crashes
+    for z in ("abc", "pi*x,0", "nan,0", "1e400,0"):
+        code, _, err = run_cli(capsys, "eval", "--fn", "theta3",
+                               "--z", z, "--tau", "0,1")
+        assert code == 2, z
+        assert err.startswith("error:") and z in err
+    # tan_q evaluates at tau' = -1/tau = 1e-20i, whose |q'| rounds to 1
+    code, _, err = run_cli(capsys, "eval", "--fn", "tan_q",
+                           "--z", "0.3,0", "--tau", "0,1e20")
+    assert code == 2
+    assert "1e-20j" in err
 
 
 def test_eval_pole_error(capsys):

@@ -26,6 +26,11 @@ def test_make_param_rejects_lower_half_plane():
         make_param(-1j)
     with pytest.raises(DomainError):
         make_param(2.0)
+    # |q| rounds to 1 (Im tau below ~1.8e-17), or tau is not finite
+    for tau in (1e-20j, complex(math.inf, 1), complex(math.nan, 1),
+                complex(0, math.inf)):
+        with pytest.raises(DomainError):
+            make_param(tau)
 
 
 def test_quarter_nome_fourth_power_matches_nome():
