@@ -56,6 +56,7 @@ from .theta import (
     PRODUCT_FACTOR,
     half_period_shift,
     theta_eval,
+    theta_sum_null,
 )
 
 DEFAULT_FORMAL_ORDER = 12
@@ -180,7 +181,7 @@ def _pairs_duplication(a: int, b: int, z: complex, _y, p: ModularParam,
                        policy) -> list:
     """2 theta_a(z|2tau) theta_b(z|2tau) = theta2(0|tau) theta_a(z|tau)."""
     p2 = qsquared_param(p)
-    null2 = theta_eval(2, 0.0, p, policy)
+    null2 = p.q_quarter * theta_sum_null(2, p, policy)
     lhs = 2 * theta_eval(a, z, p2, policy) * theta_eval(b, z, p2, policy)
     rhs = null2 * theta_eval(a, z, p, policy)
     return [(lhs, rhs)]

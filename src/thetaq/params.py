@@ -4,16 +4,30 @@ The whole package works with a parameter tau in the upper half-plane and
 its nome q = exp(i*pi*tau), |q| < 1.  The quarter nome q^{1/4} is defined
 as exp(i*pi*tau/4) -- the exponential form, never a root of q -- so theta
 prefactors carry no branch ambiguity.
+
+make_param is memoised per tau (up to PARAM_CACHE_SIZE of them), so the
+tau', 2*tau and nome data that every evaluation derives are built once per
+tau.  Each ModularParam also carries per-nome state that the theta kernels
+fill as they go -- ln|q|, tables of the powers q^(k(k+odd)) and the theta
+nulls -- none of which takes part in equality, hashing or repr.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import functools
+import math
+import numbers
+from dataclasses import dataclass, field
 
 from .errors import DomainError
 
 THETA_KINDS = (1, 2, 3, 4)
+
+# distinct tau whose ModularParam make_param keeps (least recently used go first)
+PARAM_CACHE_SIZE = 256
+# longest power table a ModularParam keeps; later powers are computed per call
+POWER_TABLE_LEN = 512
 
 
 @dataclass(frozen=True)
@@ -21,12 +35,31 @@ class ModularParam:
     """Validated tau with its derived nome and quarter nome.
 
     Instances are immutable; build them with make_param so the invariants
-    Im(tau) > 0, |q| < 1, q_quarter**4 == q always hold.
+    Im(tau) > 0, |q| < 1, q_quarter**4 == q always hold.  make_param returns
+    the same instance for the same tau.
+
+    The remaining fields are per-nome state that depends on q alone and is
+    not part of equality, hash or repr:
+
+    * ln_abs_q = log|q| (-inf when q underflowed to 0);
+    * powers[odd][k] = q ** (k*(k+odd)), two tables that theta_sum grows
+      on demand up to POWER_TABLE_LEN entries;
+    * nulls maps (kind, policy) to theta_sum(kind, 0, self, policy); see
+      theta.theta_sum_null.
     """
 
     tau: complex
     q: complex
     q_quarter: complex
+    ln_abs_q: float = field(init=False, compare=False, repr=False)
+    powers: tuple = field(init=False, compare=False, repr=False)
+    nulls: dict = field(init=False, compare=False, repr=False,
+                        default_factory=dict)
+
+    def __post_init__(self) -> None:
+        q = self.q
+        object.__setattr__(self, "ln_abs_q", math.log(abs(q)) if q else -math.inf)
+        object.__setattr__(self, "powers", ([q ** 0], [q ** 0]))
 
 
 @dataclass(frozen=True)
@@ -42,8 +75,11 @@ class TruncationPolicy:
     max_terms: int = 256
 
     def __post_init__(self) -> None:
-        if not self.eps > 0:
-            raise DomainError("eps must be positive, got %r" % (self.eps,))
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise DomainError("eps must be positive and finite, got %r" % (self.eps,))
+        if (isinstance(self.max_terms, bool)
+                or not isinstance(self.max_terms, numbers.Integral)):
+            raise DomainError("max_terms must be an integer, got %r" % (self.max_terms,))
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1, got %r" % (self.max_terms,))
 
@@ -62,8 +98,16 @@ def make_param(tau: complex) -> ModularParam:
 
     Raises DomainError unless tau is finite with Im(tau) > 0 and |q| < 1
     holds in double precision (below Im(tau) ~ 1.8e-17, |q| rounds to 1).
+    Memoised: the same tau gives the same ModularParam, and an invalid tau
+    raises on every call.
     """
     tau = complex(tau)
+    # 0.0 == -0.0, so the sign of Re tau joins the key to keep tau's bits
+    return _make_param(tau, math.copysign(1.0, tau.real))
+
+
+@functools.lru_cache(maxsize=PARAM_CACHE_SIZE)
+def _make_param(tau: complex, _re_sign: float) -> ModularParam:
     if not tau.imag > 0:
         raise DomainError("tau must satisfy Im(tau) > 0, got %r" % (tau,))
     if not cmath.isfinite(tau):

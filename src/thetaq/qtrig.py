@@ -35,7 +35,7 @@ from .params import (
     make_param,
     tau_prime,
 )
-from .theta import qpochhammer, theta_sum
+from .theta import qpochhammer, theta_sum, theta_sum_null
 
 QTRIG_KINDS = ("sin_q", "cos_q", "tan_q", "cot_q", "ssn_q", "ccs_q")
 
@@ -52,16 +52,21 @@ def check_qtrig_kind(kind: str) -> str:
 
 def qtrig_theta(kind: str, z: complex, p: ModularParam,
                 policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Evaluate a q-trig function as a theta quotient at tau' = -1/tau."""
+    """Evaluate a q-trig function as a theta quotient at tau' = -1/tau.
+
+    The z-free denominators theta2(0|tau') and theta3(0|tau') come from the
+    null cache of tau' (theta_sum_null), so each is summed once per tau'
+    and policy.
+    """
     check_qtrig_kind(kind)
     z = complex(z)
     pp = tau_prime(p)
     if kind == "ssn_q":
-        return theta_sum(4, z, pp, policy) / theta_sum(3, 0.0, pp, policy)
+        return theta_sum(4, z, pp, policy) / theta_sum_null(3, pp, policy)
     if kind == "ccs_q":
-        return theta_sum(3, z, pp, policy) / theta_sum(3, 0.0, pp, policy)
+        return theta_sum(3, z, pp, policy) / theta_sum_null(3, pp, policy)
 
-    null2 = theta_sum(2, 0.0, pp, policy)  # prefactor-free theta2 null
+    null2 = theta_sum_null(2, pp, policy)  # prefactor-free theta2 null
     if kind == "sin_q":
         return -1j * theta_sum(1, z, pp, policy) / null2
     if kind == "cos_q":

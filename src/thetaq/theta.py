@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from .errors import ConvergenceError, DomainError
 from .params import (
     DEFAULT_POLICY,
+    POWER_TABLE_LEN,
     ModularParam,
     TruncationPolicy,
     check_kind,
@@ -90,7 +91,14 @@ def theta_sum(kind: int, z: complex, p: ModularParam,
     the difference for kind 1, a sign (-1)^k for kinds 1 and 4, and the
     k = 0 term of kinds 3, 4 is the 1 the sum starts from.  It stops once
     the geometric tail past k, first term 2 |q|^(k(k+odd)) e^((2k+odd)|Im z|)
-    and ratio |q|^(2k+1+odd) e^(2|Im z|), is below policy.eps.
+    and ratio r = |q|^(2k+1+odd) e^(2|Im z|), is below policy.eps.
+
+    The powers q^(k(k+odd)) are read from p.powers[odd], which this call
+    extends (with the same q ** (k*(k+odd))) when it needs a power the table
+    lacks, so every call at one nome shares them.  In log space the tail
+    test is ln_bound + ln r - log1p(-r) < ln eps; as -log1p(-r) > 0 for
+    r < 1, it cannot pass before ln_bound + ln r < ln eps does, so log1p
+    and exp run only once that cheaper pre-test passes.
     """
     check_kind(kind)
     odd = 1 if kind in (1, 2) else 0
@@ -108,18 +116,27 @@ def theta_sum(kind: int, z: complex, p: ModularParam,
         return up - um if kind == 1 else up + um
     step, step_inv = (up * up, um * um) if odd else (up, um)
     # tail bounds live in log space so huge |Im z| cannot overflow a float
-    ln_q = math.log(abs(q))
+    ln_q = p.ln_abs_q
     ln_eps = math.log(policy.eps)
     imz2 = 2.0 * abs(z.imag)   # log of the growth factor |e^(2zi)|^(+-1)
     total = 0j if odd else 1 + 0j
+    pw = p.powers[odd]
     for k in range(1 - odd, policy.max_terms + 1):
-        qk = q ** (k * (k + odd))
+        if k < len(pw):
+            qk = pw[k]
+        else:
+            qk = q ** (k * (k + odd))
+            if k < POWER_TABLE_LEN:
+                # k == len(pw) here; as a slice store, a thread that
+                # extended pw first is overwritten with the same value
+                pw[k:k + 1] = (qk,)
         term = qk * (up - um) if kind == 1 else qk * (up + um)
         total += -term if kind in (1, 4) and k % 2 else term
         ln_ratio = (2 * k + 1 + odd) * ln_q + imz2
         if ln_ratio < 0.0:
             ln_bound = _LN_2 + (k * (k + odd)) * ln_q + (k + odd / 2) * imz2
-            if ln_bound + ln_ratio - math.log1p(-math.exp(ln_ratio)) < ln_eps:
+            head = ln_bound + ln_ratio
+            if head < ln_eps and head - math.log1p(-math.exp(ln_ratio)) < ln_eps:
                 if not cmath.isfinite(total):
                     raise _overflow(kind, z, "series")
                 return total
@@ -128,6 +145,19 @@ def theta_sum(kind: int, z: complex, p: ModularParam,
     raise ConvergenceError(
         "theta%d series did not meet eps=%g in %d terms (reduce the argument?)"
         % (kind, policy.eps, policy.max_terms))
+
+
+def theta_sum_null(kind: int, p: ModularParam,
+                   policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """theta_sum(kind, 0, p, policy), cached in p.nulls per (kind, policy).
+
+    A call that raises caches nothing, so it raises again next time.
+    """
+    key = (kind, policy)
+    value = p.nulls.get(key)
+    if value is None:
+        value = p.nulls[key] = theta_sum(kind, 0.0, p, policy)
+    return value
 
 
 def qpochhammer(a: complex, q: complex,

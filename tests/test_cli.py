@@ -70,6 +70,12 @@ def test_eval_domain_error(capsys):
                                "--z", z, "--tau", "0,1")
         assert code == 2, z
         assert err.startswith("error:") and z in err
+    # a non-finite eps would pass (inf) or fail (nan) every tail test
+    for eps in ("inf", "nan"):
+        code, _, err = run_cli(capsys, "eval", "--fn", "theta3", "--z", "0.3,0",
+                               "--tau", "0,0.1", "--eps", eps)
+        assert code == 2, eps
+        assert "eps" in err
     # tan_q evaluates at tau' = -1/tau = 1e-20i, whose |q'| rounds to 1
     code, _, err = run_cli(capsys, "eval", "--fn", "tan_q",
                            "--z", "0.3,0", "--tau", "0,1e20")

@@ -26,6 +26,7 @@ from thetaq import (
     thm2_sides,
     verify_numeric,
 )
+from thetaq import params
 
 PLAN = SamplePlan(seed=42, count=60)
 
@@ -306,3 +307,11 @@ def test_numeric_residual_validation():
         numeric_residual("thm1_tan", 0.5, None, 1.1j)   # needs y
     with pytest.raises(DomainError):
         numeric_residual("classical_limit_tan", 0.5, None, 1.1j)
+
+
+def test_suite_report_independent_of_warm_caches():
+    plan = SamplePlan(seed=7, count=20)
+    params._make_param.cache_clear()     # every param and its nome state cold
+    cold = [report_as_dict(r) for r in run_suite(plan)]
+    warm = [report_as_dict(r) for r in run_suite(plan)]
+    assert cold == warm

@@ -5,11 +5,14 @@ import pytest
 
 from thetaq import (
     DomainError,
+    ModularParam,
     TruncationPolicy,
     make_param,
     param_from_nome,
     tau_prime,
+    theta_sum,
 )
+from thetaq.theta import theta_sum_null
 
 
 def test_make_param_tau_i():
@@ -73,6 +76,13 @@ def test_policy_validation():
         TruncationPolicy(eps=0.0)
     with pytest.raises(DomainError):
         TruncationPolicy(max_terms=0)
+    # eps = inf would pass every tail test at once; nan would never compare
+    for eps in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            TruncationPolicy(eps=eps)
+    for max_terms in (2.5, 3.0, True):
+        with pytest.raises(DomainError):
+            TruncationPolicy(max_terms=max_terms)
     pol = TruncationPolicy()
     assert pol.eps == 1e-16 and pol.max_terms == 256
 
@@ -82,3 +92,29 @@ def test_nome_in_unit_disk():
     for _ in range(30):
         p = make_param(complex(rng.uniform(-3, 3), rng.uniform(0.01, 4)))
         assert abs(p.q) < 1
+
+
+def test_make_param_is_memoised():
+    tau = 0.41 + 0.77j
+    assert make_param(tau) is make_param(tau)
+    assert make_param(tau) is make_param(complex(tau))
+    # 0.0 == -0.0, yet the cached param must keep the argument's bits
+    plus, minus = make_param(complex(0.0, 1.0)), make_param(complex(-0.0, 1.0))
+    assert math.copysign(1.0, plus.tau.real) == 1.0
+    assert math.copysign(1.0, minus.tau.real) == -1.0
+    # an invalid tau is never cached: it raises on every call
+    for tau in (-1j, 1e-20j):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                make_param(tau)
+
+
+def test_nome_state_is_not_part_of_equality():
+    p = make_param(0.2 + 0.9j)
+    used, fresh = (ModularParam(tau=p.tau, q=p.q, q_quarter=p.q_quarter)
+                   for _ in range(2))
+    theta_sum(1, 0.3 + 0.2j, used)     # fills used's tables and null cache
+    theta_sum_null(3, used)
+    assert len(used.powers[1]) > len(fresh.powers[1]) and used.nulls
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) == repr(p)

@@ -5,8 +5,10 @@ import mpmath as mp
 import pytest
 
 from thetaq import (
+    ConvergenceError,
     DomainError,
     PoleError,
+    TruncationPolicy,
     make_param,
     param_from_nome,
     qsquared_param,
@@ -15,7 +17,9 @@ from thetaq import (
     qtrig_theta,
     tau_prime,
     theta_null,
+    theta_sum,
 )
+from thetaq.theta import theta_sum_null
 
 TAUS = (1.1j, 0.3 + 1.1j, 1.3j)
 # Log q != i*pi*tau once |Re tau| >= 1, and Log q^2 != 2*pi*i*tau once
@@ -179,3 +183,21 @@ def test_classical_limit_of_tan_q():
     # and in doubles the two values are simply indistinguishable
     p = param_from_nome(0.9)
     assert abs(qtrig_theta("tan_q", 0.6, p) - math.tan(0.6)) < 1e-13
+
+
+def test_null_cache_is_per_policy():
+    p = make_param(0.3 + 1.1j)
+    pp = tau_prime(p)
+    z = 0.4 + 0.1j
+    one_term = TruncationPolicy(max_terms=1)
+    coarse = TruncationPolicy(eps=1e-3)
+    for kind in ("sin_q", "tan_q", "ssn_q"):
+        qtrig_theta(kind, z, p)     # caches the nulls under DEFAULT_POLICY
+        with pytest.raises(ConvergenceError):
+            qtrig_theta(kind, z, p, one_term)
+    # a failed null is not cached, and a cached one is not shared across policies
+    for _ in range(2):
+        with pytest.raises(ConvergenceError):
+            theta_sum_null(2, pp, one_term)
+    assert -1j * theta_sum(1, z, pp, coarse) / theta_sum(2, 0.0, pp, coarse) \
+        == qtrig_theta("sin_q", z, p, coarse)

@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 
 from thetaq import (
+    DEFAULT_POLICY,
     ConvergenceError,
     DomainError,
     TruncationPolicy,
@@ -236,6 +237,49 @@ def test_product_path_huge_imaginary_argument_raises_convergence_error():
     for kind, z in ((3, 800j), (1, 400j), (4, -800j), (2, -400j), (3, 300j)):
         with pytest.raises(ConvergenceError, match="product overflowed double range"):
             theta_eval(kind, z, p, method="product")
+
+
+def table_free_sum(kind, z, p, policy=DEFAULT_POLICY):
+    """theta_sum without the per-nome power tables or the tail pre-test:
+    q ** (k*(k+odd)) for every term and the full tail test at every k."""
+    odd = 1 if kind in (1, 2) else 0
+    up = cmath.exp((2 - odd) * 1j * z)
+    um = 1 / up
+    step, step_inv = (up * up, um * um) if odd else (up, um)
+    ln_q, ln_eps, imz2 = math.log(abs(p.q)), math.log(policy.eps), 2.0 * abs(z.imag)
+    total = 0j if odd else 1 + 0j
+    for k in range(1 - odd, policy.max_terms + 1):
+        qk = p.q ** (k * (k + odd))
+        term = qk * (up - um) if kind == 1 else qk * (up + um)
+        total += -term if kind in (1, 4) and k % 2 else term
+        ln_ratio = (2 * k + 1 + odd) * ln_q + imz2
+        if ln_ratio < 0.0:
+            ln_bound = math.log(2.0) + (k * (k + odd)) * ln_q + (k + odd / 2) * imz2
+            if ln_bound + ln_ratio - math.log1p(-math.exp(ln_ratio)) < ln_eps:
+                return total
+        up *= step
+        um *= step_inv
+    raise ConvergenceError("no convergence")
+
+
+def value_bits(v):
+    return v.real.hex(), v.imag.hex()
+
+
+def test_power_tables_do_not_change_values():
+    # a tau no other test uses, so its power tables start cold here
+    p = make_param(0.37 + 0.05j)
+    long_z = 0.1 - 4j       # about 55 terms, where 3 to 6 are typical
+    points = [(kind, z, policy) for kind in (1, 2, 3, 4)
+              for z in (0.0, -0.0, 0.3 + 0.2j, complex(-0.7, -0.0))
+              for policy in (DEFAULT_POLICY, TruncationPolicy(eps=1e-30))]
+    before = [value_bits(theta_sum(kind, z, p, pol)) for kind, z, pol in points]
+    grown = [value_bits(theta_sum(kind, long_z, p)) for kind in (1, 2, 3, 4)]
+    assert min(len(table) for table in p.powers) > 50
+    after = [value_bits(theta_sum(kind, z, p, pol)) for kind, z, pol in points]
+    oracle = [value_bits(table_free_sum(kind, z, p, pol)) for kind, z, pol in points]
+    assert before == after == oracle
+    assert grown == [value_bits(table_free_sum(kind, long_z, p)) for kind in (1, 2, 3, 4)]
 
 
 def test_kind_validation():
