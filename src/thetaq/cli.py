@@ -9,6 +9,7 @@ literal prefix, so --z pi*0.25,0 is z = pi/4.  Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -20,10 +21,11 @@ from .identities import (
     IdentityReport,
     SamplePlan,
     certificate_text,
-    identity_info,
     numeric_residual,
     report_as_dict,
     run_suite,
+    sample_point,
+    tolerance_for,
     verify_numeric,
 )
 from .params import DEFAULT_POLICY, TruncationPolicy, make_param
@@ -127,19 +129,16 @@ def cmd_verify(args) -> int:
     plan = _plan_from(args)
     policy = _policy(args)
     if args.x is not None:
-        info = identity_info(args.id)
+        tol = tolerance_for(args.id, args.tol)
         x = parse_complex(args.x)
         y = parse_complex(args.y) if args.y is not None else None
         tau = complex(plan.tau_set[0])
         res = numeric_residual(args.id, x, y, tau, policy)
-        tol = args.tol if args.tol is not None else info.tolerance
         report = IdentityReport(
             id=args.id, mode="numeric",
             status="pass" if res <= tol else "fail",
             samples=1, max_abs_residual=res,
-            params={"pinned": True, "x": [x.real, x.imag],
-                    "y": None if y is None else [y.real, y.imag],
-                    "tau": [tau.real, tau.imag], "tolerance": tol})
+            params={"pinned": True, **sample_point(x, y, tau), "tolerance": tol})
     else:
         report = verify_numeric(args.id, plan, args.tol, policy)
     _emit(render_reports([report], args.format), args.output)
@@ -162,18 +161,10 @@ def cmd_suite(args) -> int:
 
 
 def _plan_from(args) -> SamplePlan:
-    plan = DEFAULT_PLAN
-    kwargs = {}
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    if getattr(args, "count", None) is not None:
-        kwargs["count"] = args.count
-    if getattr(args, "tau", None):
-        taus = tuple(parse_complex(t) for t in args.tau)
-        kwargs["tau_set"] = taus
-    if kwargs:
-        plan = SamplePlan(**{**plan.__dict__, **kwargs})
-    return plan
+    taus = None if args.tau is None else tuple(parse_complex(t) for t in args.tau)
+    changes = {"seed": args.seed, "count": args.count, "tau_set": taus}
+    return dataclasses.replace(DEFAULT_PLAN, **{
+        name: value for name, value in changes.items() if value is not None})
 
 
 def _add_policy_args(sub) -> None:

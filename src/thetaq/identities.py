@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
@@ -146,16 +146,14 @@ class IdentityReport:
 
 
 def report_as_dict(report: IdentityReport) -> dict:
-    return {
-        "id": report.id,
-        "mode": report.mode,
-        "params": report.params,
-        "samples": report.samples,
-        "max_abs_residual": report.max_abs_residual,
-        "certified_order": report.certified_order,
-        "status": report.status,
-        "failures": report.failures,
-    }
+    """The report's fields, exactly; JSON dumps it with sorted keys."""
+    return asdict(report)
+
+
+def sample_point(x: complex, y: Optional[complex], tau: complex) -> dict:
+    """One sample point as [re, im] pairs; y is None for one variable."""
+    return {"x": [x.real, x.imag], "y": None if y is None else [y.real, y.imag],
+            "tau": [tau.real, tau.imag]}
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +387,11 @@ def identity_info(identity: str) -> IdentityInfo:
                           % (identity, ", ".join(IDENTITY_IDS))) from None
 
 
+def tolerance_for(identity: str, tolerance: Optional[float] = None) -> float:
+    """The caller's residual tolerance for identity, else its record's."""
+    return identity_info(identity).tolerance if tolerance is None else tolerance
+
+
 # ---------------------------------------------------------------------------
 # numeric side
 # ---------------------------------------------------------------------------
@@ -509,11 +512,11 @@ def _verify_classical(identity: str, tolerance: float) -> IdentityReport:
                      for i in range(len(residuals) - 1))
     final_ok = residuals[-1] <= tolerance
     status = "pass" if (decreasing and final_ok) else "fail"
+    shown = [mp.nstr(r, 6) for r in residuals]
     report = IdentityReport(
         id=identity, mode="numeric", status=status, samples=len(residuals),
         max_abs_residual=float(residuals[-1]),
-        params={"q_values": list(CLASSICAL_Q),
-                "residuals": [mp.nstr(r, 6) for r in residuals],
+        params={"q_values": list(CLASSICAL_Q), "residuals": shown,
                 "x": CLASSICAL_X, "y": CLASSICAL_Y,
                 "tolerance": tolerance,
                 # max_abs_residual underflows to 0.0 below double range;
@@ -523,7 +526,7 @@ def _verify_classical(identity: str, tolerance: float) -> IdentityReport:
     if status == "fail":
         report.failures.append({"error": "residuals not strictly decreasing"
                                 if not decreasing else "final residual above tolerance",
-                                "residuals": [mp.nstr(r, 6) for r in residuals]})
+                                "residuals": shown})
     return report
 
 
@@ -576,8 +579,7 @@ def verify_numeric(identity: str, plan: SamplePlan = DEFAULT_PLAN,
     are recorded and fail the identity without raising.
     """
     info = identity_info(identity)
-    if tolerance is None:
-        tolerance = info.tolerance
+    tolerance = tolerance_for(identity, tolerance)
     if info.pairs is None:
         return _verify_classical(identity, tolerance)
     if info.pairs is _pairs_probe:
@@ -609,21 +611,12 @@ def verify_numeric(identity: str, plan: SamplePlan = DEFAULT_PLAN,
             max_res = res
             worst = (x, y, tau)
         if res > tolerance:
-            failures.append({
-                "x": [x.real, x.imag],
-                "y": None if y is None else [y.real, y.imag],
-                "tau": [tau.real, tau.imag],
-                "residual": res,
-            })
+            failures.append({**sample_point(x, y, tau), "residual": res})
     status = "pass" if (done == plan.count and not failures) else "fail"
     params = {"seed": plan.seed, "tolerance": tolerance,
               "tau_set": [[t.real, t.imag] for t in taus]}
     if worst is not None:
-        params["worst_sample"] = {
-            "x": [worst[0].real, worst[0].imag],
-            "y": None if worst[1] is None else [worst[1].real, worst[1].imag],
-            "tau": [worst[2].real, worst[2].imag],
-        }
+        params["worst_sample"] = sample_point(*worst)
     return IdentityReport(id=identity, mode="numeric", status=status,
                           samples=done, max_abs_residual=max_res,
                           params=params, failures=failures)
@@ -656,36 +649,24 @@ def _certify(identity: str, order: Optional[int]) -> tuple:
         order = identity_info(identity).formal_order
     checked = [(label, lhs, rhs, series_equal(lhs, rhs))
                for label, lhs, rhs in formal_relations(identity, order)]
-    failures = []
-    min_order = None
-    rel_params = []
-    for label, _, _, match in checked:
-        rel_params.append({"relation": label,
-                           "compared_through": grade_str(match.boundary)})
-        if not match.equal:
-            mm = match.mismatch
-            failures.append({
-                "relation": label,
-                "quarter_grade": mm.quarter_grade,
-                "grade": grade_str(mm.quarter_grade),
-                "monomial": monomial_str(mm.monomial),
-                "lhs": str(mm.lhs),
-                "rhs": str(mm.rhs),
-            })
-            continue
-        got = match.boundary // 4
-        min_order = got if min_order is None else min(min_order, got)
-    if failures:
-        status = "fail"
-        certified = 0
-    else:
-        certified = min_order if min_order is not None else 0
-        status = "pass" if certified >= order else "fail"
-    report = IdentityReport(id=identity, mode="formal", status=status,
-                            certified_order=certified,
-                            params={"requested_order": order,
-                                    "relations": rel_params},
-                            failures=failures)
+    mismatches = [(label, match.mismatch) for label, _, _, match in checked
+                  if not match.equal]
+    failures = [{"relation": label, "quarter_grade": mm.quarter_grade,
+                 "grade": grade_str(mm.quarter_grade),
+                 "monomial": monomial_str(mm.monomial),
+                 "lhs": str(mm.lhs), "rhs": str(mm.rhs)}
+                for label, mm in mismatches]
+    # every relations builder returns at least one relation
+    certified = 0 if failures else min(m.boundary // 4 for *_, m in checked)
+    report = IdentityReport(
+        id=identity, mode="formal",
+        status="fail" if failures or certified < order else "pass",
+        certified_order=certified,
+        params={"requested_order": order,
+                "relations": [{"relation": label,
+                               "compared_through": grade_str(match.boundary)}
+                              for label, _, _, match in checked]},
+        failures=failures)
     return report, checked
 
 
