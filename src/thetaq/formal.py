@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import DomainError, GradeMismatch, OrderUnderflow
+from .params import check_kind
 
 
 class Gaussian:
@@ -404,8 +405,7 @@ def theta_series(kind: int, nome_scale: int, monomial: tuple,
     monomials (1,0), (0,1), (1,1), (1,-1).  Only finitely many summation
     indices reach grades <= order because exponents grow quadratically.
     """
-    if kind not in (1, 2, 3, 4):
-        raise DomainError("theta kind must be 1..4, got %r" % (kind,))
+    check_kind(kind)
     if nome_scale not in THETA_SCALES:
         raise DomainError("nome scale must be 1 or 2, got %r" % (nome_scale,))
     if order < 0:

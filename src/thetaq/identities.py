@@ -46,8 +46,14 @@ from .formal import (
     shift_margin,
     theta_series,
 )
-from .params import DEFAULT_POLICY, ModularParam, TruncationPolicy, make_param
-from .qtrig import qsquared_param, qtrig_theta
+from .params import (
+    DEFAULT_POLICY,
+    ModularParam,
+    TruncationPolicy,
+    check_integer,
+    make_param,
+)
+from .qtrig import POLE_RATIO, qsquared_param, qtrig_theta
 from .theta import (
     HALF_PERIOD_HAS_I,
     HALF_PERIOD_MAP,
@@ -102,8 +108,10 @@ class SamplePlan:
     tau_set: tuple = (1.1j, 0.3 + 1.1j, 0.5 + 0.9j)
 
     def __post_init__(self):
-        if self.count < 1:
+        if check_integer(self.count, "sample count") < 1:
             raise DomainError("sample count must be >= 1")
+        if not self.tau_set:
+            raise DomainError("tau_set must hold at least one tau")
         for tau in self.tau_set:
             if not complex(tau).imag > 0:
                 raise DomainError("all tau must lie in the upper half-plane")
@@ -245,7 +253,7 @@ def constancy_probe(x: complex, y: complex, tau: complex,
     s2, d3, x1, y2, y1, x2, s1, d4 = _thm2_thetas(x, y, make_param(tau), policy)
     num = s1 * d4 * x2 * y2 - s2 * d3 * (x1 * y2 + y1 * x2)
     den = s1 * d4 * x1 * y1
-    if abs(den) < 1e-10 * max(1.0, abs(num)):
+    if abs(den) < POLE_RATIO * max(1.0, abs(num)):
         raise PoleError("probe denominator ~ 0 at x = %r" % (x,))
     return num / den
 
@@ -388,8 +396,17 @@ def identity_info(identity: str) -> IdentityInfo:
 
 
 def tolerance_for(identity: str, tolerance: Optional[float] = None) -> float:
-    """The caller's residual tolerance for identity, else its record's."""
-    return identity_info(identity).tolerance if tolerance is None else tolerance
+    """The caller's residual tolerance for identity, else its record's.
+
+    A residual is never above a nan tolerance and never above inf, so a
+    tolerance that is not finite, or is negative, raises DomainError.
+    """
+    if tolerance is None:
+        return identity_info(identity).tolerance
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise DomainError("tolerance must be finite and >= 0, got %r"
+                          % (tolerance,))
+    return tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +483,9 @@ def classical_residuals(which: str, qs=CLASSICAL_Q) -> list:
     """
     if which not in ("tan", "cot"):
         raise DomainError("which must be 'tan' or 'cot'")
+    for qv in qs:
+        if not 0 < qv < 1:
+            raise DomainError("classical q must satisfy 0 < q < 1, got %r" % (qv,))
     out = []
     for qv in qs:
         with mp.workdps(mp.mp.dps + 25):
@@ -714,15 +734,17 @@ def run_suite(plan: SamplePlan = DEFAULT_PLAN,
               policy: TruncationPolicy = DEFAULT_POLICY) -> list:
     """Run every registry identity in its applicable modes.
 
-    Per-identity errors become failed reports; the suite never aborts.
-    Deterministic for a given plan seed.
+    Per-identity errors become failed reports; the suite never aborts,
+    but a bad tolerance raises before any identity runs.  Deterministic
+    for a given plan seed.
     """
+    tolerances = {name: tolerance_for(name, tolerance) for name in REGISTRY}
     reports = []
     for name, info in REGISTRY.items():
         for mode in info.modes:
             try:
                 if mode == "numeric":
-                    report = verify_numeric(name, plan, tolerance, policy)
+                    report = verify_numeric(name, plan, tolerances[name], policy)
                 else:
                     report = formal_certify(name, order)
             except ThetaQError as exc:

@@ -62,6 +62,13 @@ class ModularParam:
         object.__setattr__(self, "powers", ([q ** 0], [q ** 0]))
 
 
+def check_integer(value, name: str) -> int:
+    """value, if it is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError("%s must be an integer, got %r" % (name, value))
+    return value
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Stopping contract for every infinite sum / product in the package.
@@ -77,10 +84,7 @@ class TruncationPolicy:
     def __post_init__(self) -> None:
         if not (self.eps > 0 and math.isfinite(self.eps)):
             raise DomainError("eps must be positive and finite, got %r" % (self.eps,))
-        if (isinstance(self.max_terms, bool)
-                or not isinstance(self.max_terms, numbers.Integral)):
-            raise DomainError("max_terms must be an integer, got %r" % (self.max_terms,))
-        if self.max_terms < 1:
+        if check_integer(self.max_terms, "max_terms") < 1:
             raise DomainError("max_terms must be >= 1, got %r" % (self.max_terms,))
 
 

@@ -159,6 +159,21 @@ def test_verify_impossible_tolerance(capsys):
     assert "fail" in out
 
 
+def test_non_finite_or_negative_tolerance_exits_2(capsys):
+    # no residual is above nan or inf, so neither can judge an identity
+    for argv in (("verify", "--id", "thm1_tan", "--count", "20", "--tol", "nan"),
+                 ("verify", "--id", "thm2", "--x", "0.3,0", "--y", "0.4,0",
+                  "--tol", "nan"),
+                 ("verify", "--id", "thm2", "--x", "0.3,0", "--y", "0.4,0",
+                  "--tol=-1e-10"),
+                 ("suite", "--count", "5", "--tol", "nan"),
+                 ("suite", "--count", "5", "--tol", "inf")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: tolerance must be finite"), argv
+
+
 def test_verify_json_deterministic(capsys, tmp_path):
     args = ("verify", "--id", "cosq_shift", "--count", "15", "--seed", "9",
             "--format", "json")

@@ -109,7 +109,7 @@ def test_theta4_double_nome_two_variables():
 
 
 def test_theta_series_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"theta kind must be 1\.\.4, got 5"):
         theta_series(5, 1, (1, 0), 4)
     with pytest.raises(DomainError):
         theta_series(3, 3, (1, 0), 4)

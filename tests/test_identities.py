@@ -132,6 +132,40 @@ def test_verify_numeric_tolerance_floor():
     assert report.failures and "residual" in report.failures[0]
 
 
+def test_tolerance_must_be_finite_and_non_negative():
+    # no residual is above nan or inf, so either tolerance passes everything
+    plan = SamplePlan(seed=1, count=20)
+    for bad in (math.nan, math.inf, -1e-12):
+        with pytest.raises(DomainError, match="tolerance"):
+            verify_numeric("thm2", plan, tolerance=bad)
+        with pytest.raises(DomainError, match="tolerance"):
+            verify_numeric("classical_limit_tan", plan, tolerance=bad)
+        # raised before the loop, not recorded as 38 per-identity failures
+        with pytest.raises(DomainError, match="tolerance"):
+            run_suite(plan, bad)
+    assert verify_numeric("thm2", plan, tolerance=0.0).status == "fail"
+
+
+def test_sample_plan_validation():
+    # the driver cycles through tau_set and counts whole samples
+    for bad in ({"count": 0}, {"count": 2.5}, {"count": True}, {"count": "5"},
+                {"tau_set": ()}, {"tau_set": (1.1j, -1j)}):
+        with pytest.raises(DomainError):
+            SamplePlan(**bad)
+    assert SamplePlan(count=3, tau_set=(1j,)).count == 3
+
+
+def test_report_dict_is_exactly_the_report_fields():
+    # report_as_dict is asdict: a field added to IdentityReport enters the
+    # JSON of every report, so the key set is pinned for each report shape
+    keys = {"id", "mode", "status", "samples", "max_abs_residual",
+            "certified_order", "params", "failures"}
+    for report in (verify_numeric("thm2", SamplePlan(seed=1, count=3)),
+                   formal_certify("thm2", 4),
+                   verify_numeric("classical_limit_cot")):
+        assert set(report_as_dict(report)) == keys, report.id
+
+
 def test_convergence_failure_is_recorded_not_raised():
     plan = SamplePlan(seed=3, count=5, tau_set=(1e-5j,))
     report = verify_numeric("thm2", plan)
@@ -281,6 +315,15 @@ def test_classical_residuals_match_brute_force_reference():
             for qv, value in zip(qs, fast):
                 ref = _brute_classical_residual(which, qv)
                 assert abs(value - ref) <= mp.mpf("1e-30") * ref, (which, qv)
+
+
+def test_classical_residuals_validation():
+    with pytest.raises(DomainError):
+        classical_residuals("sin")
+    # the expansion holds only for a real nome strictly between 0 and 1
+    for q in (1.0, 0.0, 1.5, -0.5, math.nan):
+        with pytest.raises(DomainError, match="0 < q < 1"):
+            classical_residuals("tan", (0.9, q))
 
 
 def test_verify_numeric_classical_limits_pass():
