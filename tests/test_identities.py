@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -26,7 +27,7 @@ from thetaq import (
     thm2_sides,
     verify_numeric,
 )
-from thetaq import params
+from thetaq import identities, params
 
 PLAN = SamplePlan(seed=42, count=60)
 
@@ -189,6 +190,21 @@ def test_thm2_prefactors_are_one_full_power():
     assert lhs.quarter_prefactor == 4
     assert rhs.quarter_prefactor == 4
     assert series_equal(lhs, rhs).equal
+
+
+def test_certified_order_is_the_lowest_relation_boundary(monkeypatch):
+    # the z+pi relation is exact to q^(49/4), the z+pi*tau one to q^(53/4)
+    report = formal_certify("quasi_period_2", 12)
+    assert ([r["compared_through"] for r in report.params["relations"]]
+            == ["q^(49/4)", "q^(53/4)"])
+    assert report.certified_order == 12 and report.passed
+    # relations exact only below the requested order fail it, with no mismatch
+    info = identity_info("half_period_1")
+    short = dataclasses.replace(info,
+                                relations=lambda order: info.relations(order - 3))
+    monkeypatch.setitem(identities.REGISTRY, "half_period_1", short)
+    report = formal_certify("half_period_1", 6)
+    assert (report.status, report.certified_order, report.failures) == ("fail", 3, [])
 
 
 def test_flipped_sign_fails_with_lowest_grade_mismatch():
