@@ -198,21 +198,28 @@ def _pairs_triple(kind: int, z: complex, _y, p: ModularParam, policy) -> list:
              theta_eval(kind, z, p, policy, "product"))]
 
 
+# thm2's eight distinct thetas, (kind, scale, (a, b)) for theta_kind(a*x + b*y |
+# scale*tau) (u^a v^b in exact series), in the order its left side first uses them.
+THM2_THETAS = ((2, 2, (1, 1)), (3, 2, (1, -1)), (1, 1, (1, 0)), (2, 1, (0, 1)),
+               (1, 1, (0, 1)), (2, 1, (1, 0)), (1, 2, (1, 1)), (4, 2, (1, -1)))
+
+
+def thm2_sides(s2, d3, x1, y2, y1, x2, s1, d4) -> tuple:
+    """Both sides of thm2 from the THM2_THETAS values, complex or GradedSeries."""
+    return s2 * d3 * (x1 * y2 + y1 * x2), s1 * d4 * (x2 * y2 - x1 * y1)
+
+
 def _thm2_thetas(x: complex, y: complex, p: ModularParam, policy) -> tuple:
-    """The eight distinct thetas of thm2, in the order its left side first
-    uses them: theta2(x+y|2tau), theta3(x-y|2tau), theta1(x), theta2(y),
-    theta1(y), theta2(x), then theta1(x+y|2tau), theta4(x-y|2tau)."""
+    """The values of THM2_THETAS at x, y and tau, in the table's order."""
     p2 = qsquared_param(p)
-    return tuple(theta_eval(kind, z, pp, policy) for kind, z, pp in (
-        (2, x + y, p2), (3, x - y, p2), (1, x, p), (2, y, p), (1, y, p),
-        (2, x, p), (1, x + y, p2), (4, x - y, p2)))
+    # a*x + b*y as the plain x + y, x - y, x or y: 1*x + 0*y can flip a zero's sign
+    args = {(1, 1): x + y, (1, -1): x - y, (1, 0): x, (0, 1): y}
+    return tuple(theta_eval(kind, args[ab], p2 if scale == 2 else p, policy)
+                 for kind, scale, ab in THM2_THETAS)
 
 
 def _pairs_thm2(x: complex, y: complex, p: ModularParam, policy) -> list:
-    s2, d3, x1, y2, y1, x2, s1, d4 = _thm2_thetas(x, y, p, policy)
-    lhs = s2 * d3 * (x1 * y2 + y1 * x2)
-    rhs = s1 * d4 * (x2 * y2 - x1 * y1)
-    return [(lhs, rhs)]
+    return [thm2_sides(*_thm2_thetas(x, y, p, policy))]
 
 
 def _pairs_qtrig(total: float, form: str, x, y, p, policy) -> list:
@@ -250,8 +257,9 @@ def constancy_probe(x: complex, y: complex, tau: complex,
     Numerator and denominator are the two four-factor combinations from the
     identity; x must stay away from the zeros of the denominator.
     """
-    s2, d3, x1, y2, y1, x2, s1, d4 = _thm2_thetas(x, y, make_param(tau), policy)
-    num = s1 * d4 * x2 * y2 - s2 * d3 * (x1 * y2 + y1 * x2)
+    thetas = _thm2_thetas(x, y, make_param(tau), policy)
+    s2, d3, x1, y2, y1, x2, s1, d4 = thetas
+    num = s1 * d4 * x2 * y2 - thm2_sides(*thetas)[0]
     den = s1 * d4 * x1 * y1
     if abs(den) < POLE_RATIO * max(1.0, abs(num)):
         raise PoleError("probe denominator ~ 0 at x = %r" % (x,))
@@ -317,27 +325,9 @@ def _relations_triple(kind: int, order: int) -> list:
     return [("theta%d series vs product" % kind, series, product)]
 
 
-def thm2_sides(order: int, flip_sign: bool = False):
-    """Both sides of the two-variable theta identity as exact series.
-
-    x+y and x-y are encoded as the monomials u*v and u*v^-1.  flip_sign
-    deliberately corrupts the right-hand side (minus to plus) to exercise
-    the failure path of the certifier.
-    """
-    t = theta_series
-    lhs = (t(2, 2, (1, 1), order) * t(3, 2, (1, -1), order)
-           * (t(1, 1, (1, 0), order) * t(2, 1, (0, 1), order)
-              + t(1, 1, (0, 1), order) * t(2, 1, (1, 0), order)))
-    cross = t(1, 1, (1, 0), order) * t(1, 1, (0, 1), order)
-    prod = t(2, 1, (1, 0), order) * t(2, 1, (0, 1), order)
-    inner = (prod + cross) if flip_sign else (prod - cross)
-    rhs = t(1, 2, (1, 1), order) * t(4, 2, (1, -1), order) * inner
-    return lhs, rhs
-
-
 def _relations_thm2(order: int) -> list:
-    lhs, rhs = thm2_sides(order)
-    return [("thm2", lhs, rhs)]
+    thetas = (theta_series(kind, scale, ab, order) for kind, scale, ab in THM2_THETAS)
+    return [("thm2", *thm2_sides(*thetas))]
 
 
 # ---------------------------------------------------------------------------

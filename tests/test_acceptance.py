@@ -7,6 +7,7 @@ import time
 
 from thetaq import (
     SamplePlan,
+    certificate_text,
     classical_residuals,
     constancy_probe,
     formal_certify,
@@ -14,9 +15,7 @@ from thetaq import (
     qtrig_crosscheck,
     qtrig_product_any,
     qtrig_theta,
-    series_equal,
     theta_eval,
-    thm2_sides,
     verify_numeric,
 )
 
@@ -151,15 +150,16 @@ def test_criterion_9_cross_path_agreement():
                         "samples; tan_q(pi/4) = 1 both ways" % worst)
 
 
-def test_criterion_10_deliberate_failure_detected():
-    lhs, rhs = thm2_sides(12, flip_sign=True)
-    match = series_equal(lhs, rhs)
-    report = formal_certify("thm2", 12)
-    ok = (not match.equal
-          and match.mismatch is not None
-          and match.mismatch.quarter_grade == 4   # the very first grade
-          and report.passed)
+def test_criterion_10_deliberate_failure_detected(flipped_thm2, monkeypatch):
+    report, text = certificate_text("thm2", 12)
+    first = report.failures[0] if report.failures else {}
+    monkeypatch.undo()
+    true_report = formal_certify("thm2", 12)
+    ok = (report.status == "fail"
+          and report.certified_order == 0
+          and first.get("quarter_grade") == 4   # the very first grade
+          and "FIRST MISMATCH: q^1" in text
+          and true_report.passed)
     assert _line(10, ok, "sign-flipped thm2 fails at lowest grade %s (%s vs %s); "
                          "true identity still certifies"
-                 % (match.mismatch.quarter_grade, match.mismatch.lhs,
-                    match.mismatch.rhs))
+                 % (first.get("grade"), first.get("lhs"), first.get("rhs")))

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import hashlib
 import math
@@ -24,7 +25,7 @@ from thetaq import (
     report_as_dict,
     run_suite,
     series_equal,
-    thm2_sides,
+    theta_series,
     verify_numeric,
 )
 from thetaq import identities, params
@@ -186,7 +187,7 @@ def test_formal_certify_registry():
 
 
 def test_thm2_prefactors_are_one_full_power():
-    lhs, rhs = thm2_sides(12)
+    [(_, lhs, rhs)] = formal_relations("thm2", 12)
     assert lhs.quarter_prefactor == 4
     assert rhs.quarter_prefactor == 4
     assert series_equal(lhs, rhs).equal
@@ -207,13 +208,43 @@ def test_certified_order_is_the_lowest_relation_boundary(monkeypatch):
     assert (report.status, report.certified_order, report.failures) == ("fail", 3, [])
 
 
-def test_flipped_sign_fails_with_lowest_grade_mismatch():
-    lhs, rhs = thm2_sides(12, flip_sign=True)
-    match = series_equal(lhs, rhs)
-    assert not match.equal
+def test_flipped_sign_fails_with_lowest_grade_mismatch(flipped_thm2):
+    report, text = certificate_text("thm2", 12)
+    assert (report.status, report.certified_order) == ("fail", 0)
     # nothing below the shared prefactor exists, so the first mismatch sits
     # at the very first grade, one full power of q
-    assert match.mismatch.quarter_grade == 4
+    assert [(f["relation"], f["quarter_grade"], f["grade"]) for f in report.failures] \
+        == [("thm2", 4, "q^1")]
+    assert "status: fail" in text and "FIRST MISMATCH: q^1" in text
+    # the sampler reads the same statement
+    assert numeric_residual("thm2", 0.4, 0.9, 1.1j) > 1e-3
+
+
+def test_thm2_table_means_the_same_thetas_in_both_modes():
+    # each table entry's exact series, summed at a point with q^(1/4) =
+    # exp(i*pi*tau/4) and u^a v^b = exp(i(a*x + b*y)), is the value the
+    # sampler evaluates for that entry
+    x, y, tau = 0.4 + 0.1j, 0.9 - 0.2j, 0.3 + 1.1j
+    values = identities._thm2_thetas(x, y, make_param(tau), params.DEFAULT_POLICY)
+    assert len(values) == len(identities.THM2_THETAS) == 8
+    for (kind, scale, (a, b)), value in zip(identities.THM2_THETAS, values):
+        series = theta_series(kind, scale, (a, b), 24)
+        total = sum(complex(c) * cmath.exp(1j * math.pi * tau * grade / 4)
+                    * cmath.exp(1j * (m * x + n * y))
+                    for grade, (m, n), c in series.terms_abs())
+        assert abs(total - value) <= 1e-12 * max(1.0, abs(value)), (kind, scale, a, b)
+
+
+def test_relations_thm2_builds_each_theta_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return theta_series(*args)
+
+    monkeypatch.setattr(identities, "theta_series", counting)
+    formal_relations("thm2", 6)
+    assert calls == [(kind, scale, ab, 6) for kind, scale, ab in identities.THM2_THETAS]
 
 
 def test_unsupported_formal():
