@@ -29,7 +29,7 @@ from .identities import (
     verify_numeric,
 )
 from .params import DEFAULT_POLICY, TruncationPolicy, make_param
-from .qtrig import QTRIG_KINDS, qtrig_theta
+from .qtrig import QTRIG_KINDS, qtrig_product_any, qtrig_theta
 from .theta import theta_eval
 
 THETA_NAMES = {"theta1": 1, "theta2": 2, "theta3": 3, "theta4": 4}
@@ -116,6 +116,8 @@ def cmd_eval(args) -> int:
     p = make_param(parse_complex(args.tau))
     if args.fn in THETA_NAMES:
         value = theta_eval(THETA_NAMES[args.fn], z, p, policy, args.method)
+    elif args.fn in QTRIG_KINDS and args.method == "product":
+        value = qtrig_product_any(args.fn, z / math.pi, p, policy)
     elif args.fn in QTRIG_KINDS:
         value = qtrig_theta(args.fn, z, p, policy)
     else:
@@ -202,7 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--z", required=True, metavar="RE,IM")
     ev.add_argument("--tau", required=True, metavar="RE,IM")
     ev.add_argument("--method", choices=("series", "product"),
-                    default="series", help="theta evaluation path")
+                    default="series",
+                    help="series: theta sums (theta quotients at -1/tau for "
+                         "q-trig names); product: infinite products in q")
     _add_policy_args(ev)
     ev.set_defaults(func=cmd_eval)
 

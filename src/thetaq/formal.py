@@ -296,14 +296,6 @@ class GradedSeries:
     def table(self):
         return list(self.terms_abs())
 
-    def truncate(self, order: int) -> "GradedSeries":
-        """Forget coefficients above the given relative order."""
-        if order >= self.order:
-            return self
-        return GradedSeries(self.quarter_prefactor,
-                            {n: p for n, p in self.coeffs.items() if n <= order},
-                            order)
-
     # -- arithmetic -----------------------------------------------------
 
     def _combine(self, other: "GradedSeries", negate: bool) -> "GradedSeries":

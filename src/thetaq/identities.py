@@ -61,6 +61,7 @@ from .theta import (
     PI_TAU_SHIFT_SIGN,
     PRODUCT_FACTOR,
     half_period_shift,
+    multiplier_overflow,
     theta_eval,
     theta_sum_null,
 )
@@ -108,6 +109,7 @@ class SamplePlan:
     tau_set: tuple = (1.1j, 0.3 + 1.1j, 0.5 + 0.9j)
 
     def __post_init__(self):
+        check_integer(self.seed, "seed")
         if check_integer(self.count, "sample count") < 1:
             raise DomainError("sample count must be >= 1")
         if not self.tau_set:
@@ -172,8 +174,11 @@ def sample_point(x: complex, y: Optional[complex], tau: complex) -> dict:
 def _pairs_quasi(kind: int, z: complex, _y, p: ModularParam, policy) -> list:
     base = theta_eval(kind, z, p, policy)
     with_pi = theta_eval(kind, z + math.pi, p, policy)
-    mult = PI_TAU_SHIFT_SIGN[kind] / p.q * cmath.exp(-2j * z)
     with_tau = theta_eval(kind, z + math.pi * p.tau, p, policy)
+    try:
+        mult = PI_TAU_SHIFT_SIGN[kind] / p.q * cmath.exp(-2j * z)
+    except (ZeroDivisionError, OverflowError):
+        raise multiplier_overflow("theta%d quasi-period" % kind, z, p) from None
     return [(with_pi, PI_SHIFT_SIGN[kind] * base), (with_tau, mult * base)]
 
 
@@ -414,8 +419,8 @@ def numeric_residual(identity: str, x: complex, y: Optional[complex] = None,
     """Normalized residual of one identity at one sample point.
 
     For constrained identities the third argument is derived from x and y;
-    single-variable identities read their variable from x.  Propagates
-    PoleError so callers can resample.
+    single-variable identities read their variable from x and reject a y.
+    Propagates PoleError so callers can resample.
     """
     info = identity_info(identity)
     if info.pairs is None:
@@ -423,6 +428,8 @@ def numeric_residual(identity: str, x: complex, y: Optional[complex] = None,
                           "use verify_numeric")
     if info.nvars == 2 and y is None:
         raise DomainError("identity %s needs both x and y" % identity)
+    if info.nvars == 1 and y is not None:
+        raise DomainError("identity %s takes x only, not y" % identity)
     p = make_param(tau)
     pairs = info.pairs(complex(x), None if y is None else complex(y), p, policy)
     return max(_normalized(lhs, rhs) for lhs, rhs in pairs)
@@ -643,9 +650,13 @@ def formal_relations(identity: str, order: int) -> list:
     if info.relations is None:
         raise UnsupportedFormal(
             "identity %s needs division and has no formal mode" % identity)
-    if order < 0:
+    return info.relations(_check_order(order))
+
+
+def _check_order(order: int) -> int:
+    if check_integer(order, "order") < 0:
         raise DomainError("order must be >= 0")
-    return info.relations(order)
+    return order
 
 
 def _certify(identity: str, order: Optional[int]) -> tuple:
@@ -725,10 +736,12 @@ def run_suite(plan: SamplePlan = DEFAULT_PLAN,
     """Run every registry identity in its applicable modes.
 
     Per-identity errors become failed reports; the suite never aborts,
-    but a bad tolerance raises before any identity runs.  Deterministic
-    for a given plan seed.
+    but a bad tolerance or order raises before any identity runs.
+    Deterministic for a given plan seed.
     """
     tolerances = {name: tolerance_for(name, tolerance) for name in REGISTRY}
+    if order is not None:
+        _check_order(order)
     reports = []
     for name, info in REGISTRY.items():
         for mode in info.modes:

@@ -68,6 +68,13 @@ def _overflow(kind: int, z: complex, path: str) -> ConvergenceError:
                             "(reduce the argument first)" % (kind, path, z))
 
 
+def multiplier_overflow(what: str, z: complex, p: ModularParam) -> ConvergenceError:
+    """A shift multiplier left double range, e.g. 1/q once q underflowed to 0
+    (Im tau above about 237; for q^(1/4) above about 948)."""
+    return ConvergenceError("%s multiplier overflowed double range at z = %r, "
+                            "tau = %r" % (what, z, p.tau))
+
+
 def _check_exp_range(kind: int, z: complex, scale: int, path: str) -> None:
     """Raise before exp(scale*i*z) or its inverse leaves double range."""
     if abs(z.imag) * scale > _LN_DOUBLE_MAX:
@@ -244,6 +251,8 @@ def reduce_argument(kind: int, z: complex, p: ModularParam) -> ShiftResult:
 
         theta_kind(z|tau) = m * theta_kind(z_red|tau),
         m = s_pi^a * s_tau^b * q^(-b^2) * e^(-2ib*z_red).
+
+    Raises ConvergenceError when m leaves double range.
     """
     check_kind(kind)
     z = complex(z)
@@ -252,7 +261,10 @@ def reduce_argument(kind: int, z: complex, p: ModularParam) -> ShiftResult:
     z_red = z - a * math.pi - b * math.pi * p.tau
     mult = complex(PI_SHIFT_SIGN[kind] ** (a & 1) * PI_TAU_SHIFT_SIGN[kind] ** (b & 1))
     if b:
-        mult *= p.q ** (-b * b) * cmath.exp(-2j * b * z_red)
+        try:
+            mult *= p.q ** (-b * b) * cmath.exp(-2j * b * z_red)
+        except (ZeroDivisionError, OverflowError):
+            raise multiplier_overflow("theta%d period" % kind, z, p) from None
     return ShiftResult(new_kind=kind, new_z=z_red, multiplier=mult)
 
 
@@ -262,11 +274,15 @@ def half_period_shift(kind: int, z: complex, p: ModularParam) -> ShiftResult:
         theta_kind(z + pi*tau/2 | tau) = multiplier * theta_new(z | tau)
 
     with kinds mapped 1->4, 2->3, 3->2, 4->1 and multiplier i*B, B, B, i*B
-    where B = q^(-1/4) e^(-iz).
+    where B = q^(-1/4) e^(-iz); raises ConvergenceError when B leaves
+    double range.
     """
     check_kind(kind)
     z = complex(z)
-    mult = cmath.exp(-1j * z) / p.q_quarter
+    try:
+        mult = cmath.exp(-1j * z) / p.q_quarter
+    except (ZeroDivisionError, OverflowError):
+        raise multiplier_overflow("theta%d half-period" % kind, z, p) from None
     if HALF_PERIOD_HAS_I[kind]:
         mult *= 1j
     return ShiftResult(new_kind=HALF_PERIOD_MAP[kind], new_z=z, multiplier=mult)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from thetaq import cli
+from thetaq import cli, make_param, qtrig_product_any
 from thetaq.cli import format_value, main, parse_complex
 from thetaq.errors import DomainError, GradeMismatch
 
@@ -254,3 +254,41 @@ def test_suite_json_reports_classical_exponents(capsys):
     assert set(classical) == {"classical_limit_tan", "classical_limit_cot"}
     for logs in classical.values():
         assert [round(v, 3) for v in logs] == [-80.963, -852.568, -8567.941]
+
+
+def test_eval_qtrig_product_method(capsys, monkeypatch):
+    def no_theta_path(*args):
+        raise AssertionError("took the theta quotient path")
+
+    monkeypatch.setattr(cli, "qtrig_theta", no_theta_path)
+    code, out, _ = run_cli(capsys, "eval", "--fn", "tan_q", "--z", "0.3,0.1",
+                           "--tau", "0.2,1.1", "--method", "product")
+    assert code == 0
+    expected = qtrig_product_any("tan_q", complex(0.3, 0.1) / math.pi,
+                                 make_param(complex(0.2, 1.1)))
+    assert out == format_value(expected) + "\n"
+
+
+def test_bad_order_or_unused_y_exits_2(capsys):
+    code, out, err = run_cli(capsys, "suite", "--order", "-1", "--count", "1")
+    assert (code, out) == (2, "")
+    assert "order must be >= 0" in err
+    code, out, err = run_cli(capsys, "verify", "--id", "quasi_period_1",
+                             "--x", "0.3,0", "--y", "0.5,0", "--format", "json")
+    assert (code, out) == (2, "")
+    assert "takes x only" in err
+
+
+def test_underflowed_nome_is_a_failure_not_a_crash(capsys):
+    # q rounds to 0 above Im tau ~ 237, where 1/q cannot be formed
+    code, out, err = run_cli(capsys, "verify", "--id", "quasi_period_2",
+                             "--tau", "0,240", "--count", "3")
+    assert code == 1 and "overflowed double range" in out and err == ""
+    code, _, err = run_cli(capsys, "verify", "--id", "quasi_period_2",
+                           "--x", "0.3,-100", "--tau", "0,240")
+    assert code == 3
+    assert "quasi-period multiplier overflowed double range" in err
+    code, out, err = run_cli(capsys, "suite", "--tau", "0,1000", "--count", "3",
+                             "--format", "csv")
+    assert code == 1 and err == ""
+    assert "quasi_period_2,numeric,0,0,0.0,fail" in out

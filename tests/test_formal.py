@@ -302,10 +302,3 @@ def test_series_equal_reports_lowest_mismatch():
     assert match.mismatch.quarter_grade == 4         # the q^1 coefficient
     assert match.mismatch.monomial in ((2, 0), (-2, 0))
     assert (match.mismatch.lhs, match.mismatch.rhs) == (Gaussian(1), Gaussian(-1))
-
-
-def test_truncate():
-    s = theta_series(3, 1, (1, 0), 16)
-    t = s.truncate(4)
-    assert t.order == 4 and t.boundary == 16
-    assert series_equal(t, theta_series(3, 1, (1, 0), 4)).equal

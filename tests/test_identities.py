@@ -28,7 +28,7 @@ from thetaq import (
     theta_series,
     verify_numeric,
 )
-from thetaq import identities, params
+from thetaq import PoleError, identities, params
 
 PLAN = SamplePlan(seed=42, count=60)
 
@@ -150,7 +150,9 @@ def test_tolerance_must_be_finite_and_non_negative():
 
 def test_sample_plan_validation():
     # the driver cycles through tau_set and counts whole samples
+    # a float seed would be keyed as "%d", drawing the samples of int(seed)
     for bad in ({"count": 0}, {"count": 2.5}, {"count": True}, {"count": "5"},
+                {"seed": 2.7}, {"seed": True}, {"seed": "7"},
                 {"tau_set": ()}, {"tau_set": (1.1j, -1j)}):
         with pytest.raises(DomainError):
             SamplePlan(**bad)
@@ -397,6 +399,10 @@ def test_numeric_residual_validation():
         numeric_residual("thm1_tan", 0.5, None, 1.1j)   # needs y
     with pytest.raises(DomainError):
         numeric_residual("classical_limit_tan", 0.5, None, 1.1j)
+    # a one-variable identity never reads y, so it must not accept one
+    with pytest.raises(DomainError, match="takes x only"):
+        numeric_residual("quasi_period_1", 0.3, 0.5, 1.1j)
+    assert numeric_residual("quasi_period_1", 0.3, None, 1.1j) <= 1e-10
 
 
 def test_suite_report_independent_of_warm_caches():
@@ -405,3 +411,71 @@ def test_suite_report_independent_of_warm_caches():
     cold = [report_as_dict(r) for r in run_suite(plan)]
     warm = [report_as_dict(r) for r in run_suite(plan)]
     assert cold == warm
+
+
+def test_order_must_be_a_non_negative_integer(monkeypatch):
+    for bad in (-1, 2.5, True, "4"):
+        with pytest.raises(DomainError, match="order"):
+            formal_relations("thm2", bad)
+        with pytest.raises(DomainError, match="order"):
+            formal_certify("thm2", bad)
+    assert formal_certify("thm2", 0).passed
+
+    # the suite checks the order before any identity runs
+    def no_work(*args):
+        raise AssertionError("ran an identity")
+
+    monkeypatch.setattr(identities, "verify_numeric", no_work)
+    with pytest.raises(DomainError, match="order must be >= 0"):
+        run_suite(SamplePlan(count=1), order=-1)
+
+
+def _poles_on(monkeypatch, name, is_pole):
+    """Make identities.<name> raise PoleError on the calls whose 1-based
+    index satisfies is_pole; returns the argument list of every call."""
+    real = getattr(identities, name)
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        if is_pole(len(calls)):
+            raise PoleError("test pole")
+        return real(*args)
+
+    monkeypatch.setattr(identities, name, patched)
+    return calls
+
+
+def test_pole_draws_are_resampled(monkeypatch):
+    plan = SamplePlan(seed=5, count=12)
+    reports = []
+    for _ in range(2):
+        calls = _poles_on(monkeypatch, "numeric_residual", lambda i: i % 3 == 0)
+        reports.append(report_as_dict(verify_numeric("thm2", plan)))
+        monkeypatch.undo()
+    assert reports[0] == reports[1]          # same seed, same report
+    assert reports[0]["status"] == "pass" and reports[0]["samples"] == 12
+    # 12 samples took 17 draws; a pole does not advance the tau cycle
+    assert len(calls) == 17
+    kept = [args for i, args in enumerate(calls, 1) if i % 3]
+    assert [args[3] for args in kept] == [plan.tau_set[i % 3] for i in range(12)]
+
+
+def test_all_pole_draws_stop_at_ten_times_count(monkeypatch):
+    calls = _poles_on(monkeypatch, "numeric_residual", lambda i: True)
+    report = verify_numeric("thm2", SamplePlan(seed=5, count=4))
+    assert len(calls) == 40
+    assert (report.status, report.samples, report.failures) == ("fail", 0, [])
+
+
+def test_probe_pole_draws(monkeypatch):
+    calls = _poles_on(monkeypatch, "constancy_probe", lambda i: i % 2 == 0)
+    report = verify_numeric("f_constancy", SamplePlan(seed=5, count=10))
+    assert (report.status, report.samples, len(calls)) == ("pass", 10, 19)
+    monkeypatch.undo()
+
+    calls = _poles_on(monkeypatch, "constancy_probe", lambda i: True)
+    report = verify_numeric("f_constancy", SamplePlan(seed=5, count=10))
+    assert len(calls) == 100
+    assert (report.status, report.samples) == ("fail", 0)
+    assert report.failures == [{"error": "no valid samples"}]

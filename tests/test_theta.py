@@ -287,3 +287,17 @@ def test_kind_validation():
         theta_eval(5, 0, make_param(1j))
     with pytest.raises(DomainError):
         theta_eval(3, 0, make_param(1j), method="quadrature")
+
+
+def test_shift_multiplier_out_of_range_raises_convergence_error():
+    # q underflows to 0 above Im tau ~ 237 and q^(1/4) above ~ 948, so the
+    # multipliers 1/q^(b^2) and 1/q^(1/4) would divide by zero; far shifts
+    # at a modest tau overflow q^(-b^2) itself
+    for call in (lambda: reduce_argument(3, 0.3 + 1000j, make_param(300j)),
+                 lambda: reduce_argument(3, 0.3 + 1000j, make_param(0.5j)),
+                 lambda: half_period_shift(1, 0.3, make_param(1000j)),
+                 lambda: half_period_shift(2, 0.3 + 800j, make_param(1.1j))):
+        with pytest.raises(ConvergenceError, match="multiplier overflowed double range"):
+            call()
+    # in range, the q -> 0 side still shifts
+    assert half_period_shift(2, 0.3, make_param(300j)).new_kind == 3
