@@ -263,7 +263,7 @@ def constancy_probe(x: complex, y: complex, tau: complex,
     identity; x must stay away from the zeros of the denominator.
     """
     thetas = _thm2_thetas(x, y, make_param(tau), policy)
-    s2, d3, x1, y2, y1, x2, s1, d4 = thetas
+    _, _, x1, y2, y1, x2, s1, d4 = thetas
     num = s1 * d4 * x2 * y2 - thm2_sides(*thetas)[0]
     den = s1 * d4 * x1 * y1
     if abs(den) < POLE_RATIO * max(1.0, abs(num)):
