@@ -12,6 +12,7 @@ from .errors import (
     GradeMismatch,
     OrderUnderflow,
     PoleError,
+    RangeError,
     ThetaQError,
     UnsupportedFormal,
 )
@@ -66,6 +67,7 @@ from .theta import (
     reduce_argument,
     theta_eval,
     theta_null,
+    theta_pair,
     theta_sum,
 )
 

@@ -13,6 +13,10 @@ class ConvergenceError(ThetaQError):
     """A truncated sum or product hit its term cap before meeting tolerance."""
 
 
+class RangeError(ConvergenceError):
+    """A value, argument or multiplier left double range."""
+
+
 class PoleError(ThetaQError):
     """Evaluation requested at (or too close to) a pole of the function."""
 

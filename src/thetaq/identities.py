@@ -30,6 +30,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     PoleError,
+    RangeError,
     ThetaQError,
     UnsupportedFormal,
 )
@@ -53,16 +54,18 @@ from .params import (
     check_integer,
     make_param,
 )
-from .qtrig import POLE_RATIO, qsquared_param, qtrig_theta
+from .qtrig import POLE_RATIO, qsquared_param, qtrig_theta, ssn_ccs
 from .theta import (
     HALF_PERIOD_HAS_I,
     HALF_PERIOD_MAP,
+    PARTNER,
     PI_SHIFT_SIGN,
     PI_TAU_SHIFT_SIGN,
     PRODUCT_FACTOR,
     half_period_shift,
-    multiplier_overflow,
+    range_overflow,
     theta_eval,
+    theta_pair,
     theta_sum_null,
 )
 
@@ -171,19 +174,29 @@ def sample_point(x: complex, y: Optional[complex], tau: complex) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _shifted(kind: int, z: complex, half: bool, p: ModularParam, policy) -> complex:
+    """theta_kind(z + pi*tau), or z + pi*tau/2; an overflow names that shift."""
+    try:
+        return theta_eval(kind, z + (math.pi * p.tau / 2 if half else math.pi * p.tau),
+                          p, policy)
+    except RangeError:
+        raise range_overflow("theta%d(z + pi*tau%s)" % (kind, "/2" if half else ""),
+                             z, p) from None
+
+
 def _pairs_quasi(kind: int, z: complex, _y, p: ModularParam, policy) -> list:
     base = theta_eval(kind, z, p, policy)
     with_pi = theta_eval(kind, z + math.pi, p, policy)
-    with_tau = theta_eval(kind, z + math.pi * p.tau, p, policy)
+    with_tau = _shifted(kind, z, False, p, policy)
     try:
         mult = PI_TAU_SHIFT_SIGN[kind] / p.q * cmath.exp(-2j * z)
     except (ZeroDivisionError, OverflowError):
-        raise multiplier_overflow("theta%d quasi-period" % kind, z, p) from None
+        raise range_overflow("theta%d quasi-period multiplier" % kind, z, p) from None
     return [(with_pi, PI_SHIFT_SIGN[kind] * base), (with_tau, mult * base)]
 
 
 def _pairs_half(kind: int, z: complex, _y, p: ModularParam, policy) -> list:
-    shifted = theta_eval(kind, z + math.pi * p.tau / 2, p, policy)
+    shifted = _shifted(kind, z, True, p, policy)
     rule = half_period_shift(kind, z, p)
     return [(shifted, rule.multiplier * theta_eval(rule.new_kind, z, p, policy))]
 
@@ -215,12 +228,17 @@ def thm2_sides(s2, d3, x1, y2, y1, x2, s1, d4) -> tuple:
 
 
 def _thm2_thetas(x: complex, y: complex, p: ModularParam, policy) -> tuple:
-    """The values of THM2_THETAS at x, y and tau, in the table's order."""
+    """The values of THM2_THETAS at x, y and tau, in the table's order; its
+    four partner pairs take one theta_pair each, led by the first-listed kind."""
     p2 = qsquared_param(p)
     # a*x + b*y as the plain x + y, x - y, x or y: 1*x + 0*y can flip a zero's sign
     args = {(1, 1): x + y, (1, -1): x - y, (1, 0): x, (0, 1): y}
-    return tuple(theta_eval(kind, args[ab], p2 if scale == 2 else p, policy)
-                 for kind, scale, ab in THM2_THETAS)
+    values = {}
+    for kind, scale, ab in THM2_THETAS:
+        if (kind, scale, ab) not in values:
+            values[kind, scale, ab], values[PARTNER[kind], scale, ab] = theta_pair(
+                kind, args[ab], p2 if scale == 2 else p, policy)
+    return tuple(values[entry] for entry in THM2_THETAS)
 
 
 def _pairs_thm2(x: complex, y: complex, p: ModularParam, policy) -> list:
@@ -239,8 +257,7 @@ def _pairs_qtrig(total: float, form: str, x, y, p, policy) -> list:
     fn = "tan_q" if (total == math.pi) == (form == "sum") else "cot_q"
     z = total - x - y
     p2 = qsquared_param(p)
-    ss = qtrig_theta("ssn_q", x - y, p, policy)
-    cc = qtrig_theta("ccs_q", x - y, p, policy)
+    ss, cc = ssn_ccs(x - y, p, policy)
     fx = qtrig_theta(fn, x, p2, policy)
     fy = qtrig_theta(fn, y, p2, policy)
     fz = qtrig_theta(fn, z, p, policy)

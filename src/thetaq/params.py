@@ -7,9 +7,9 @@ prefactors carry no branch ambiguity.
 
 make_param is memoised per tau (up to PARAM_CACHE_SIZE of them), so the
 tau', 2*tau and nome data that every evaluation derives are built once per
-tau.  Each ModularParam also carries per-nome state that the theta kernels
-fill as they go -- ln|q|, tables of the powers q^(k(k+odd)) and the theta
-nulls -- none of which takes part in equality, hashing or repr.
+tau.  Each ModularParam also carries per-nome state that the kernels fill
+as they go -- ln|q|, tables of the powers q^(k(k+odd)), the theta nulls, the
+tau' and 2*tau params -- none of which takes part in equality, hash or repr.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ class ModularParam:
     * ln_abs_q = log|q| (-inf when q underflowed to 0);
     * powers[odd][k] = q ** (k*(k+odd)), two tables that theta_sum grows
       on demand up to POWER_TABLE_LEN entries;
-    * nulls maps (kind, policy) to theta_sum(kind, 0, self, policy); see
-      theta.theta_sum_null.
+    * nulls maps (kind, policy) to theta_sum(kind, 0, self, policy)[0]; see
+      theta.theta_sum_null;
+    * companions keeps the params tau_prime and qtrig.qsquared_param made.
     """
 
     tau: complex
@@ -55,6 +56,7 @@ class ModularParam:
     powers: tuple = field(init=False, compare=False, repr=False)
     nulls: dict = field(init=False, compare=False, repr=False,
                         default_factory=dict)
+    companions: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         q = self.q
@@ -75,17 +77,19 @@ class TruncationPolicy:
 
     eps is an absolute tail tolerance; max_terms is a hard cap.  Evaluators
     stop once a geometric tail bound drops below eps and raise
-    ConvergenceError when the cap is reached first.
+    ConvergenceError when the cap is reached first.  ln_eps = log(eps).
     """
 
     eps: float = 1e-16
     max_terms: int = 256
+    ln_eps: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.eps > 0 and math.isfinite(self.eps)):
             raise DomainError("eps must be positive and finite, got %r" % (self.eps,))
         if check_integer(self.max_terms, "max_terms") < 1:
             raise DomainError("max_terms must be >= 1, got %r" % (self.max_terms,))
+        object.__setattr__(self, "ln_eps", math.log(self.eps))
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -134,4 +138,5 @@ def param_from_nome(q: complex) -> ModularParam:
 
 def tau_prime(p: ModularParam) -> ModularParam:
     """The companion parameter -1/tau (an involution on the half-plane)."""
-    return make_param(-1 / p.tau)
+    pp = p.companions.get("prime")
+    return pp if pp else p.companions.setdefault("prime", make_param(-1 / p.tau))

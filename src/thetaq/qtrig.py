@@ -56,31 +56,35 @@ def qtrig_theta(kind: str, z: complex, p: ModularParam,
 
     The z-free denominators theta2(0|tau') and theta3(0|tau') come from the
     null cache of tau' (theta_sum_null), so each is summed once per tau'
-    and policy.
+    and policy.  tan_q and cot_q take theta1 and theta2 from one theta_sum.
     """
     check_qtrig_kind(kind)
     z = complex(z)
+    if kind in ("ssn_q", "ccs_q"):
+        return ssn_ccs(z, p, policy, kind)[0]
     pp = tau_prime(p)
-    if kind == "ssn_q":
-        return theta_sum(4, z, pp, policy) / theta_sum_null(3, pp, policy)
-    if kind == "ccs_q":
-        return theta_sum(3, z, pp, policy) / theta_sum_null(3, pp, policy)
-
     null2 = theta_sum_null(2, pp, policy)  # prefactor-free theta2 null
     if kind == "sin_q":
-        return -1j * theta_sum(1, z, pp, policy) / null2
+        return -1j * theta_sum(1, z, pp, policy)[0] / null2
     if kind == "cos_q":
-        return theta_sum(2, z, pp, policy) / null2
+        return theta_sum(2, z, pp, policy)[0] / null2
     eps_pole = POLE_RATIO * abs(null2)
-    if kind == "tan_q":
-        den = theta_sum(2, z, pp, policy)
-        if abs(den) < eps_pole:
-            raise PoleError("tan_q pole: theta2(z|tau') ~ 0 at z = %r" % (z,))
-        return -1j * theta_sum(1, z, pp, policy) / den
-    den = theta_sum(1, z, pp, policy)
+    # the denominator's kind leads, so an error names its sum
+    den_kind = 2 if kind == "tan_q" else 1
+    den, num = theta_sum(den_kind, z, pp, policy)
     if abs(den) < eps_pole:
-        raise PoleError("cot_q pole: theta1(z|tau') ~ 0 at z = %r" % (z,))
-    return 1j * theta_sum(2, z, pp, policy) / den
+        raise PoleError("%s pole: theta%d(z|tau') ~ 0 at z = %r" % (kind, den_kind, z))
+    return (-1j if den_kind == 2 else 1j) * num / den
+
+
+def ssn_ccs(z: complex, p: ModularParam, policy: TruncationPolicy = DEFAULT_POLICY,
+            lead: str = "ssn_q") -> tuple:
+    """(lead, partner) of ssn_q = theta4(z|tau')/theta3(0|tau') and ccs_q =
+    theta3(z|tau')/theta3(0|tau'), from one theta_sum led by lead's theta."""
+    pp = tau_prime(p)
+    s, t = theta_sum(4 if lead == "ssn_q" else 3, z, pp, policy)
+    null3 = theta_sum_null(3, pp, policy)
+    return s / null3, t / null3
 
 
 def _nome_power(p: ModularParam, a: complex) -> complex:
@@ -155,5 +159,6 @@ def qtrig_crosscheck(kind: str, z: complex, p: ModularParam,
 
 
 def qsquared_param(p: ModularParam) -> ModularParam:
-    """Parameter whose nome is q^2, i.e. tau doubled."""
-    return make_param(2 * p.tau)
+    """Parameter whose nome is q^2, i.e. tau doubled, kept in p.companions."""
+    p2 = p.companions.get("double")
+    return p2 if p2 else p.companions.setdefault("double", make_param(2 * p.tau))

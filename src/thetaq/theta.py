@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, RangeError
 from .params import (
     DEFAULT_POLICY,
     POWER_TABLE_LEN,
@@ -48,6 +48,9 @@ HALF_PERIOD_HAS_I = {1: True, 2: False, 3: False, 4: True}
 # for kinds 1, 2 and 1 for kinds 3, 4; (a;q) = prod_{n>=0} (1 - a q^n).
 PRODUCT_FACTOR = {1: (1, 2), 2: (-1, 2), 3: (-1, 1), 4: (1, 1)}
 
+# Partner kinds share every lattice term; theta_sum sums both at once.
+PARTNER = {1: 2, 2: 1, 3: 4, 4: 3}
+
 
 @dataclass(frozen=True)
 class ShiftResult:
@@ -63,42 +66,38 @@ _LN_DOUBLE_MAX = math.log(sys.float_info.max)
 _LN_2 = math.log(2.0)
 
 
-def _overflow(kind: int, z: complex, path: str) -> ConvergenceError:
-    return ConvergenceError("theta%d %s overflowed double range at z = %r "
-                            "(reduce the argument first)" % (kind, path, z))
+def _overflow(kind: int, z: complex, path: str) -> RangeError:
+    return RangeError("theta%d %s overflowed double range at z = %r "
+                      "(reduce the argument first)" % (kind, path, z))
 
 
-def multiplier_overflow(what: str, z: complex, p: ModularParam) -> ConvergenceError:
-    """A shift multiplier left double range, e.g. 1/q once q underflowed to 0
-    (Im tau above about 237; for q^(1/4) above about 948)."""
-    return ConvergenceError("%s multiplier overflowed double range at z = %r, "
-                            "tau = %r" % (what, z, p.tau))
-
-
-def _check_exp_range(kind: int, z: complex, scale: int, path: str) -> None:
-    """Raise before exp(scale*i*z) or its inverse leaves double range."""
-    if abs(z.imag) * scale > _LN_DOUBLE_MAX:
-        raise _overflow(kind, z, path)
+def range_overflow(what: str, z: complex, p: ModularParam) -> RangeError:
+    """what (a shift multiplier, e.g. 1/q once q underflowed to 0 above Im tau
+    of about 237, or 1/q^(1/4) above about 948) left double range."""
+    return RangeError("%s overflowed double range at z = %r, tau = %r"
+                      % (what, z, p.tau))
 
 
 def theta_sum(kind: int, z: complex, p: ModularParam,
-              policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """The bare lattice sum of theta_kind, without the q^(1/4) prefactors.
+              policy: TruncationPolicy = DEFAULT_POLICY) -> tuple:
+    """The bare lattice sums of theta_kind and of PARTNER[kind], in that
+    order, without the q^(1/4) prefactors (see theta_pair).
 
-    For kinds 3 and 4 this is the full theta value.  For kind 1 multiply by
-    -i*q^(1/4), for kind 2 by q^(1/4).  Exposed separately because theta
-    quotients (q-trigonometric functions) cancel those prefactors exactly,
+    For kinds 3 and 4 a sum is the full theta value.  Exposed because theta
+    quotients (q-trigonometric functions) cancel the prefactors exactly,
     which matters when q^(1/4) underflows.
 
-    One loop serves every kind.  With odd = 1 for kinds 1, 2 and 0 for
-    kinds 3, 4, index k >= 1 - odd contributes
+    One loop serves every kind and sums both of a pair.  With odd = 1 for
+    kinds 1, 2 and 0 for kinds 3, 4, index k >= 1 - odd contributes
 
         q^(k(k+odd)) (e^((2k+odd)iz) +- e^(-(2k+odd)iz)),
 
     the difference for kind 1, a sign (-1)^k for kinds 1 and 4, and the
-    k = 0 term of kinds 3, 4 is the 1 the sum starts from.  It stops once
-    the geometric tail past k, first term 2 |q|^(k(k+odd)) e^((2k+odd)|Im z|)
-    and ratio r = |q|^(2k+1+odd) e^(2|Im z|), is below policy.eps.
+    k = 0 term of kinds 3, 4 is the 1 the sum starts from; each sum adds its
+    terms in the order a loop of its own would.  It stops once the geometric
+    tail past k, first term 2 |q|^(k(k+odd)) e^((2k+odd)|Im z|) and ratio
+    r = |q|^(2k+1+odd) e^(2|Im z|), is below policy.eps.  Errors name kind,
+    and the partner only when its sum alone is not finite.
 
     The powers q^(k(k+odd)) are read from p.powers[odd], which this call
     extends (with the same q ** (k*(k+odd))) when it needs a power the table
@@ -108,45 +107,54 @@ def theta_sum(kind: int, z: complex, p: ModularParam,
     and exp run only once that cheaper pre-test passes.
     """
     check_kind(kind)
-    odd = 1 if kind in (1, 2) else 0
-    # the largest argument factor is |e^(iz)|^(2-odd); past double range
-    # exp overflows or its inverse divides by 0
-    _check_exp_range(kind, z, 2 - odd, "series")
+    odd = 1 if kind < 3 else 0
+    # |e^(iz)|^(2-odd) is the largest factor; past double range exp fails
+    if abs(z.imag) * (2 - odd) > _LN_DOUBLE_MAX:
+        raise _overflow(kind, z, "series")
     up = cmath.exp((2 - odd) * 1j * z)    # e^((2k+odd)iz), stepped with k
     um = 1 / up
     q = p.q
     if abs(q) == 0.0:
         # nome underflowed (huge Im tau); the q -> 0 limit is the correctly
         # rounded value: only the innermost summation indices survive
-        if not odd:
-            return 1 + 0j
-        return up - um if kind == 1 else up + um
+        pair = (up - um, up + um) if odd else (1 + 0j, 1 + 0j)
+        return pair if kind % 2 else pair[::-1]
     step, step_inv = (up * up, um * um) if odd else (up, um)
     # tail bounds live in log space so huge |Im z| cannot overflow a float
     ln_q = p.ln_abs_q
-    ln_eps = math.log(policy.eps)
+    ln_eps = policy.ln_eps
     imz2 = 2.0 * abs(z.imag)   # log of the growth factor |e^(2zi)|^(+-1)
-    total = 0j if odd else 1 + 0j
+    a = b = 0j if odd else 1 + 0j   # the sums of kinds 1, 2 or of kinds 3, 4
     pw = p.powers[odd]
+    have = len(pw)             # tables only grow, so pw[k] exists for k < have
     for k in range(1 - odd, policy.max_terms + 1):
-        if k < len(pw):
+        if k < have:
             qk = pw[k]
         else:
             qk = q ** (k * (k + odd))
             if k < POWER_TABLE_LEN:
-                # k == len(pw) here; as a slice store, a thread that
+                # k == have <= len(pw) here; as a slice store, a thread that
                 # extended pw first is overwritten with the same value
                 pw[k:k + 1] = (qk,)
-        term = qk * (up - um) if kind == 1 else qk * (up + um)
-        total += -term if kind in (1, 4) and k % 2 else term
+                have = k + 1
+        plus = qk * (up + um)
+        if odd:
+            minus = qk * (up - um)
+            a += -minus if k % 2 else minus
+            b += plus
+        else:
+            a += plus
+            b += -plus if k % 2 else plus
         ln_ratio = (2 * k + 1 + odd) * ln_q + imz2
         if ln_ratio < 0.0:
             ln_bound = _LN_2 + (k * (k + odd)) * ln_q + (k + odd / 2) * imz2
             head = ln_bound + ln_ratio
             if head < ln_eps and head - math.log1p(-math.exp(ln_ratio)) < ln_eps:
-                if not cmath.isfinite(total):
-                    raise _overflow(kind, z, "series")
-                return total
+                pair = (a, b) if kind % 2 else (b, a)
+                if not (cmath.isfinite(a) and cmath.isfinite(b)):
+                    bad = kind if not cmath.isfinite(pair[0]) else PARTNER[kind]
+                    raise _overflow(bad, z, "series")
+                return pair
         up *= step
         um *= step_inv
     raise ConvergenceError(
@@ -156,14 +164,14 @@ def theta_sum(kind: int, z: complex, p: ModularParam,
 
 def theta_sum_null(kind: int, p: ModularParam,
                    policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """theta_sum(kind, 0, p, policy), cached in p.nulls per (kind, policy).
+    """theta_sum(kind, 0, p, policy)[0], cached in p.nulls per (kind, policy).
 
     A call that raises caches nothing, so it raises again next time.
     """
     key = (kind, policy)
     value = p.nulls.get(key)
     if value is None:
-        value = p.nulls[key] = theta_sum(kind, 0.0, p, policy)
+        value = p.nulls[key] = theta_sum(kind, 0.0, p, policy)[0]
     return value
 
 
@@ -199,20 +207,16 @@ def theta_eval(kind: int, z: complex, p: ModularParam,
     The product path forms head * (q^2;q^2) (a e^(2iz);q^2) (a e^(-2iz);q^2)
     with a = s q^c from PRODUCT_FACTOR and head as documented there.
     """
+    if method == "series":
+        return theta_pair(kind, z, p, policy)[0]
     check_kind(kind)
     z = complex(z)
-    if method == "series":
-        s = theta_sum(kind, z, p, policy)
-        if kind == 1:
-            return -1j * p.q_quarter * s
-        if kind == 2:
-            return p.q_quarter * s
-        return s
     if method != "product":
         raise DomainError("method must be 'series' or 'product', got %r" % (method,))
 
-    # every kind's product carries e^(2iz) and its inverse
-    _check_exp_range(kind, z, 2, "product")
+    # every kind's product carries e^(2iz) and its inverse, both in range here
+    if abs(z.imag) * 2 > _LN_DOUBLE_MAX:
+        raise _overflow(kind, z, "product")
     q = p.q
     q2 = q * q
     w = cmath.exp(2j * z)
@@ -232,6 +236,18 @@ def theta_eval(kind: int, z: complex, p: ModularParam,
     if not cmath.isfinite(value):
         raise _overflow(kind, z, "product")
     return value
+
+
+def theta_pair(kind: int, z: complex, p: ModularParam,
+               policy: TruncationPolicy = DEFAULT_POLICY) -> tuple:
+    """(theta_kind(z|tau), theta_PARTNER[kind](z|tau)) from one theta_sum: the
+    sums times -i*q^(1/4) for kind 1, q^(1/4) for kind 2 and 1 for kinds 3, 4."""
+    s, t = theta_sum(kind, complex(z), p, policy)
+    if kind == 1:
+        return -1j * p.q_quarter * s, p.q_quarter * t
+    if kind == 2:
+        return p.q_quarter * s, -1j * p.q_quarter * t
+    return s, t
 
 
 def theta_null(j: int, p: ModularParam,
@@ -264,7 +280,7 @@ def reduce_argument(kind: int, z: complex, p: ModularParam) -> ShiftResult:
         try:
             mult *= p.q ** (-b * b) * cmath.exp(-2j * b * z_red)
         except (ZeroDivisionError, OverflowError):
-            raise multiplier_overflow("theta%d period" % kind, z, p) from None
+            raise range_overflow("theta%d period multiplier" % kind, z, p) from None
     return ShiftResult(new_kind=kind, new_z=z_red, multiplier=mult)
 
 
@@ -282,7 +298,7 @@ def half_period_shift(kind: int, z: complex, p: ModularParam) -> ShiftResult:
     try:
         mult = cmath.exp(-1j * z) / p.q_quarter
     except (ZeroDivisionError, OverflowError):
-        raise multiplier_overflow("theta%d half-period" % kind, z, p) from None
+        raise range_overflow("theta%d half-period multiplier" % kind, z, p) from None
     if HALF_PERIOD_HAS_I[kind]:
         mult *= 1j
     return ShiftResult(new_kind=HALF_PERIOD_MAP[kind], new_z=z, multiplier=mult)

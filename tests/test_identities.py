@@ -28,7 +28,7 @@ from thetaq import (
     theta_series,
     verify_numeric,
 )
-from thetaq import PoleError, identities, params
+from thetaq import PoleError, TruncationPolicy, identities, params, qtrig, theta
 
 PLAN = SamplePlan(seed=42, count=60)
 
@@ -247,6 +247,96 @@ def test_relations_thm2_builds_each_theta_once(monkeypatch):
     monkeypatch.setattr(identities, "theta_series", counting)
     formal_relations("thm2", 6)
     assert calls == [(kind, scale, ab, 6) for kind, scale, ab in identities.THM2_THETAS]
+
+
+def _count_calls(monkeypatch, name, owners):
+    """Route every call of name made through owners' globals via a counter;
+    returns the list of first arguments, one per call."""
+    real = getattr(owners[0], name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_thm2_and_thm1_sum_each_theta_pair_once(monkeypatch):
+    # theta_sum returns a kind's sum and its partner's, and thm2's eight
+    # thetas are four partner pairs; thm1_tan needs ssn, ccs at x - y and
+    # three tangents, each a partner pair (the nulls are cached)
+    calls = _count_calls(monkeypatch, "theta_sum", (theta, qtrig))
+    x, y, tau = 0.4 + 0.1j, 0.9 - 0.1j, 0.3 + 1.1j
+    for ident, kinds in (("thm2", [2, 3, 1, 2]), ("thm1_tan", [4, 2, 2, 2])):
+        numeric_residual(ident, x, y, tau)      # fills the null caches
+        calls.clear()
+        numeric_residual(ident, x, y, tau)
+        assert calls == kinds, ident
+    constancy_probe(x, identities.PROBE_Y, identities.PROBE_TAU)
+    calls.clear()
+    constancy_probe(x, identities.PROBE_Y, identities.PROBE_TAU)
+    assert calls == [2, 3, 1, 2]
+
+
+def test_qtrig_sample_builds_one_param(monkeypatch):
+    # tau' and 2*tau are kept on the ModularParam, so after the first sample
+    # at a tau only numeric_residual's own make_param remains
+    calls = _count_calls(monkeypatch, "make_param", (params, qtrig, identities))
+    tau = 0.5 + 0.9j
+    numeric_residual("thm1_tan", 0.4, 0.9, tau)
+    calls.clear()
+    for ident in ("thm1_tan", "thm1_cot", "cor_cot", "cor_tan"):
+        numeric_residual(ident, 0.4, 0.9, tau)
+    assert calls == [tau] * 4
+
+
+# the first error of each starved report, the same as when every theta was
+# summed alone, in its own loop (seed 5, count 20)
+STARVED_FIRST_ERRORS = {
+    (1, "thm2"): ("theta3", [0.0, 1.1]),
+    (1, "f_constancy"): ("theta3", None),
+    (1, "thm1_tan"): ("theta4", [0.0, 1.1]),
+    (2, "thm2"): ("theta1", [0.5, 0.9]),
+    (2, "f_constancy"): None,
+    (2, "thm1_tan"): ("theta4", [0.0, 1.1]),
+    (3, "thm2"): None,
+    (3, "f_constancy"): None,
+    (3, "thm1_tan"): ("theta2", [0.0, 1.1]),
+}
+
+
+def test_starved_policy_reports_the_first_failing_theta():
+    for (max_terms, ident), want in STARVED_FIRST_ERRORS.items():
+        report = verify_numeric(ident, SamplePlan(seed=5, count=20),
+                                policy=TruncationPolicy(max_terms=max_terms))
+        if want is None:
+            assert report.passed, (max_terms, ident)
+            continue
+        kind, tau = want
+        first = report.failures[0]
+        assert first["error"] == ("%s series did not meet eps=1e-16 in %d terms "
+                                  "(reduce the argument?)" % (kind, max_terms))
+        assert first.get("tau") == tau, (max_terms, ident)
+
+
+def test_sampler_shift_overflow_names_the_shift_and_tau():
+    # above Im tau ~ 226 the sampler's own z + pi*tau (or pi*tau/2) leaves
+    # double range; x is in the sample box, so "reduce the argument" is wrong
+    plan = SamplePlan(seed=7, count=3, tau_set=(1000j,))
+    for ident, shift in (("quasi_period_1", "pi*tau"), ("quasi_period_4", "pi*tau"),
+                         ("half_period_2", "pi*tau/2"), ("half_period_3", "pi*tau/2")):
+        report = verify_numeric(ident, plan)
+        error = report.failures[0]["error"]
+        assert report.status == "fail" and report.samples == 0
+        assert error.startswith("theta%s(z + %s) overflowed double range at z = ("
+                                % (ident[-1], shift)), error
+        assert error.endswith(", tau = 1000j") and "reduce" not in error
+        x = complex(error.split("z = ")[1].split(", tau")[0])
+        lo, hi = identities.SAMPLE_BOX
+        assert lo.real <= x.real <= hi.real and lo.imag <= x.imag <= hi.imag
 
 
 def test_unsupported_formal():

@@ -9,6 +9,7 @@ from thetaq import (
     TruncationPolicy,
     make_param,
     param_from_nome,
+    qsquared_param,
     tau_prime,
     theta_sum,
 )
@@ -115,6 +116,19 @@ def test_nome_state_is_not_part_of_equality():
                    for _ in range(2))
     theta_sum(1, 0.3 + 0.2j, used)     # fills used's tables and null cache
     theta_sum_null(3, used)
+    assert tau_prime(used) is tau_prime(used) is make_param(-1 / p.tau)
+    assert qsquared_param(used) is make_param(2 * p.tau)
     assert len(used.powers[1]) > len(fresh.powers[1]) and used.nulls
+    assert set(used.companions) == {"prime", "double"} and not fresh.companions
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh) == repr(p)
+
+
+def test_policy_log_tolerance_is_derived_state():
+    policy = TruncationPolicy(eps=1e-3)
+    assert policy.ln_eps == math.log(1e-3)
+    assert policy == TruncationPolicy(eps=1e-3, max_terms=256)
+    assert hash(policy) == hash(TruncationPolicy(eps=1e-3))
+    assert repr(policy) == "TruncationPolicy(eps=0.001, max_terms=256)"
+    with pytest.raises(TypeError):
+        TruncationPolicy(ln_eps=0.0)

@@ -199,5 +199,5 @@ def test_null_cache_is_per_policy():
     for _ in range(2):
         with pytest.raises(ConvergenceError):
             theta_sum_null(2, pp, one_term)
-    assert -1j * theta_sum(1, z, pp, coarse) / theta_sum(2, 0.0, pp, coarse) \
+    assert -1j * theta_sum(1, z, pp, coarse)[0] / theta_sum(2, 0.0, pp, coarse)[0] \
         == qtrig_theta("sin_q", z, p, coarse)

@@ -18,6 +18,8 @@ from thetaq import (
     theta_null,
     theta_sum,
 )
+from thetaq.params import POWER_TABLE_LEN
+from thetaq.theta import PARTNER
 
 TAU = 0.2 + 1.3j
 
@@ -266,20 +268,34 @@ def value_bits(v):
     return v.real.hex(), v.imag.hex()
 
 
+def pair_oracle(kind, z, p, policy=DEFAULT_POLICY):
+    return [value_bits(table_free_sum(k, z, p, policy)) for k in (kind, PARTNER[kind])]
+
+
 def test_power_tables_do_not_change_values():
-    # a tau no other test uses, so its power tables start cold here
-    p = make_param(0.37 + 0.05j)
+    # both sums of every pair, bit for bit, whether their powers come from a
+    # cold table, a grown one, or (past POWER_TABLE_LEN) no table at all
+    p = make_param(0.37 + 0.05j)   # a tau no other test uses: cold tables
     long_z = 0.1 - 4j       # about 55 terms, where 3 to 6 are typical
     points = [(kind, z, policy) for kind in (1, 2, 3, 4)
-              for z in (0.0, -0.0, 0.3 + 0.2j, complex(-0.7, -0.0))
+              for z in (0.0, -0.0, 0.3 + 0.2j, complex(-0.7, -0.0), complex(-0.0, 0.2))
               for policy in (DEFAULT_POLICY, TruncationPolicy(eps=1e-30))]
-    before = [value_bits(theta_sum(kind, z, p, pol)) for kind, z, pol in points]
-    grown = [value_bits(theta_sum(kind, long_z, p)) for kind in (1, 2, 3, 4)]
+    before = [list(map(value_bits, theta_sum(kind, z, p, pol))) for kind, z, pol in points]
+    grown = [list(map(value_bits, theta_sum(kind, long_z, p))) for kind in (1, 2, 3, 4)]
     assert min(len(table) for table in p.powers) > 50
-    after = [value_bits(theta_sum(kind, z, p, pol)) for kind, z, pol in points]
-    oracle = [value_bits(table_free_sum(kind, z, p, pol)) for kind, z, pol in points]
+    after = [list(map(value_bits, theta_sum(kind, z, p, pol))) for kind, z, pol in points]
+    oracle = [pair_oracle(kind, z, p, pol) for kind, z, pol in points]
     assert before == after == oracle
-    assert grown == [value_bits(table_free_sum(kind, long_z, p)) for kind in (1, 2, 3, 4)]
+    assert grown == [pair_oracle(kind, long_z, p) for kind in (1, 2, 3, 4)]
+
+    # |q| = 0.9999 needs about 600 terms: the tables stop at POWER_TABLE_LEN
+    # and the later powers are computed per term
+    capped = make_param(3e-5j)
+    wide = TruncationPolicy(max_terms=1000)
+    for kind in (1, 2, 3, 4):
+        got = list(map(value_bits, theta_sum(kind, 0.2 + 0.01j, capped, wide)))
+        assert got == pair_oracle(kind, 0.2 + 0.01j, capped, wide)
+    assert [len(table) for table in capped.powers] == [POWER_TABLE_LEN] * 2
 
 
 def test_kind_validation():
