@@ -2,9 +2,9 @@
 
     python3 tools/bench_ab.py --parent <rev> [--change <rev>] --out BENCH_<n>.json
 
-Each side is unpacked with `git archive` into a temporary directory (the
-change defaults to the files of the working tree, not a revision), so both
-sides run from clean trees.  For every workload and seed, `perfbench/run.py`
+Each side is a committed revision (the change defaults to HEAD), unpacked
+with `git archive` into a temporary directory, so both sides run from clean
+trees.  For every workload and seed, `perfbench/run.py`
 runs once per side untraced, parent and change alternating, and which side
 goes first alternating with the seed; then each workload runs once per side
 with `--trace 1` at the first seed.  Every run must exit 0 and print its
@@ -16,7 +16,7 @@ the per-workload medians, ratios, wins and the parent's interquartile range
 of every end-to-end metric in BENCHMARK.json plus the failed-op counts per
 seed, and `trace_layers` the per-layer metrics as [parent, change].
 
-    python3 tools/bench_ab.py --parent HEAD --change HEAD --tiny --out /tmp/ab.json
+    python3 tools/bench_ab.py --parent HEAD --tiny --out /tmp/ab.json
 
 is the quick self-check: one seed per workload at the smallest inputs.
 Standard library only.
@@ -29,7 +29,6 @@ import io
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -45,24 +44,19 @@ RUN_TIMEOUT_S = 1800
 
 
 def git(*args) -> bytes:
-    return subprocess.run(["git", "-C", ROOT, *args], check=True,
-                          capture_output=True).stdout
+    done = subprocess.run(["git", "-C", ROOT, *args], capture_output=True)
+    if done.returncode:
+        raise SystemExit("bench_ab: git %s failed:\n%s"
+                         % (" ".join(args), done.stderr.decode()))
+    return done.stdout
 
 
 def unpack(rev, dest) -> str:
-    """Extract rev's tracked files, or with rev None the working tree's, into dest."""
-    os.makedirs(dest)
-    if rev is not None:
-        archive = io.BytesIO(git("archive", "--format=tar", rev))
-        # the "data" filter exists from Python 3.10.12 and 3.11.4 on
-        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
-        tarfile.open(fileobj=archive).extractall(dest, **safe)
-        return dest
-    for name in git("ls-files", "-z").decode().split("\0"):
-        src = os.path.join(ROOT, name)
-        if name and os.path.isfile(src):
-            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
-            shutil.copy2(src, os.path.join(dest, name))
+    """Extract the files of revision rev into dest."""
+    archive = io.BytesIO(git("archive", "--format=tar", rev))
+    # the "data" filter exists from Python 3.10.12 and 3.11.4 on
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    tarfile.open(fileobj=archive).extractall(dest, **safe)
     return dest
 
 
@@ -114,14 +108,13 @@ def summarize(runs, workload, metrics) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
-    ap.add_argument("--change", help="git revision of the change side "
-                    "(default: the working tree's files)")
+    ap.add_argument("--change", default="HEAD",
+                    help="git revision of the change side (default: HEAD)")
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     ap.add_argument("--seconds", type=float, default=None,
                     help="--seconds of each run (default: BENCHMARK.json's run_seconds)")
     ap.add_argument("--seeds", type=int, default=None,
                     help="seeds per workload (default: 10, 3, 3, 5 as in BENCH_7.json)")
-    ap.add_argument("--first-seed", type=int, default=FIRST_SEED)
     ap.add_argument("--workload", action="append",
                     help="run only this workload (repeatable)")
     ap.add_argument("--tiny", action="store_true",
@@ -137,8 +130,7 @@ def main(argv=None) -> int:
                                    else spec["run_seconds"])
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     parent = git("rev-parse", "--short", args.parent).decode().strip()
-    change = "the working tree" if args.change is None else \
-        git("rev-parse", "--short", args.change).decode().strip()
+    change = git("rev-parse", "--short", args.change).decode().strip()
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
@@ -156,10 +148,10 @@ def main(argv=None) -> int:
             n = 1 if args.tiny else (args.seeds or DEFAULT_SEEDS.get(workload, 3))
             for i in range(n):
                 for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                    run(side, workload, args.first_seed + i, 0)
+                    run(side, workload, FIRST_SEED + i, 0)
         for workload in workloads:
             for side in ("parent", "change"):
-                run(side, workload, args.first_seed, 1)
+                run(side, workload, FIRST_SEED, 1)
 
     traced = {}
     for workload in workloads:
@@ -170,10 +162,9 @@ def main(argv=None) -> int:
             "metrics": {name: [round(res["metrics"][name]["value"], 4) for res in pair]
                         for name in pair[0]["metrics"]}}
     report = {
-        "about": "perfbench runs of the parent commit %s and of %s, alternating "
+        "about": "perfbench runs of the parent commit %s and of commit %s, alternating "
                  "parent/change per seed; see README, 'Performance trajectory'"
-                 % (parent, "the commit that adds this file" if args.change is None
-                    else "commit " + change),
+                 % (parent, change),
         "command": "python3 perfbench/run.py --workload <w> --seed <s> --seconds %g "
                    "--trace <0|1>%s" % (seconds, " --tiny" if args.tiny else ""),
         "host": args.host,
@@ -182,7 +173,7 @@ def main(argv=None) -> int:
         "trace_layers": traced,
     }
     # indented like BENCH_7.json, with one line per run
-    head = json.dumps({k: v for k, v in report.items() if k != "runs"}, indent=1)
+    head = json.dumps(report, indent=1)
     with open(args.out, "w") as fh:
         fh.write(head[:-2] + ',\n "runs": [\n%s\n ]\n}\n'
                  % ",\n".join("  " + json.dumps(r) for r in runs))
