@@ -174,20 +174,18 @@ def sample_point(x: complex, y: Optional[complex], tau: complex) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _shifted(kind: int, z: complex, half: bool, p: ModularParam, policy) -> complex:
-    """theta_kind(z + pi*tau), or z + pi*tau/2; an overflow names that shift."""
+def _shifted(kind: int, z: complex, shift: complex, law: str, p, policy) -> complex:
+    """theta_kind(z + shift); an overflow names the shift law, not z alone."""
     try:
-        return theta_eval(kind, z + (math.pi * p.tau / 2 if half else math.pi * p.tau),
-                          p, policy)
+        return theta_eval(kind, z + shift, p, policy)
     except RangeError:
-        raise range_overflow("theta%d(z + pi*tau%s)" % (kind, "/2" if half else ""),
-                             z, p) from None
+        raise range_overflow("theta%d(z + %s)" % (kind, law), z, p) from None
 
 
 def _pairs_quasi(kind: int, z: complex, _y, p: ModularParam, policy) -> list:
     base = theta_eval(kind, z, p, policy)
     with_pi = theta_eval(kind, z + math.pi, p, policy)
-    with_tau = _shifted(kind, z, False, p, policy)
+    with_tau = _shifted(kind, z, math.pi * p.tau, "pi*tau", p, policy)
     try:
         mult = PI_TAU_SHIFT_SIGN[kind] / p.q * cmath.exp(-2j * z)
     except (ZeroDivisionError, OverflowError):
@@ -196,7 +194,7 @@ def _pairs_quasi(kind: int, z: complex, _y, p: ModularParam, policy) -> list:
 
 
 def _pairs_half(kind: int, z: complex, _y, p: ModularParam, policy) -> list:
-    shifted = _shifted(kind, z, True, p, policy)
+    shifted = _shifted(kind, z, math.pi * p.tau / 2, "pi*tau/2", p, policy)
     rule = half_period_shift(kind, z, p)
     return [(shifted, rule.multiplier * theta_eval(rule.new_kind, z, p, policy))]
 

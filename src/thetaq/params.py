@@ -8,8 +8,8 @@ prefactors carry no branch ambiguity.
 make_param is memoised per tau (up to PARAM_CACHE_SIZE of them), so the
 tau', 2*tau and nome data that every evaluation derives are built once per
 tau.  Each ModularParam also carries per-nome state that the kernels fill
-as they go -- ln|q|, tables of the powers q^(k(k+odd)), the theta nulls, the
-tau' and 2*tau params -- none of which takes part in equality, hash or repr.
+as they go -- ln|q|, tables of the powers q^(k(k+odd)), the theta nulls and
+weak links to the tau' and 2*tau params -- none of it in equality or repr.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import cmath
 import functools
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -46,7 +47,7 @@ class ModularParam:
       on demand up to POWER_TABLE_LEN entries;
     * nulls maps (kind, policy) to theta_sum(kind, 0, self, policy)[0]; see
       theta.theta_sum_null;
-    * companions keeps the params tau_prime and qtrig.qsquared_param made.
+    * companions weakly links "prime" and "double" to tau' and 2*tau's params.
     """
 
     tau: complex
@@ -138,5 +139,18 @@ def param_from_nome(q: complex) -> ModularParam:
 
 def tau_prime(p: ModularParam) -> ModularParam:
     """The companion parameter -1/tau (an involution on the half-plane)."""
-    pp = p.companions.get("prime")
-    return pp if pp else p.companions.setdefault("prime", make_param(-1 / p.tau))
+    return _companion(p, "prime", -1 / p.tau)
+
+
+def qsquared_param(p: ModularParam) -> ModularParam:
+    """Parameter whose nome is q^2, i.e. tau doubled."""
+    return _companion(p, "double", 2 * p.tau)
+
+
+def _companion(p: ModularParam, key: str, tau: complex) -> ModularParam:
+    """make_param(tau), weakly linked from p.companions[key]: a link keeps no
+    param alive, so the make_param cache alone bounds how many stay."""
+    ref = p.companions.get(key)
+    if ref is None or (c := ref()) is None:
+        p.companions[key] = weakref.ref(c := make_param(tau))
+    return c

@@ -32,7 +32,8 @@ from .params import (
     DEFAULT_POLICY,
     ModularParam,
     TruncationPolicy,
-    make_param,
+    make_param,  # unused here, but perfbench's tracer rebinds qtrig.make_param
+    qsquared_param,
     tau_prime,
 )
 from .theta import qpochhammer, theta_sum, theta_sum_null
@@ -56,7 +57,7 @@ def qtrig_theta(kind: str, z: complex, p: ModularParam,
 
     The z-free denominators theta2(0|tau') and theta3(0|tau') come from the
     null cache of tau' (theta_sum_null), so each is summed once per tau'
-    and policy.  tan_q and cot_q take theta1 and theta2 from one theta_sum.
+    and policy.  tan_q, cot_q sum both thetas at once, denominator first.
     """
     check_qtrig_kind(kind)
     z = complex(z)
@@ -69,7 +70,6 @@ def qtrig_theta(kind: str, z: complex, p: ModularParam,
     if kind == "cos_q":
         return theta_sum(2, z, pp, policy)[0] / null2
     eps_pole = POLE_RATIO * abs(null2)
-    # the denominator's kind leads, so an error names its sum
     den_kind = 2 if kind == "tan_q" else 1
     den, num = theta_sum(den_kind, z, pp, policy)
     if abs(den) < eps_pole:
@@ -156,9 +156,3 @@ def qtrig_crosscheck(kind: str, z: complex, p: ModularParam,
     via_theta = qtrig_theta(kind, z, p, policy)
     via_product = qtrig_product_any(kind, z / cmath.pi, p, policy)
     return abs(via_theta - via_product)
-
-
-def qsquared_param(p: ModularParam) -> ModularParam:
-    """Parameter whose nome is q^2, i.e. tau doubled, kept in p.companions."""
-    p2 = p.companions.get("double")
-    return p2 if p2 else p.companions.setdefault("double", make_param(2 * p.tau))

@@ -126,25 +126,19 @@ def theta_sum(kind: int, z: complex, p: ModularParam,
     imz2 = 2.0 * abs(z.imag)   # log of the growth factor |e^(2zi)|^(+-1)
     a = b = 0j if odd else 1 + 0j   # the sums of kinds 1, 2 or of kinds 3, 4
     pw = p.powers[odd]
-    have = len(pw)             # tables only grow, so pw[k] exists for k < have
     for k in range(1 - odd, policy.max_terms + 1):
-        if k < have:
+        if k < len(pw):
             qk = pw[k]
         else:
             qk = q ** (k * (k + odd))
             if k < POWER_TABLE_LEN:
-                # k == have <= len(pw) here; as a slice store, a thread that
+                # k == len(pw) here; as a slice store, a thread that
                 # extended pw first is overwritten with the same value
                 pw[k:k + 1] = (qk,)
-                have = k + 1
         plus = qk * (up + um)
-        if odd:
-            minus = qk * (up - um)
-            a += -minus if k % 2 else minus
-            b += plus
-        else:
-            a += plus
-            b += -plus if k % 2 else plus
+        minus = qk * (up - um) if odd else plus
+        a += -minus if odd and k % 2 else minus
+        b += -plus if k % 2 and not odd else plus
         ln_ratio = (2 * k + 1 + odd) * ln_q + imz2
         if ln_ratio < 0.0:
             ln_bound = _LN_2 + (k * (k + odd)) * ln_q + (k + odd / 2) * imz2
@@ -243,11 +237,10 @@ def theta_pair(kind: int, z: complex, p: ModularParam,
     """(theta_kind(z|tau), theta_PARTNER[kind](z|tau)) from one theta_sum: the
     sums times -i*q^(1/4) for kind 1, q^(1/4) for kind 2 and 1 for kinds 3, 4."""
     s, t = theta_sum(kind, complex(z), p, policy)
-    if kind == 1:
-        return -1j * p.q_quarter * s, p.q_quarter * t
-    if kind == 2:
-        return p.q_quarter * s, -1j * p.q_quarter * t
-    return s, t
+    if kind > 2:
+        return s, t
+    c = p.q_quarter
+    return (-1j * c * s, c * t) if kind == 1 else (c * s, -1j * c * t)
 
 
 def theta_null(j: int, p: ModularParam,

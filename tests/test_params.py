@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -13,6 +15,7 @@ from thetaq import (
     tau_prime,
     theta_sum,
 )
+from thetaq.params import PARAM_CACHE_SIZE
 from thetaq.theta import theta_sum_null
 
 
@@ -122,6 +125,20 @@ def test_nome_state_is_not_part_of_equality():
     assert set(used.companions) == {"prime", "double"} and not fresh.companions
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh) == repr(p)
+
+
+def test_companion_links_keep_no_param_alive():
+    # a sweep over more tau than the cache holds frees the companions it
+    # evicted, though their owner lives on; the next call rebuilds them
+    p = make_param(0.37 + 0.71j)
+    prime, double = weakref.ref(tau_prime(p)), weakref.ref(qsquared_param(p))
+    assert p.companions["prime"]() is prime() and p.companions["double"]() is double()
+    for k in range(PARAM_CACHE_SIZE):
+        make_param(complex(k, 3.0))
+    gc.collect()
+    assert prime() is None and double() is None
+    assert tau_prime(p) is tau_prime(p) is make_param(-1 / p.tau)
+    assert qsquared_param(p) is make_param(2 * p.tau)
 
 
 def test_policy_log_tolerance_is_derived_state():

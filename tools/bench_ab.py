@@ -4,11 +4,12 @@
 
 Each side is a committed revision (the change defaults to HEAD), unpacked
 with `git archive` into a temporary directory, so both sides run from clean
-trees.  For every workload and seed, `perfbench/run.py`
-runs once per side untraced, parent and change alternating, and which side
-goes first alternating with the seed; then each workload runs once per side
-with `--trace 1` at the first seed.  Every run must exit 0 and print its
-result line, or the driver stops.
+trees.  For every workload of BENCHMARK.json and each of its SEEDS below,
+`perfbench/run.py` runs once per side untraced for BENCHMARK.json's
+run_seconds, parent and change alternating, and which side goes first
+alternating with the seed; then each workload runs once per side with
+`--trace 1` at the first seed.  Every run must exit 0 and print its result
+line, or the driver stops.  --host records the machine in the output.
 
 The output has the schema of BENCH_7.json (see README, "Performance
 trajectory"): `runs` holds each run's last output line verbatim, `summary`
@@ -37,8 +38,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # seeds per workload, as in BENCH_7.json: the claimed workload gets ten pairs
-DEFAULT_SEEDS = {"sampled_residuals": 10, "exact_certify": 3, "classical_limit": 3,
-                 "crosscheck_domain": 5}
+SEEDS = {"sampled_residuals": 10, "exact_certify": 3, "classical_limit": 3,
+         "crosscheck_domain": 5}
 FIRST_SEED = 11
 RUN_TIMEOUT_S = 1800
 
@@ -111,12 +112,6 @@ def main(argv=None) -> int:
     ap.add_argument("--change", default="HEAD",
                     help="git revision of the change side (default: HEAD)")
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="--seconds of each run (default: BENCHMARK.json's run_seconds)")
-    ap.add_argument("--seeds", type=int, default=None,
-                    help="seeds per workload (default: 10, 3, 3, 5 as in BENCH_7.json)")
-    ap.add_argument("--workload", action="append",
-                    help="run only this workload (repeatable)")
     ap.add_argument("--tiny", action="store_true",
                     help="perfbench's smallest inputs, one seed, --seconds 0")
     ap.add_argument("--host", default="%s, Python %s" % (platform.machine(),
@@ -126,9 +121,8 @@ def main(argv=None) -> int:
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    seconds = 0 if args.tiny else (args.seconds if args.seconds is not None
-                                   else spec["run_seconds"])
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seconds = 0 if args.tiny else spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     parent = git("rev-parse", "--short", args.parent).decode().strip()
     change = git("rev-parse", "--short", args.change).decode().strip()
 
@@ -145,7 +139,7 @@ def main(argv=None) -> int:
                          "seed": seed, "trace": trace, "result": result})
 
         for workload in workloads:
-            n = 1 if args.tiny else (args.seeds or DEFAULT_SEEDS.get(workload, 3))
+            n = 1 if args.tiny else SEEDS[workload]
             for i in range(n):
                 for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                     run(side, workload, FIRST_SEED + i, 0)
