@@ -45,14 +45,7 @@ from .identities import (
     thm2_sides,
     verify_numeric,
 )
-from .params import (
-    DEFAULT_POLICY,
-    ModularParam,
-    TruncationPolicy,
-    make_param,
-    param_from_nome,
-    tau_prime,
-)
+from .params import ModularParam, make_param, param_from_nome, tau_prime
 from .qtrig import (
     QTRIG_KINDS,
     qsquared_param,

@@ -28,7 +28,7 @@ from .identities import (
     tolerance_for,
     verify_numeric,
 )
-from .params import DEFAULT_POLICY, TruncationPolicy, make_param
+from .params import make_param
 from .qtrig import QTRIG_KINDS, qtrig_product_any, qtrig_theta
 from .theta import theta_eval
 
@@ -65,10 +65,6 @@ def format_value(value: complex) -> str:
     if abs(value.imag) <= 1e-13 * max(1.0, abs(value.real)):
         return "%.15g" % value.real
     return "%.15g%+.15gj" % (value.real, value.imag)
-
-
-def _policy(args) -> TruncationPolicy:
-    return TruncationPolicy(eps=args.eps, max_terms=args.max_terms)
 
 
 def _report_lines(report: IdentityReport) -> list:
@@ -111,15 +107,14 @@ def _emit(text: str, path) -> None:
 
 
 def cmd_eval(args) -> int:
-    policy = _policy(args)
     z = parse_complex(args.z)
     p = make_param(parse_complex(args.tau))
     if args.fn in THETA_NAMES:
-        value = theta_eval(THETA_NAMES[args.fn], z, p, policy, args.method)
+        value = theta_eval(THETA_NAMES[args.fn], z, p, method=args.method)
     elif args.fn in QTRIG_KINDS and args.method == "product":
-        value = qtrig_product_any(args.fn, z / math.pi, p, policy)
+        value = qtrig_product_any(args.fn, z / math.pi, p)
     elif args.fn in QTRIG_KINDS:
-        value = qtrig_theta(args.fn, z, p, policy)
+        value = qtrig_theta(args.fn, z, p)
     else:
         raise DomainError("unknown function %r (theta1..theta4 or %s)"
                           % (args.fn, ", ".join(QTRIG_KINDS)))
@@ -129,20 +124,19 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     plan = _plan_from(args)
-    policy = _policy(args)
     if args.x is not None:
         tol = tolerance_for(args.id, args.tol)
         x = parse_complex(args.x)
         y = parse_complex(args.y) if args.y is not None else None
         tau = complex(plan.tau_set[0])
-        res = numeric_residual(args.id, x, y, tau, policy)
+        res = numeric_residual(args.id, x, y, tau)
         report = IdentityReport(
             id=args.id, mode="numeric",
             status="pass" if res <= tol else "fail",
             samples=1, max_abs_residual=res,
             params={"pinned": True, **sample_point(x, y, tau), "tolerance": tol})
     else:
-        report = verify_numeric(args.id, plan, args.tol, policy)
+        report = verify_numeric(args.id, plan, args.tol)
     _emit(render_reports([report], args.format), args.output)
     return 0 if report.passed else 1
 
@@ -154,7 +148,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    reports = run_suite(_plan_from(args), args.tol, args.order, _policy(args))
+    reports = run_suite(_plan_from(args), args.tol, args.order)
     text = render_reports(reports, args.format)
     summary = "%d/%d checks passed\n" % (sum(r.passed for r in reports),
                                          len(reports))
@@ -167,13 +161,6 @@ def _plan_from(args) -> SamplePlan:
     changes = {"seed": args.seed, "count": args.count, "tau_set": taus}
     return dataclasses.replace(DEFAULT_PLAN, **{
         name: value for name, value in changes.items() if value is not None})
-
-
-def _add_policy_args(sub) -> None:
-    sub.add_argument("--eps", type=float, default=DEFAULT_POLICY.eps,
-                     help="absolute tail tolerance for sums and products")
-    sub.add_argument("--max-terms", type=int, default=DEFAULT_POLICY.max_terms,
-                     help="hard cap on series/product terms")
 
 
 def _add_plan_args(sub) -> None:
@@ -207,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="series",
                     help="series: theta sums (theta quotients at -1/tau for "
                          "q-trig names); product: infinite products in q")
-    _add_policy_args(ev)
     ev.set_defaults(func=cmd_eval)
 
     vf = sub.add_parser("verify", help="numeric check of one identity")
@@ -216,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="pin the sample point instead of sampling")
     vf.add_argument("--y", default=None, metavar="RE,IM")
     _add_plan_args(vf)
-    _add_policy_args(vf)
     _add_output_args(vf)
     vf.set_defaults(func=cmd_verify)
 
@@ -231,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--order", type=int, default=None,
                     help="formal certification order")
     _add_plan_args(st)
-    _add_policy_args(st)
     _add_output_args(st)
     st.set_defaults(func=cmd_suite)
     return parser

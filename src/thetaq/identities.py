@@ -47,13 +47,7 @@ from .formal import (
     shift_margin,
     theta_series,
 )
-from .params import (
-    DEFAULT_POLICY,
-    ModularParam,
-    TruncationPolicy,
-    check_integer,
-    make_param,
-)
+from .params import ModularParam, check_integer, make_param
 from .qtrig import POLE_RATIO, qsquared_param, qtrig_theta, ssn_ccs
 from .theta import (
     HALF_PERIOD_HAS_I,
@@ -76,7 +70,7 @@ DEFAULT_FORMAL_ORDER = 12
 class IdentityInfo:
     """Everything the checkers know about one identity.
 
-    pairs(x, y, p, policy) gives the (lhs, rhs) values at one sample point;
+    pairs(x, y, p) gives the (lhs, rhs) values at one sample point;
     it is None for the classical limits, which run over a fixed q sequence
     instead.  relations(order) gives (label, lhs, rhs) triples of exact
     series; it is None for identities that need division.  The builders
@@ -170,22 +164,22 @@ def sample_point(x: complex, y: Optional[complex], tau: complex) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# numeric pair builders: (x, y, p, policy) -> [(lhs, rhs), ...]
+# numeric pair builders: (x, y, p) -> [(lhs, rhs), ...]
 # ---------------------------------------------------------------------------
 
 
-def _shifted(kind: int, z: complex, shift: complex, law: str, p, policy) -> complex:
+def _shifted(kind: int, z: complex, shift: complex, law: str, p) -> complex:
     """theta_kind(z + shift); an overflow names the shift law, not z alone."""
     try:
-        return theta_eval(kind, z + shift, p, policy)
+        return theta_eval(kind, z + shift, p)
     except RangeError:
         raise range_overflow("theta%d(z + %s)" % (kind, law), z, p) from None
 
 
-def _pairs_quasi(kind: int, z: complex, _y, p: ModularParam, policy) -> list:
-    base = theta_eval(kind, z, p, policy)
-    with_pi = theta_eval(kind, z + math.pi, p, policy)
-    with_tau = _shifted(kind, z, math.pi * p.tau, "pi*tau", p, policy)
+def _pairs_quasi(kind: int, z: complex, _y, p: ModularParam) -> list:
+    base = theta_eval(kind, z, p)
+    with_pi = theta_eval(kind, z + math.pi, p)
+    with_tau = _shifted(kind, z, math.pi * p.tau, "pi*tau", p)
     try:
         mult = PI_TAU_SHIFT_SIGN[kind] / p.q * cmath.exp(-2j * z)
     except (ZeroDivisionError, OverflowError):
@@ -193,25 +187,24 @@ def _pairs_quasi(kind: int, z: complex, _y, p: ModularParam, policy) -> list:
     return [(with_pi, PI_SHIFT_SIGN[kind] * base), (with_tau, mult * base)]
 
 
-def _pairs_half(kind: int, z: complex, _y, p: ModularParam, policy) -> list:
-    shifted = _shifted(kind, z, math.pi * p.tau / 2, "pi*tau/2", p, policy)
+def _pairs_half(kind: int, z: complex, _y, p: ModularParam) -> list:
+    shifted = _shifted(kind, z, math.pi * p.tau / 2, "pi*tau/2", p)
     rule = half_period_shift(kind, z, p)
-    return [(shifted, rule.multiplier * theta_eval(rule.new_kind, z, p, policy))]
+    return [(shifted, rule.multiplier * theta_eval(rule.new_kind, z, p))]
 
 
-def _pairs_duplication(a: int, b: int, z: complex, _y, p: ModularParam,
-                       policy) -> list:
+def _pairs_duplication(a: int, b: int, z: complex, _y, p: ModularParam) -> list:
     """2 theta_a(z|2tau) theta_b(z|2tau) = theta2(0|tau) theta_a(z|tau)."""
     p2 = qsquared_param(p)
-    null2 = p.q_quarter * theta_sum_null(2, p, policy)
-    lhs = 2 * theta_eval(a, z, p2, policy) * theta_eval(b, z, p2, policy)
-    rhs = null2 * theta_eval(a, z, p, policy)
+    null2 = p.q_quarter * theta_sum_null(2, p)
+    lhs = 2 * theta_eval(a, z, p2) * theta_eval(b, z, p2)
+    rhs = null2 * theta_eval(a, z, p)
     return [(lhs, rhs)]
 
 
-def _pairs_triple(kind: int, z: complex, _y, p: ModularParam, policy) -> list:
-    return [(theta_eval(kind, z, p, policy, "series"),
-             theta_eval(kind, z, p, policy, "product"))]
+def _pairs_triple(kind: int, z: complex, _y, p: ModularParam) -> list:
+    return [(theta_eval(kind, z, p, method="series"),
+             theta_eval(kind, z, p, method="product"))]
 
 
 # thm2's eight distinct thetas, (kind, scale, (a, b)) for theta_kind(a*x + b*y |
@@ -225,7 +218,7 @@ def thm2_sides(s2, d3, x1, y2, y1, x2, s1, d4) -> tuple:
     return s2 * d3 * (x1 * y2 + y1 * x2), s1 * d4 * (x2 * y2 - x1 * y1)
 
 
-def _thm2_thetas(x: complex, y: complex, p: ModularParam, policy) -> tuple:
+def _thm2_thetas(x: complex, y: complex, p: ModularParam) -> tuple:
     """The values of THM2_THETAS at x, y and tau, in the table's order; its
     four partner pairs take one theta_pair each, led by the first-listed kind."""
     p2 = qsquared_param(p)
@@ -235,15 +228,15 @@ def _thm2_thetas(x: complex, y: complex, p: ModularParam, policy) -> tuple:
     for kind, scale, ab in THM2_THETAS:
         if (kind, scale, ab) not in values:
             values[kind, scale, ab], values[PARTNER[kind], scale, ab] = theta_pair(
-                kind, args[ab], p2 if scale == 2 else p, policy)
+                kind, args[ab], p2 if scale == 2 else p)
     return tuple(values[entry] for entry in THM2_THETAS)
 
 
-def _pairs_thm2(x: complex, y: complex, p: ModularParam, policy) -> list:
-    return [thm2_sides(*_thm2_thetas(x, y, p, policy))]
+def _pairs_thm2(x: complex, y: complex, p: ModularParam) -> list:
+    return [thm2_sides(*_thm2_thetas(x, y, p))]
 
 
-def _pairs_qtrig(total: float, form: str, x, y, p, policy) -> list:
+def _pairs_qtrig(total: float, form: str, x, y, p) -> list:
     """thm1 (total pi) and its corollaries (total pi/2), z = total - x - y.
 
     With ss, cc = ssn_q, ccs_q at x - y and f at nome q^2 for x, y:
@@ -255,29 +248,28 @@ def _pairs_qtrig(total: float, form: str, x, y, p, policy) -> list:
     fn = "tan_q" if (total == math.pi) == (form == "sum") else "cot_q"
     z = total - x - y
     p2 = qsquared_param(p)
-    ss, cc = ssn_ccs(x - y, p, policy)
-    fx = qtrig_theta(fn, x, p2, policy)
-    fy = qtrig_theta(fn, y, p2, policy)
-    fz = qtrig_theta(fn, z, p, policy)
+    ss, cc = ssn_ccs(x - y, p)
+    fx = qtrig_theta(fn, x, p2)
+    fy = qtrig_theta(fn, y, p2)
+    fz = qtrig_theta(fn, z, p)
     if form == "sum":
         return [(cc * fx + cc * fy + ss * fz, ss * fx * fy * fz)]
     return [(ss * fx * fy + cc * fy * fz + cc * fz * fx, ss)]
 
 
-def _pairs_cosq_shift(z, _y, p, policy) -> list:
-    c = qtrig_theta("cos_q", z, p, policy)
-    return [(c, qtrig_theta("sin_q", math.pi / 2 - z, p, policy)),
-            (c, qtrig_theta("sin_q", math.pi / 2 + z, p, policy))]
+def _pairs_cosq_shift(z, _y, p) -> list:
+    c = qtrig_theta("cos_q", z, p)
+    return [(c, qtrig_theta("sin_q", math.pi / 2 - z, p)),
+            (c, qtrig_theta("sin_q", math.pi / 2 + z, p))]
 
 
-def constancy_probe(x: complex, y: complex, tau: complex,
-                    policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def constancy_probe(x: complex, y: complex, tau: complex) -> complex:
     """The quotient whose constancy (== 1) underlies the thm2 identity.
 
     Numerator and denominator are the two four-factor combinations from the
     identity; x must stay away from the zeros of the denominator.
     """
-    thetas = _thm2_thetas(x, y, make_param(tau), policy)
+    thetas = _thm2_thetas(x, y, make_param(tau))
     _, _, x1, y2, y1, x2, s1, d4 = thetas
     num = s1 * d4 * x2 * y2 - thm2_sides(*thetas)[0]
     den = s1 * d4 * x1 * y1
@@ -286,8 +278,8 @@ def constancy_probe(x: complex, y: complex, tau: complex,
     return num / den
 
 
-def _pairs_probe(x, _y, p, policy) -> list:
-    return [(constancy_probe(x, PROBE_Y, p.tau, policy), 1.0 + 0j)]
+def _pairs_probe(x, _y, p) -> list:
+    return [(constancy_probe(x, PROBE_Y, p.tau), 1.0 + 0j)]
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +421,7 @@ def _normalized(lhs: complex, rhs: complex) -> float:
 
 
 def numeric_residual(identity: str, x: complex, y: Optional[complex] = None,
-                     tau: complex = 1.1j,
-                     policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+                     tau: complex = 1.1j) -> float:
     """Normalized residual of one identity at one sample point.
 
     For constrained identities the third argument is derived from x and y;
@@ -446,7 +437,7 @@ def numeric_residual(identity: str, x: complex, y: Optional[complex] = None,
     if info.nvars == 1 and y is not None:
         raise DomainError("identity %s takes x only, not y" % identity)
     p = make_param(tau)
-    pairs = info.pairs(complex(x), None if y is None else complex(y), p, policy)
+    pairs = info.pairs(complex(x), None if y is None else complex(y), p)
     return max(_normalized(lhs, rhs) for lhs, rhs in pairs)
 
 
@@ -562,8 +553,7 @@ def _verify_classical(identity: str, tolerance: float) -> IdentityReport:
     return report
 
 
-def _verify_probe(plan: SamplePlan, tolerance: float,
-                  policy: TruncationPolicy) -> IdentityReport:
+def _verify_probe(plan: SamplePlan, tolerance: float) -> IdentityReport:
     rng = random.Random("%d:f_constancy" % plan.seed)
     count = min(plan.count, PROBE_COUNT)
     values = []
@@ -573,7 +563,7 @@ def _verify_probe(plan: SamplePlan, tolerance: float,
         attempts += 1
         x = _draw(rng, PROBE_BOX)
         try:
-            values.append(constancy_probe(x, PROBE_Y, PROBE_TAU, policy))
+            values.append(constancy_probe(x, PROBE_Y, PROBE_TAU))
         except PoleError:
             continue
         except ConvergenceError as exc:
@@ -602,8 +592,7 @@ def _verify_probe(plan: SamplePlan, tolerance: float,
 
 
 def verify_numeric(identity: str, plan: SamplePlan = DEFAULT_PLAN,
-                   tolerance: Optional[float] = None,
-                   policy: TruncationPolicy = DEFAULT_POLICY) -> IdentityReport:
+                   tolerance: Optional[float] = None) -> IdentityReport:
     """Run the numeric check of one identity over a sampling plan.
 
     Deterministic for a given plan seed.  Samples that land on a pole are
@@ -617,7 +606,7 @@ def verify_numeric(identity: str, plan: SamplePlan = DEFAULT_PLAN,
     if info.pairs is _pairs_probe:
         # the probe is judged by the mean and spread of the quotient over
         # its own fixed box and tau, not by per-sample residuals
-        return _verify_probe(plan, tolerance, policy)
+        return _verify_probe(plan, tolerance)
 
     rng = random.Random("%d:%s" % (plan.seed, identity))
     taus = [complex(t) for t in plan.tau_set]
@@ -632,7 +621,7 @@ def verify_numeric(identity: str, plan: SamplePlan = DEFAULT_PLAN,
         x = _draw(rng, SAMPLE_BOX)
         y = _draw(rng, SAMPLE_BOX) if info.nvars == 2 else None
         try:
-            res = numeric_residual(identity, x, y, tau, policy)
+            res = numeric_residual(identity, x, y, tau)
         except PoleError:
             continue
         except (ConvergenceError, DomainError) as exc:
@@ -746,8 +735,7 @@ def certificate_text(identity: str, order: Optional[int] = None) -> tuple:
 
 def run_suite(plan: SamplePlan = DEFAULT_PLAN,
               tolerance: Optional[float] = None,
-              order: Optional[int] = None,
-              policy: TruncationPolicy = DEFAULT_POLICY) -> list:
+              order: Optional[int] = None) -> list:
     """Run every registry identity in its applicable modes.
 
     Per-identity errors become failed reports; the suite never aborts,
@@ -762,7 +750,7 @@ def run_suite(plan: SamplePlan = DEFAULT_PLAN,
         for mode in info.modes:
             try:
                 if mode == "numeric":
-                    report = verify_numeric(name, plan, tolerances[name], policy)
+                    report = verify_numeric(name, plan, tolerances[name])
                 else:
                     report = formal_certify(name, order)
             except ThetaQError as exc:

@@ -1,4 +1,4 @@
-"""Modular parameter, nome branches, and truncation policy.
+"""Modular parameter, nome branches, and the truncation contract.
 
 The whole package works with a parameter tau in the upper half-plane and
 its nome q = exp(i*pi*tau), |q| < 1.  The quarter nome q^{1/4} is defined
@@ -10,6 +10,11 @@ tau', 2*tau and nome data that every evaluation derives are built once per
 tau.  Each ModularParam also carries per-nome state that the kernels fill
 as they go -- ln|q|, tables of the powers q^(k(k+odd)), the theta nulls and
 weak links to the tau' and 2*tau params -- none of it in equality or repr.
+
+Every infinite sum and product in the package stops on one contract: once
+a geometric tail bound drops below EPS, which lies under a double's
+rounding unit, or with ConvergenceError when MAX_TERMS terms do not get
+there.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ THETA_KINDS = (1, 2, 3, 4)
 
 # distinct tau whose ModularParam make_param keeps (least recently used go first)
 PARAM_CACHE_SIZE = 256
-# longest power table a ModularParam keeps; later powers are computed per call
-POWER_TABLE_LEN = 512
+# the truncation contract: absolute tail tolerance and hard cap on terms
+EPS = 1e-16
+LN_EPS = math.log(EPS)
+MAX_TERMS = 256
 
 
 @dataclass(frozen=True)
@@ -44,9 +51,8 @@ class ModularParam:
 
     * ln_abs_q = log|q| (-inf when q underflowed to 0);
     * powers[odd][k] = q ** (k*(k+odd)), two tables that theta_sum grows
-      on demand up to POWER_TABLE_LEN entries;
-    * nulls maps (kind, policy) to theta_sum(kind, 0, self, policy)[0]; see
-      theta.theta_sum_null;
+      on demand, to at most MAX_TERMS + 1 entries;
+    * nulls maps kind to theta_sum(kind, 0, self)[0]; see theta.theta_sum_null;
     * companions weakly links "prime" and "double" to tau' and 2*tau's params.
     """
 
@@ -70,30 +76,6 @@ def check_integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError("%s must be an integer, got %r" % (name, value))
     return value
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Stopping contract for every infinite sum / product in the package.
-
-    eps is an absolute tail tolerance; max_terms is a hard cap.  Evaluators
-    stop once a geometric tail bound drops below eps and raise
-    ConvergenceError when the cap is reached first.  ln_eps = log(eps).
-    """
-
-    eps: float = 1e-16
-    max_terms: int = 256
-    ln_eps: float = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not (self.eps > 0 and math.isfinite(self.eps)):
-            raise DomainError("eps must be positive and finite, got %r" % (self.eps,))
-        if check_integer(self.max_terms, "max_terms") < 1:
-            raise DomainError("max_terms must be >= 1, got %r" % (self.max_terms,))
-        object.__setattr__(self, "ln_eps", math.log(self.eps))
-
-
-DEFAULT_POLICY = TruncationPolicy()
 
 
 def check_kind(kind: int) -> int:

@@ -29,9 +29,7 @@ import cmath
 
 from .errors import DomainError, PoleError
 from .params import (
-    DEFAULT_POLICY,
     ModularParam,
-    TruncationPolicy,
     make_param,  # unused here, but perfbench's tracer rebinds qtrig.make_param
     qsquared_param,
     tau_prime,
@@ -51,39 +49,37 @@ def check_qtrig_kind(kind: str) -> str:
     return kind
 
 
-def qtrig_theta(kind: str, z: complex, p: ModularParam,
-                policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def qtrig_theta(kind: str, z: complex, p: ModularParam) -> complex:
     """Evaluate a q-trig function as a theta quotient at tau' = -1/tau.
 
     The z-free denominators theta2(0|tau') and theta3(0|tau') come from the
-    null cache of tau' (theta_sum_null), so each is summed once per tau'
-    and policy.  tan_q, cot_q sum both thetas at once, denominator first.
+    null cache of tau' (theta_sum_null), so each is summed once per tau'.
+    tan_q, cot_q sum both thetas at once, denominator first.
     """
     check_qtrig_kind(kind)
     z = complex(z)
     if kind in ("ssn_q", "ccs_q"):
-        return ssn_ccs(z, p, policy, kind)[0]
+        return ssn_ccs(z, p, kind)[0]
     pp = tau_prime(p)
-    null2 = theta_sum_null(2, pp, policy)  # prefactor-free theta2 null
+    null2 = theta_sum_null(2, pp)  # prefactor-free theta2 null
     if kind == "sin_q":
-        return -1j * theta_sum(1, z, pp, policy)[0] / null2
+        return -1j * theta_sum(1, z, pp)[0] / null2
     if kind == "cos_q":
-        return theta_sum(2, z, pp, policy)[0] / null2
+        return theta_sum(2, z, pp)[0] / null2
     eps_pole = POLE_RATIO * abs(null2)
     den_kind = 2 if kind == "tan_q" else 1
-    den, num = theta_sum(den_kind, z, pp, policy)
+    den, num = theta_sum(den_kind, z, pp)
     if abs(den) < eps_pole:
         raise PoleError("%s pole: theta%d(z|tau') ~ 0 at z = %r" % (kind, den_kind, z))
     return (-1j if den_kind == 2 else 1j) * num / den
 
 
-def ssn_ccs(z: complex, p: ModularParam, policy: TruncationPolicy = DEFAULT_POLICY,
-            lead: str = "ssn_q") -> tuple:
+def ssn_ccs(z: complex, p: ModularParam, lead: str = "ssn_q") -> tuple:
     """(lead, partner) of ssn_q = theta4(z|tau')/theta3(0|tau') and ccs_q =
     theta3(z|tau')/theta3(0|tau'), from one theta_sum led by lead's theta."""
     pp = tau_prime(p)
-    s, t = theta_sum(4 if lead == "ssn_q" else 3, z, pp, policy)
-    null3 = theta_sum_null(3, pp, policy)
+    s, t = theta_sum(4 if lead == "ssn_q" else 3, z, pp)
+    null3 = theta_sum_null(3, pp)
     return s / null3, t / null3
 
 
@@ -92,7 +88,7 @@ def _nome_power(p: ModularParam, a: complex) -> complex:
     return cmath.exp(1j * cmath.pi * p.tau * a)
 
 
-def _sin_q_factors(w: complex, p: ModularParam, policy: TruncationPolicy) -> complex:
+def _sin_q_factors(w: complex, p: ModularParam) -> complex:
     """(q^(2-2w);q^2) (q^(2w);q^2), the w-dependent factors of sin_q(pi w).
 
     Raises DomainError unless 0 < |q| < 1.
@@ -100,18 +96,17 @@ def _sin_q_factors(w: complex, p: ModularParam, policy: TruncationPolicy) -> com
     if p.q == 0 or abs(p.q) >= 1:
         raise DomainError("product form needs 0 < |q| < 1, got |q| = %g" % abs(p.q))
     q2 = p.q * p.q
-    return (qpochhammer(_nome_power(p, 2 - 2 * w), q2, policy)
-            * qpochhammer(_nome_power(p, 2 * w), q2, policy))
+    return (qpochhammer(_nome_power(p, 2 - 2 * w), q2)
+            * qpochhammer(_nome_power(p, 2 * w), q2))
 
 
-def _sin_q(w: complex, p: ModularParam, policy: TruncationPolicy) -> complex:
-    num = _sin_q_factors(w, p, policy)
-    den = qpochhammer(p.q, p.q * p.q, policy) ** 2
+def _sin_q(w: complex, p: ModularParam) -> complex:
+    num = _sin_q_factors(w, p)
+    den = qpochhammer(p.q, p.q * p.q) ** 2
     return num / den * _nome_power(p, (w - 0.5) ** 2)
 
 
-def qtrig_product_any(kind: str, z_over_pi: complex, p: ModularParam,
-                      policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def qtrig_product_any(kind: str, z_over_pi: complex, p: ModularParam) -> complex:
     """Evaluate any q-trig function at pi*z_over_pi by the product forms.
 
     This path never touches theta functions, so it is fully independent of
@@ -124,8 +119,8 @@ def qtrig_product_any(kind: str, z_over_pi: complex, p: ModularParam,
     check_qtrig_kind(kind)
     w = complex(z_over_pi)
     if kind in ("tan_q", "cot_q"):
-        tan_num = _sin_q_factors(w, p, policy)
-        tan_den = _sin_q_factors(w + 0.5, p, policy)
+        tan_num = _sin_q_factors(w, p)
+        tan_den = _sin_q_factors(w + 0.5, p)
         if kind == "tan_q":
             if abs(tan_den) < POLE_RATIO * max(1.0, abs(tan_num)):
                 raise PoleError("tan_q pole at pi*%r" % (w,))
@@ -136,16 +131,15 @@ def qtrig_product_any(kind: str, z_over_pi: complex, p: ModularParam,
 
     v = w + 0.5 if kind in ("cos_q", "ccs_q") else w
     if kind in ("sin_q", "cos_q"):
-        return _sin_q(v, p, policy)
-    den = _sin_q(v, p, policy)
-    num = _sin_q(v, qsquared_param(p), policy)
+        return _sin_q(v, p)
+    den = _sin_q(v, p)
+    num = _sin_q(v, qsquared_param(p))
     if abs(den) < POLE_RATIO * max(1.0, abs(num)):
         raise PoleError("%s pole at pi*%r" % (kind, w))
     return num / den
 
 
-def qtrig_crosscheck(kind: str, z: complex, p: ModularParam,
-                     policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+def qtrig_crosscheck(kind: str, z: complex, p: ModularParam) -> float:
     """|theta path - product path| for one function at one point.
 
     The product path takes p itself and the argument as z/pi; the theta
@@ -153,6 +147,6 @@ def qtrig_crosscheck(kind: str, z: complex, p: ModularParam,
     """
     check_qtrig_kind(kind)
     z = complex(z)
-    via_theta = qtrig_theta(kind, z, p, policy)
-    via_product = qtrig_product_any(kind, z / cmath.pi, p, policy)
+    via_theta = qtrig_theta(kind, z, p)
+    via_product = qtrig_product_any(kind, z / cmath.pi, p)
     return abs(via_theta - via_product)

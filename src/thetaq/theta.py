@@ -7,8 +7,8 @@ Two independent paths are provided:
              theta1(z|tau) = -i q^(1/4) sum_k (-1)^k q^(k(k+1)) e^((2k+1)zi),
              summed in symmetric pairs by one loop for all four kinds (the
              kind only sets the index offset, the sign pattern and the
-             pairing; see theta_sum) until a geometric tail bound meets the
-             policy tolerance;
+             pairing; see theta_sum) until a geometric tail bound drops
+             below params.EPS;
 * product -- the infinite product forms built from q-shifted factorials,
              e.g. theta4(z|tau) = (q^2;q^2) (q e^(2zi);q^2) (q e^(-2zi);q^2),
              read for every kind from the one table PRODUCT_FACTOR.
@@ -26,13 +26,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, RangeError
-from .params import (
-    DEFAULT_POLICY,
-    POWER_TABLE_LEN,
-    ModularParam,
-    TruncationPolicy,
-    check_kind,
-)
+from .params import EPS, LN_EPS, MAX_TERMS, ModularParam, check_kind
 
 # Sign of theta_k under z -> z + pi and (up to q^-1 e^-2zi) under z -> z + pi*tau.
 PI_SHIFT_SIGN = {1: -1, 2: -1, 3: 1, 4: 1}
@@ -78,8 +72,7 @@ def range_overflow(what: str, z: complex, p: ModularParam) -> RangeError:
                       % (what, z, p.tau))
 
 
-def theta_sum(kind: int, z: complex, p: ModularParam,
-              policy: TruncationPolicy = DEFAULT_POLICY) -> tuple:
+def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
     """The bare lattice sums of theta_kind and of PARTNER[kind], in that
     order, without the q^(1/4) prefactors (see theta_pair).
 
@@ -96,7 +89,7 @@ def theta_sum(kind: int, z: complex, p: ModularParam,
     k = 0 term of kinds 3, 4 is the 1 the sum starts from; each sum adds its
     terms in the order a loop of its own would.  It stops once the geometric
     tail past k, first term 2 |q|^(k(k+odd)) e^((2k+odd)|Im z|) and ratio
-    r = |q|^(2k+1+odd) e^(2|Im z|), is below policy.eps.  Errors name kind,
+    r = |q|^(2k+1+odd) e^(2|Im z|), is below EPS.  Errors name kind,
     and the partner only when its sum alone is not finite.
 
     The powers q^(k(k+odd)) are read from p.powers[odd], which this call
@@ -122,19 +115,17 @@ def theta_sum(kind: int, z: complex, p: ModularParam,
     step, step_inv = (up * up, um * um) if odd else (up, um)
     # tail bounds live in log space so huge |Im z| cannot overflow a float
     ln_q = p.ln_abs_q
-    ln_eps = policy.ln_eps
     imz2 = 2.0 * abs(z.imag)   # log of the growth factor |e^(2zi)|^(+-1)
     a = b = 0j if odd else 1 + 0j   # the sums of kinds 1, 2 or of kinds 3, 4
     pw = p.powers[odd]
-    for k in range(1 - odd, policy.max_terms + 1):
+    for k in range(1 - odd, MAX_TERMS + 1):
         if k < len(pw):
             qk = pw[k]
         else:
             qk = q ** (k * (k + odd))
-            if k < POWER_TABLE_LEN:
-                # k == len(pw) here; as a slice store, a thread that
-                # extended pw first is overwritten with the same value
-                pw[k:k + 1] = (qk,)
+            # k == len(pw) here; as a slice store, a thread that
+            # extended pw first is overwritten with the same value
+            pw[k:k + 1] = (qk,)
         plus = qk * (up + um)
         minus = qk * (up - um) if odd else plus
         a += -minus if odd and k % 2 else minus
@@ -143,7 +134,7 @@ def theta_sum(kind: int, z: complex, p: ModularParam,
         if ln_ratio < 0.0:
             ln_bound = _LN_2 + (k * (k + odd)) * ln_q + (k + odd / 2) * imz2
             head = ln_bound + ln_ratio
-            if head < ln_eps and head - math.log1p(-math.exp(ln_ratio)) < ln_eps:
+            if head < LN_EPS and head - math.log1p(-math.exp(ln_ratio)) < LN_EPS:
                 pair = (a, b) if kind % 2 else (b, a)
                 if not (cmath.isfinite(a) and cmath.isfinite(b)):
                     bad = kind if not cmath.isfinite(pair[0]) else PARTNER[kind]
@@ -153,28 +144,25 @@ def theta_sum(kind: int, z: complex, p: ModularParam,
         um *= step_inv
     raise ConvergenceError(
         "theta%d series did not meet eps=%g in %d terms (reduce the argument?)"
-        % (kind, policy.eps, policy.max_terms))
+        % (kind, EPS, MAX_TERMS))
 
 
-def theta_sum_null(kind: int, p: ModularParam,
-                   policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """theta_sum(kind, 0, p, policy)[0], cached in p.nulls per (kind, policy).
+def theta_sum_null(kind: int, p: ModularParam) -> complex:
+    """theta_sum(kind, 0, p)[0], cached in p.nulls per kind.
 
     A call that raises caches nothing, so it raises again next time.
     """
-    key = (kind, policy)
-    value = p.nulls.get(key)
+    value = p.nulls.get(kind)
     if value is None:
-        value = p.nulls[key] = theta_sum(kind, 0.0, p, policy)[0]
+        value = p.nulls[kind] = theta_sum(kind, 0.0, p)[0]
     return value
 
 
-def qpochhammer(a: complex, q: complex,
-                policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def qpochhammer(a: complex, q: complex) -> complex:
     """The q-shifted factorial (a;q)_inf = prod_{n>=0} (1 - a q^n).
 
     Truncated once the remaining logarithmic tail |a| |q|^n / (1 - |q|)
-    drops below the policy tolerance.
+    drops below EPS.
     """
     q = complex(q)
     aq = abs(q)
@@ -183,18 +171,17 @@ def qpochhammer(a: complex, q: complex,
     a = complex(a)
     prod = 1 + 0j
     term = a
-    for _ in range(policy.max_terms):
-        if abs(term) / (1.0 - aq) < policy.eps:
+    for _ in range(MAX_TERMS):
+        if abs(term) / (1.0 - aq) < EPS:
             return prod
         prod *= 1 - term
         term *= q
     raise ConvergenceError(
         "(a;q)_inf with |a|=%g, |q|=%g needs more than %d factors"
-        % (abs(a), aq, policy.max_terms))
+        % (abs(a), aq, MAX_TERMS))
 
 
-def theta_eval(kind: int, z: complex, p: ModularParam,
-               policy: TruncationPolicy = DEFAULT_POLICY,
+def theta_eval(kind: int, z: complex, p: ModularParam, *,
                method: str = "series") -> complex:
     """Evaluate theta_kind(z|tau) by the series or the product path.
 
@@ -202,7 +189,7 @@ def theta_eval(kind: int, z: complex, p: ModularParam,
     with a = s q^c from PRODUCT_FACTOR and head as documented there.
     """
     if method == "series":
-        return theta_pair(kind, z, p, policy)[0]
+        return theta_pair(kind, z, p)[0]
     check_kind(kind)
     z = complex(z)
     if method != "product":
@@ -215,7 +202,7 @@ def theta_eval(kind: int, z: complex, p: ModularParam,
     q2 = q * q
     w = cmath.exp(2j * z)
     winv = 1 / w
-    base = qpochhammer(q2, q2, policy)
+    base = qpochhammer(q2, q2)
     sign, power = PRODUCT_FACTOR[kind]
     a = q2 if power == 2 else q
     if sign < 0:
@@ -224,32 +211,28 @@ def theta_eval(kind: int, z: complex, p: ModularParam,
     if kind in (1, 2):
         trig = cmath.sin if kind == 1 else cmath.cos
         value = 2 * p.q_quarter * trig(z) * base
-    value = (value * qpochhammer(a * w, q2, policy)
-             * qpochhammer(a * winv, q2, policy))
+    value = value * qpochhammer(a * w, q2) * qpochhammer(a * winv, q2)
     # e^(2iz) is in range, but the partial products can still overflow
     if not cmath.isfinite(value):
         raise _overflow(kind, z, "product")
     return value
 
 
-def theta_pair(kind: int, z: complex, p: ModularParam,
-               policy: TruncationPolicy = DEFAULT_POLICY) -> tuple:
+def theta_pair(kind: int, z: complex, p: ModularParam) -> tuple:
     """(theta_kind(z|tau), theta_PARTNER[kind](z|tau)) from one theta_sum: the
     sums times -i*q^(1/4) for kind 1, q^(1/4) for kind 2 and 1 for kinds 3, 4."""
-    s, t = theta_sum(kind, complex(z), p, policy)
+    s, t = theta_sum(kind, complex(z), p)
     if kind > 2:
         return s, t
     c = p.q_quarter
     return (-1j * c * s, c * t) if kind == 1 else (c * s, -1j * c * t)
 
 
-def theta_null(j: int, p: ModularParam,
-               policy: TruncationPolicy = DEFAULT_POLICY,
-               method: str = "series") -> complex:
+def theta_null(j: int, p: ModularParam, *, method: str = "series") -> complex:
     """Theta constant: theta_j(0|tau) for j in {2, 3, 4}."""
     if j not in (2, 3, 4):
         raise DomainError("theta null is used for j in {2,3,4}, got %r" % (j,))
-    return theta_eval(j, 0.0, p, policy, method)
+    return theta_eval(j, 0.0, p, method=method)
 
 
 def reduce_argument(kind: int, z: complex, p: ModularParam) -> ShiftResult:

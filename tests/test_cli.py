@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -70,12 +71,6 @@ def test_eval_domain_error(capsys):
                                "--z", z, "--tau", "0,1")
         assert code == 2, z
         assert err.startswith("error:") and z in err
-    # a non-finite eps would pass (inf) or fail (nan) every tail test
-    for eps in ("inf", "nan"):
-        code, _, err = run_cli(capsys, "eval", "--fn", "theta3", "--z", "0.3,0",
-                               "--tau", "0,0.1", "--eps", eps)
-        assert code == 2, eps
-        assert "eps" in err
     # tan_q evaluates at tau' = -1/tau = 1e-20i, whose |q'| rounds to 1
     code, _, err = run_cli(capsys, "eval", "--fn", "tan_q",
                            "--z", "0.3,0", "--tau", "0,1e20")
@@ -292,3 +287,29 @@ def test_underflowed_nome_is_a_failure_not_a_crash(capsys):
                              "--format", "csv")
     assert code == 1 and err == ""
     assert "quasi_period_2,numeric,0,0,0.0,fail" in out
+
+
+# every option of each subcommand; the truncation is fixed (params.EPS,
+# params.MAX_TERMS), so no subcommand takes --eps or --max-terms
+CLI_OPTIONS = {
+    "eval": {"--fn", "--z", "--tau", "--method"},
+    "verify": {"--id", "--x", "--y", "--seed", "--count", "--tau", "--tol",
+               "--output", "--format"},
+    "certify": {"--id", "--order", "--output"},
+    "suite": {"--order", "--seed", "--count", "--tau", "--tol", "--output", "--format"},
+}
+
+
+def test_subcommand_options_are_pinned(capsys):
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {name: {opt for action in sub._actions for opt in action.option_strings}
+               - {"-h", "--help"} for name, sub in subparsers.choices.items()}
+    assert options == CLI_OPTIONS
+    for argv in (["eval", "--fn", "theta3", "--z", "0.3,0", "--tau", "0,1"],
+                 ["verify", "--id", "thm2"], ["suite"]):
+        for flag, value in (("--eps", "1e-3"), ("--max-terms", "10")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [flag, value])
+            assert exc.value.code == 2, (argv[0], flag)
+            assert "unrecognized arguments: %s" % flag in capsys.readouterr().err

@@ -28,7 +28,7 @@ from thetaq import (
     theta_series,
     verify_numeric,
 )
-from thetaq import PoleError, TruncationPolicy, identities, params, qtrig, theta
+from thetaq import ConvergenceError, PoleError, identities, params, qtrig, theta
 
 PLAN = SamplePlan(seed=42, count=60)
 
@@ -227,7 +227,7 @@ def test_thm2_table_means_the_same_thetas_in_both_modes():
     # exp(i*pi*tau/4) and u^a v^b = exp(i(a*x + b*y)), is the value the
     # sampler evaluates for that entry
     x, y, tau = 0.4 + 0.1j, 0.9 - 0.2j, 0.3 + 1.1j
-    values = identities._thm2_thetas(x, y, make_param(tau), params.DEFAULT_POLICY)
+    values = identities._thm2_thetas(x, y, make_param(tau))
     assert len(values) == len(identities.THM2_THETAS) == 8
     for (kind, scale, (a, b)), value in zip(identities.THM2_THETAS, values):
         series = theta_series(kind, scale, (a, b), 24)
@@ -293,33 +293,49 @@ def test_qtrig_sample_builds_one_param(monkeypatch):
     assert calls == [tau] * 4
 
 
-# the first error of each starved report, the same as when every theta was
-# summed alone, in its own loop (seed 5, count 20)
-STARVED_FIRST_ERRORS = {
-    (1, "thm2"): ("theta3", [0.0, 1.1]),
-    (1, "f_constancy"): ("theta3", None),
-    (1, "thm1_tan"): ("theta4", [0.0, 1.1]),
-    (2, "thm2"): ("theta1", [0.5, 0.9]),
-    (2, "f_constancy"): None,
-    (2, "thm1_tan"): ("theta4", [0.0, 1.1]),
-    (3, "thm2"): None,
-    (3, "f_constancy"): None,
-    (3, "thm1_tan"): ("theta2", [0.0, 1.1]),
+# the first error of each report whose second tau needs more than MAX_TERMS
+# terms somewhere, the same as when every theta was summed alone, in its own
+# loop (seed 5, count 20): thm2 first sums theta2 at 2*tau, and the thm1
+# forms first sum theta4 at tau' = -1/tau
+CAPPED_FIRST_ERRORS = {
+    (2e-5j, "thm2"): "theta2",
+    (2e-5j, "thm1_tan"): None,
+    (2e-5j, "thm1_cot"): None,
+    (3e4j, "thm2"): None,
+    (3e4j, "thm1_tan"): "theta4",
+    (3e4j, "thm1_cot"): "theta4",
 }
 
 
-def test_starved_policy_reports_the_first_failing_theta():
-    for (max_terms, ident), want in STARVED_FIRST_ERRORS.items():
-        report = verify_numeric(ident, SamplePlan(seed=5, count=20),
-                                policy=TruncationPolicy(max_terms=max_terms))
-        if want is None:
-            assert report.passed, (max_terms, ident)
+def test_capped_series_reports_the_first_failing_theta():
+    for (tau, ident), kind in CAPPED_FIRST_ERRORS.items():
+        report = verify_numeric(ident, SamplePlan(seed=5, count=20, tau_set=(1.1j, tau)))
+        if kind is None:
+            assert report.passed, (tau, ident)
             continue
-        kind, tau = want
         first = report.failures[0]
-        assert first["error"] == ("%s series did not meet eps=1e-16 in %d terms "
-                                  "(reduce the argument?)" % (kind, max_terms))
-        assert first.get("tau") == tau, (max_terms, ident)
+        assert first["error"] == ("%s series did not meet eps=1e-16 in 256 terms "
+                                  "(reduce the argument?)" % kind)
+        assert first["tau"] == [0.0, tau.imag], (tau, ident)
+
+
+def test_probe_convergence_failure_is_recorded(monkeypatch):
+    # the probe's own tau converges, so make its third quotient fail: each
+    # quotient sums its eight thetas in four theta_pair calls
+    real = identities.theta_pair
+    calls = []
+
+    def failing(*args):
+        calls.append(args[0])
+        if len(calls) > 8:
+            raise ConvergenceError("starved")
+        return real(*args)
+
+    monkeypatch.setattr(identities, "theta_pair", failing)
+    report = verify_numeric("f_constancy", SamplePlan(seed=5, count=10))
+    assert not report.passed and report.samples == 2
+    assert [sorted(f) for f in report.failures] == [["error", "x"]]
+    assert report.failures[0]["error"] == "starved"
 
 
 def test_sampler_shift_overflow_names_the_shift_and_tau():

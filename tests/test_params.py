@@ -8,14 +8,13 @@ import pytest
 from thetaq import (
     DomainError,
     ModularParam,
-    TruncationPolicy,
     make_param,
     param_from_nome,
     qsquared_param,
     tau_prime,
     theta_sum,
 )
-from thetaq.params import PARAM_CACHE_SIZE
+from thetaq.params import EPS, LN_EPS, MAX_TERMS, PARAM_CACHE_SIZE
 from thetaq.theta import theta_sum_null
 
 
@@ -75,22 +74,6 @@ def test_param_from_nome_round_trip():
         param_from_nome(0.0)
 
 
-def test_policy_validation():
-    with pytest.raises(DomainError):
-        TruncationPolicy(eps=0.0)
-    with pytest.raises(DomainError):
-        TruncationPolicy(max_terms=0)
-    # eps = inf would pass every tail test at once; nan would never compare
-    for eps in (math.inf, math.nan):
-        with pytest.raises(DomainError):
-            TruncationPolicy(eps=eps)
-    for max_terms in (2.5, 3.0, True):
-        with pytest.raises(DomainError):
-            TruncationPolicy(max_terms=max_terms)
-    pol = TruncationPolicy()
-    assert pol.eps == 1e-16 and pol.max_terms == 256
-
-
 def test_nome_in_unit_disk():
     rng = random.Random(4)
     for _ in range(30):
@@ -141,11 +124,8 @@ def test_companion_links_keep_no_param_alive():
     assert qsquared_param(p) is make_param(2 * p.tau)
 
 
-def test_policy_log_tolerance_is_derived_state():
-    policy = TruncationPolicy(eps=1e-3)
-    assert policy.ln_eps == math.log(1e-3)
-    assert policy == TruncationPolicy(eps=1e-3, max_terms=256)
-    assert hash(policy) == hash(TruncationPolicy(eps=1e-3))
-    assert repr(policy) == "TruncationPolicy(eps=0.001, max_terms=256)"
-    with pytest.raises(TypeError):
-        TruncationPolicy(ln_eps=0.0)
+def test_truncation_contract():
+    # one stopping rule for every sum and product: a tail below a double's
+    # rounding unit (2.2e-16), or at most 256 terms
+    assert EPS == 1e-16 < 2 ** -52 and MAX_TERMS == 256
+    assert LN_EPS == math.log(EPS)

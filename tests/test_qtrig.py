@@ -8,7 +8,6 @@ from thetaq import (
     ConvergenceError,
     DomainError,
     PoleError,
-    TruncationPolicy,
     make_param,
     param_from_nome,
     qsquared_param,
@@ -19,7 +18,6 @@ from thetaq import (
     theta_null,
     theta_sum,
 )
-from thetaq.theta import theta_sum_null
 
 TAUS = (1.1j, 0.3 + 1.1j, 1.3j)
 # Log q != i*pi*tau once |Re tau| >= 1, and Log q^2 != 2*pi*i*tau once
@@ -185,19 +183,16 @@ def test_classical_limit_of_tan_q():
     assert abs(qtrig_theta("tan_q", 0.6, p) - math.tan(0.6)) < 1e-13
 
 
-def test_null_cache_is_per_policy():
+def test_failed_null_is_not_cached():
+    # theta2(0|tau') at tau' = -1/tau = 1e-5i needs more than MAX_TERMS terms
+    p = make_param(1e5j)
+    for _ in range(2):
+        with pytest.raises(ConvergenceError, match="theta2 series"):
+            qtrig_theta("sin_q", 0.3, p)
+    assert tau_prime(p).nulls == {}
+    # a cached null is the sum it stands for
     p = make_param(0.3 + 1.1j)
     pp = tau_prime(p)
     z = 0.4 + 0.1j
-    one_term = TruncationPolicy(max_terms=1)
-    coarse = TruncationPolicy(eps=1e-3)
-    for kind in ("sin_q", "tan_q", "ssn_q"):
-        qtrig_theta(kind, z, p)     # caches the nulls under DEFAULT_POLICY
-        with pytest.raises(ConvergenceError):
-            qtrig_theta(kind, z, p, one_term)
-    # a failed null is not cached, and a cached one is not shared across policies
-    for _ in range(2):
-        with pytest.raises(ConvergenceError):
-            theta_sum_null(2, pp, one_term)
-    assert -1j * theta_sum(1, z, pp, coarse)[0] / theta_sum(2, 0.0, pp, coarse)[0] \
-        == qtrig_theta("sin_q", z, p, coarse)
+    assert qtrig_theta("sin_q", z, p) == -1j * theta_sum(1, z, pp)[0] / theta_sum(2, 0.0, pp)[0]
+    assert pp.nulls[2] == theta_sum(2, 0.0, pp)[0]

@@ -6,10 +6,8 @@ import mpmath as mp
 import pytest
 
 from thetaq import (
-    DEFAULT_POLICY,
     ConvergenceError,
     DomainError,
-    TruncationPolicy,
     half_period_shift,
     make_param,
     qpochhammer,
@@ -18,7 +16,7 @@ from thetaq import (
     theta_null,
     theta_sum,
 )
-from thetaq.params import POWER_TABLE_LEN
+from thetaq.params import EPS, MAX_TERMS
 from thetaq.theta import PARTNER
 
 TAU = 0.2 + 1.3j
@@ -85,7 +83,7 @@ def test_qpochhammer_examples():
     with pytest.raises(DomainError):
         qpochhammer(0.5, 1.0)
     with pytest.raises(ConvergenceError):
-        qpochhammer(0.5, 0.99, TruncationPolicy(max_terms=10))
+        qpochhammer(0.5, 0.99)    # needs more than MAX_TERMS factors
 
 
 def test_series_matches_brute_oracle():
@@ -216,7 +214,7 @@ def test_convergence_error_instead_of_silent_precision_loss():
     with pytest.raises(ConvergenceError):
         theta_eval(3, 0.1, make_param(1e-5j))
     with pytest.raises(ConvergenceError):
-        theta_eval(2, 0.1, p, TruncationPolicy(max_terms=1, eps=1e-30))
+        theta_eval(2, 0.1, make_param(1e-5j))
 
 
 def test_huge_imaginary_argument_raises_convergence_error():
@@ -241,16 +239,16 @@ def test_product_path_huge_imaginary_argument_raises_convergence_error():
             theta_eval(kind, z, p, method="product")
 
 
-def table_free_sum(kind, z, p, policy=DEFAULT_POLICY):
+def table_free_sum(kind, z, p):
     """theta_sum without the per-nome power tables or the tail pre-test:
     q ** (k*(k+odd)) for every term and the full tail test at every k."""
     odd = 1 if kind in (1, 2) else 0
     up = cmath.exp((2 - odd) * 1j * z)
     um = 1 / up
     step, step_inv = (up * up, um * um) if odd else (up, um)
-    ln_q, ln_eps, imz2 = math.log(abs(p.q)), math.log(policy.eps), 2.0 * abs(z.imag)
+    ln_q, ln_eps, imz2 = math.log(abs(p.q)), math.log(EPS), 2.0 * abs(z.imag)
     total = 0j if odd else 1 + 0j
-    for k in range(1 - odd, policy.max_terms + 1):
+    for k in range(1 - odd, MAX_TERMS + 1):
         qk = p.q ** (k * (k + odd))
         term = qk * (up - um) if kind == 1 else qk * (up + um)
         total += -term if kind in (1, 4) and k % 2 else term
@@ -268,34 +266,32 @@ def value_bits(v):
     return v.real.hex(), v.imag.hex()
 
 
-def pair_oracle(kind, z, p, policy=DEFAULT_POLICY):
-    return [value_bits(table_free_sum(k, z, p, policy)) for k in (kind, PARTNER[kind])]
+def pair_oracle(kind, z, p):
+    return [value_bits(table_free_sum(k, z, p)) for k in (kind, PARTNER[kind])]
 
 
 def test_power_tables_do_not_change_values():
     # both sums of every pair, bit for bit, whether their powers come from a
-    # cold table, a grown one, or (past POWER_TABLE_LEN) no table at all
+    # cold table or a grown one
     p = make_param(0.37 + 0.05j)   # a tau no other test uses: cold tables
     long_z = 0.1 - 4j       # about 55 terms, where 3 to 6 are typical
-    points = [(kind, z, policy) for kind in (1, 2, 3, 4)
-              for z in (0.0, -0.0, 0.3 + 0.2j, complex(-0.7, -0.0), complex(-0.0, 0.2))
-              for policy in (DEFAULT_POLICY, TruncationPolicy(eps=1e-30))]
-    before = [list(map(value_bits, theta_sum(kind, z, p, pol))) for kind, z, pol in points]
+    points = [(kind, z) for kind in (1, 2, 3, 4)
+              for z in (0.0, -0.0, 0.3 + 0.2j, complex(-0.7, -0.0), complex(-0.0, 0.2))]
+    before = [list(map(value_bits, theta_sum(kind, z, p))) for kind, z in points]
     grown = [list(map(value_bits, theta_sum(kind, long_z, p))) for kind in (1, 2, 3, 4)]
     assert min(len(table) for table in p.powers) > 50
-    after = [list(map(value_bits, theta_sum(kind, z, p, pol))) for kind, z, pol in points]
-    oracle = [pair_oracle(kind, z, p, pol) for kind, z, pol in points]
+    after = [list(map(value_bits, theta_sum(kind, z, p))) for kind, z in points]
+    oracle = [pair_oracle(kind, z, p) for kind, z in points]
     assert before == after == oracle
     assert grown == [pair_oracle(kind, long_z, p) for kind in (1, 2, 3, 4)]
 
-    # |q| = 0.9999 needs about 600 terms: the tables stop at POWER_TABLE_LEN
-    # and the later powers are computed per term
+    # |q| = 0.9999 needs about 600 terms: every sum exhausts MAX_TERMS, and
+    # the tables stop at its last power
     capped = make_param(3e-5j)
-    wide = TruncationPolicy(max_terms=1000)
     for kind in (1, 2, 3, 4):
-        got = list(map(value_bits, theta_sum(kind, 0.2 + 0.01j, capped, wide)))
-        assert got == pair_oracle(kind, 0.2 + 0.01j, capped, wide)
-    assert [len(table) for table in capped.powers] == [POWER_TABLE_LEN] * 2
+        with pytest.raises(ConvergenceError, match="in 256 terms"):
+            theta_sum(kind, 0.2 + 0.01j, capped)
+    assert [len(table) for table in capped.powers] == [MAX_TERMS + 1] * 2
 
 
 def test_kind_validation():
@@ -303,6 +299,16 @@ def test_kind_validation():
         theta_eval(5, 0, make_param(1j))
     with pytest.raises(DomainError):
         theta_eval(3, 0, make_param(1j), method="quadrature")
+
+
+def test_method_is_keyword_only():
+    # keyword-only, so no positional argument is ever taken for the method
+    p = make_param(1j)
+    with pytest.raises(TypeError):
+        theta_eval(3, 0.3, p, "product")
+    with pytest.raises(TypeError):
+        theta_null(3, p, "product")
+    assert theta_null(3, p, method="product") == theta_eval(3, 0.0, p, method="product")
 
 
 def test_shift_multiplier_out_of_range_raises_convergence_error():
