@@ -48,7 +48,14 @@ from .formal import (
     theta_series,
 )
 from .params import ModularParam, check_integer, make_param
-from .qtrig import POLE_RATIO, qsquared_param, qtrig_theta, ssn_ccs
+from .qtrig import (
+    POLE_RATIO,
+    QTRIG_KINDS,
+    qsquared_param,
+    qtrig_product_any,
+    qtrig_theta,
+    ssn_ccs,
+)
 from .theta import (
     HALF_PERIOD_HAS_I,
     HALF_PERIOD_MAP,
@@ -263,6 +270,12 @@ def _pairs_cosq_shift(z, _y, p) -> list:
             (c, qtrig_theta("sin_q", math.pi / 2 + z, p))]
 
 
+def _pairs_bridge(z, _y, p) -> list:
+    """Each q-trig function as a theta quotient at tau' and as a product in q."""
+    return [(qtrig_theta(kind, z, p), qtrig_product_any(kind, z / math.pi, p))
+            for kind in QTRIG_KINDS]
+
+
 def constancy_probe(x: complex, y: complex, tau: complex) -> complex:
     """The quotient whose constancy (== 1) underlies the thm2 identity.
 
@@ -378,6 +391,9 @@ REGISTRY: dict = {info.name: info for info in [
           ("cor_tan", math.pi / 2, "pair", "q-tangent pair identity under x+y+z = pi/2"))),
     IdentityInfo("cosq_shift", 1, 1e-10,
                  "cos_q z = sin_q(pi/2 - z) = sin_q(pi/2 + z)", _pairs_cosq_shift),
+    IdentityInfo("qtrig_bridge", 1, 1e-11,
+                 "each q-trig function at tau' = -1/tau equals its product form in q",
+                 _pairs_bridge),
     IdentityInfo("f_constancy", 1, 1e-10,
                  "the elliptic quotient behind thm2 is identically 1", _pairs_probe),
     IdentityInfo("classical_limit_tan", 0, 1e-2,

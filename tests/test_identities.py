@@ -41,7 +41,7 @@ def test_registry_contents():
         "triple_product_1", "triple_product_2", "triple_product_3",
         "triple_product_4",
         "thm2", "thm1_tan", "thm1_cot", "cor_cot", "cor_tan",
-        "cosq_shift", "f_constancy",
+        "cosq_shift", "qtrig_bridge", "f_constancy",
         "classical_limit_tan", "classical_limit_cot",
     }
     assert set(IDENTITY_IDS) == expected
@@ -112,7 +112,7 @@ def test_probe_examples():
 def test_verify_numeric_passes_registry():
     for name in ("quasi_period_2", "half_period_3", "duplication_23",
                  "triple_product_1", "thm2", "thm1_tan", "thm1_cot",
-                 "cor_cot", "cor_tan", "cosq_shift"):
+                 "cor_cot", "cor_tan", "cosq_shift", "qtrig_bridge"):
         report = verify_numeric(name, PLAN)
         assert report.passed, (name, report.failures[:2])
         assert report.samples == PLAN.count
@@ -585,3 +585,69 @@ def test_probe_pole_draws(monkeypatch):
     assert len(calls) == 100
     assert (report.status, report.samples) == ("fail", 0)
     assert report.failures == [{"error": "no valid samples"}]
+
+
+def _negate(kinds):
+    def mutant(real):
+        def qtrig_theta(kind, z, p):
+            value = real(kind, z, p)
+            return -value if kind in kinds else value
+        return qtrig_theta
+    return mutant
+
+
+def _null4_for_null3(real):
+    def theta_sum_null(kind, p):
+        return real(4 if kind == 3 else kind, p)
+    return theta_sum_null
+
+
+def _tan_power_plus_w(real):
+    # q^(1/4 - w) -> q^(1/4 + w) is a further factor q^(2w)
+    def qtrig_product_any(kind, w, p):
+        value = real(kind, w, p)
+        return value * qtrig._nome_power(p, 2 * w) if kind == "tan_q" else value
+    return qtrig_product_any
+
+
+def _sin_exponent_plus_half(real):
+    def _sin_q(w, p):
+        return real(w, p) * qtrig._nome_power(p, 0.5)
+    return _sin_q
+
+
+# one-line mutations of the q-trig definitions that the thm1 and corollary
+# forms cannot see: they are invariant under f -> -f and under a common
+# scale of ssn_q and ccs_q, and they never run the product path.  Each is
+# (name, the modules that look it up, mutant of the original).
+QTRIG_MUTANTS = {
+    "tan_q sign": ("qtrig_theta", (qtrig, identities), _negate({"tan_q"})),
+    "cot_q sign": ("qtrig_theta", (qtrig, identities), _negate({"cot_q"})),
+    "tan_q and cot_q signs": ("qtrig_theta", (qtrig, identities),
+                              _negate({"tan_q", "cot_q"})),
+    "ssn_q, ccs_q over theta4(0|tau')": ("theta_sum_null", (qtrig,), _null4_for_null3),
+    "product tan_q power q^(1/4+w)": ("qtrig_product_any", (qtrig, identities),
+                                      _tan_power_plus_w),
+    "product sin_q exponent + 1/2": ("_sin_q", (qtrig,), _sin_exponent_plus_half),
+}
+
+
+def test_qtrig_bridge_alone_catches_each_definition_mutant(monkeypatch):
+    plan = SamplePlan(seed=7, count=30)
+    assert all(r.passed for r in run_suite(plan))
+    for label, (name, owners, mutant) in QTRIG_MUTANTS.items():
+        wrapped = mutant(getattr(owners[0], name))
+        for owner in owners:
+            monkeypatch.setattr(owner, name, wrapped)
+        failed = [(r.id, r.mode) for r in run_suite(plan) if not r.passed]
+        assert failed == [("qtrig_bridge", "numeric")], label
+        monkeypatch.undo()
+
+
+def test_qtrig_bridge_rejects_an_underflowed_nome():
+    # at tau = 1000i the theta path converges at tau' = 0.001i, but q
+    # underflows to 0 and the product path has no nome to work with
+    report = verify_numeric("qtrig_bridge", SamplePlan(seed=7, count=3, tau_set=(1000j,)))
+    assert not report.passed and report.samples == 0
+    assert report.failures == [{"tau": [0.0, 1000.0],
+                                "error": "product form needs 0 < |q| < 1, got |q| = 0"}]
