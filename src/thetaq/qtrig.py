@@ -10,7 +10,8 @@ Every function is available as
   sin_q(pi w) = (q^(2-2w);q^2) (q^(2w);q^2) / (q;q^2)^2 * q^((w-1/2)^2),
 
 and the two parameterizations agree; qtrig_crosscheck measures that
-agreement, which is itself one of the verified claims.
+agreement, which is itself one of the verified claims (the suite's
+qtrig_bridge identity).
 
 The theta-quotient path cancels the q^(1/4) prefactors analytically, so it
 stays well conditioned even when tau' has a huge imaginary part (nome q
