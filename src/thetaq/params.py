@@ -7,9 +7,12 @@ prefactors carry no branch ambiguity.
 
 make_param is memoised per tau (up to PARAM_CACHE_SIZE of them), so the
 tau', 2*tau and nome data that every evaluation derives are built once per
-tau.  Each ModularParam also carries per-nome state that the kernels fill
-as they go -- ln|q|, tables of the powers q^(k(k+odd)), the theta nulls and
-weak links to the tau' and 2*tau params -- none of it in equality or repr.
+tau.  Each ModularParam also carries the per-nome context of both numeric
+kernels, filled as they go: ln|q|, the theta term tables (q^(k(k+odd)) with
+the k-only parts of the series tail bound), the theta nulls, the z-free
+product factors (q^2;q^2)_inf and (q;q^2)_inf^2, the logarithms that bound
+qpochhammer's untested prefix at nome q^2, and weak links to the tau' and
+2*tau params -- none of it in equality or repr.
 
 Every infinite sum and product in the package stops on one contract: once
 a geometric tail bound drops below EPS, which lies under a double's
@@ -36,6 +39,7 @@ PARAM_CACHE_SIZE = 256
 EPS = 1e-16
 LN_EPS = math.log(EPS)
 MAX_TERMS = 256
+LN_2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -50,9 +54,14 @@ class ModularParam:
     not part of equality, hash or repr:
 
     * ln_abs_q = log|q| (-inf when q underflowed to 0);
-    * powers[odd][k] = q ** (k*(k+odd)), two tables that theta_sum grows
-      on demand, to at most MAX_TERMS + 1 entries;
+    * terms[odd][k] = theta_term(q, ln_abs_q, k, odd), two tables that
+      theta_sum grows on demand, to at most MAX_TERMS + 1 entries;
     * nulls maps kind to theta_sum(kind, 0, self)[0]; see theta.theta_sum_null;
+    * products maps "theta" to (q^2;q^2)_inf, the z-free factor of every
+      theta product (theta.theta_eval), and "sin_q" to (q;q^2)_inf^2, the
+      z-free denominator of the q-trig products (qtrig._sin_q), both with
+      q^2 = q*q;
+    * q2_logs = pochhammer_logs(abs(q*q)), for qpochhammer at nome q*q;
     * companions weakly links "prime" and "double" to tau' and 2*tau's params.
     """
 
@@ -60,15 +69,39 @@ class ModularParam:
     q: complex
     q_quarter: complex
     ln_abs_q: float = field(init=False, compare=False, repr=False)
-    powers: tuple = field(init=False, compare=False, repr=False)
+    terms: tuple = field(init=False, compare=False, repr=False)
     nulls: dict = field(init=False, compare=False, repr=False,
                         default_factory=dict)
+    products: dict = field(init=False, compare=False, repr=False,
+                           default_factory=dict)
+    q2_logs: tuple = field(init=False, compare=False, repr=False)
     companions: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         q = self.q
-        object.__setattr__(self, "ln_abs_q", math.log(abs(q)) if q else -math.inf)
-        object.__setattr__(self, "powers", ([q ** 0], [q ** 0]))
+        ln_q = math.log(abs(q)) if q else -math.inf
+        object.__setattr__(self, "ln_abs_q", ln_q)
+        object.__setattr__(self, "terms", tuple([theta_term(q, ln_q, 0, odd)]
+                                                for odd in (0, 1)))
+        object.__setattr__(self, "q2_logs", pochhammer_logs(abs(q * q)))
+
+
+def theta_term(q: complex, ln_q: float, k: int, odd: int) -> tuple:
+    """Entry k of the theta term table of parity odd (see theta.theta_sum):
+
+        (q^(k(k+odd)), (2k+1+odd) ln|q|, ln 2 + k(k+odd) ln|q|, k + odd/2),
+
+    the power and the k-only parts of the tail ratio, the tail's first term
+    and its growth exponent, each formed as theta_sum formed it inline.
+    """
+    return (q ** (k * (k + odd)), (2 * k + 1 + odd) * ln_q,
+            LN_2 + (k * (k + odd)) * ln_q, k + odd / 2)
+
+
+def pochhammer_logs(aq: float) -> tuple:
+    """(ln(EPS*(1 - aq)), -ln aq): the nome-only parts of the bound on
+    theta.qpochhammer's untested prefix at |q| = aq < 1 (+inf when aq = 0)."""
+    return math.log(EPS * (1.0 - aq)), -math.log(aq) if aq else math.inf
 
 
 def check_integer(value, name: str) -> int:

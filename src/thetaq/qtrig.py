@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, RangeError
 from .params import (
     ModularParam,
     make_param,  # unused here, but perfbench's tracer rebinds qtrig.make_param
@@ -85,8 +85,16 @@ def ssn_ccs(z: complex, p: ModularParam, lead: str = "ssn_q") -> tuple:
 
 
 def _nome_power(p: ModularParam, a: complex) -> complex:
-    """q^a as exp(i*pi*tau*a): the branch follows tau, never Log q."""
-    return cmath.exp(1j * cmath.pi * p.tau * a)
+    """q^a as exp(i*pi*tau*a): the branch follows tau, never Log q.
+
+    Raises RangeError when q^a leaves double range (a huge argument, or a
+    large Im tau).
+    """
+    try:
+        return cmath.exp(1j * cmath.pi * p.tau * a)
+    except (ValueError, OverflowError):
+        raise RangeError("q^a overflowed double range at a = %r, tau = %r"
+                         % (a, p.tau)) from None
 
 
 def _sin_q_factors(w: complex, p: ModularParam) -> complex:
@@ -97,13 +105,16 @@ def _sin_q_factors(w: complex, p: ModularParam) -> complex:
     if p.q == 0 or abs(p.q) >= 1:
         raise DomainError("product form needs 0 < |q| < 1, got |q| = %g" % abs(p.q))
     q2 = p.q * p.q
-    return (qpochhammer(_nome_power(p, 2 - 2 * w), q2)
-            * qpochhammer(_nome_power(p, 2 * w), q2))
+    return (qpochhammer(_nome_power(p, 2 - 2 * w), q2, p.q2_logs)
+            * qpochhammer(_nome_power(p, 2 * w), q2, p.q2_logs))
 
 
 def _sin_q(w: complex, p: ModularParam) -> complex:
+    """sin_q(pi w); the z-free (q;q^2)^2 is computed once per nome, in p.products."""
     num = _sin_q_factors(w, p)
-    den = qpochhammer(p.q, p.q * p.q) ** 2
+    den = p.products.get("sin_q")
+    if den is None:
+        den = p.products["sin_q"] = qpochhammer(p.q, p.q * p.q, p.q2_logs) ** 2
     return num / den * _nome_power(p, (w - 0.5) ** 2)
 
 

@@ -26,7 +26,15 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, RangeError
-from .params import EPS, LN_EPS, MAX_TERMS, ModularParam, check_kind
+from .params import (
+    EPS,
+    LN_EPS,
+    MAX_TERMS,
+    ModularParam,
+    check_kind,
+    pochhammer_logs,
+    theta_term,
+)
 
 # Sign of theta_k under z -> z + pi and (up to q^-1 e^-2zi) under z -> z + pi*tau.
 PI_SHIFT_SIGN = {1: -1, 2: -1, 3: 1, 4: 1}
@@ -57,7 +65,9 @@ class ShiftResult:
 
 # log of the largest finite double
 _LN_DOUBLE_MAX = math.log(sys.float_info.max)
-_LN_2 = math.log(2.0)
+# ln of the factor by which qpochhammer's untested prefix keeps its terms
+# above the tail test's threshold; see qpochhammer
+PREFIX_MARGIN = 1e-9
 
 
 def _overflow(kind: int, z: complex, path: str) -> RangeError:
@@ -92,19 +102,26 @@ def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
     r = |q|^(2k+1+odd) e^(2|Im z|), is below EPS.  Errors name kind,
     and the partner only when its sum alone is not finite.
 
-    The powers q^(k(k+odd)) are read from p.powers[odd], which this call
-    extends (with the same q ** (k*(k+odd))) when it needs a power the table
-    lacks, so every call at one nome shares them.  In log space the tail
-    test is ln_bound + ln r - log1p(-r) < ln eps; as -log1p(-r) > 0 for
-    r < 1, it cannot pass before ln_bound + ln r < ln eps does, so log1p
-    and exp run only once that cheaper pre-test passes.
+    In log space the tail test is ln_bound + ln r - log1p(-r) < ln eps,
+    with ln r = (2k+1+odd) ln|q| + 2|Im z| and ln_bound = ln 2 +
+    k(k+odd) ln|q| + (k + odd/2) 2|Im z|.  The power and the k-only parts of
+    both logarithms are read from the term table p.terms[odd] (see
+    params.theta_term), which this call extends when it needs an entry the
+    table lacks, so every call at one nome shares them; the loop adds only
+    the z terms.  As -log1p(-r) > 0 for r < 1, the test cannot pass before
+    ln_bound + ln r < ln eps does, so log1p and exp run only once that
+    cheaper pre-test passes.
     """
     check_kind(kind)
     odd = 1 if kind < 3 else 0
-    # |e^(iz)|^(2-odd) is the largest factor; past double range exp fails
+    # |e^(iz)|^(2-odd) is the largest factor; past double range exp fails,
+    # as it does when (2-odd)*Re z overflows to inf
     if abs(z.imag) * (2 - odd) > _LN_DOUBLE_MAX:
         raise _overflow(kind, z, "series")
-    up = cmath.exp((2 - odd) * 1j * z)    # e^((2k+odd)iz), stepped with k
+    try:
+        up = cmath.exp((2 - odd) * 1j * z)    # e^((2k+odd)iz), stepped with k
+    except (ValueError, OverflowError):
+        raise _overflow(kind, z, "series") from None
     um = 1 / up
     q = p.q
     if abs(q) == 0.0:
@@ -114,26 +131,24 @@ def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
         return pair if kind % 2 else pair[::-1]
     step, step_inv = (up * up, um * um) if odd else (up, um)
     # tail bounds live in log space so huge |Im z| cannot overflow a float
-    ln_q = p.ln_abs_q
     imz2 = 2.0 * abs(z.imag)   # log of the growth factor |e^(2zi)|^(+-1)
     a = b = 0j if odd else 1 + 0j   # the sums of kinds 1, 2 or of kinds 3, 4
-    pw = p.powers[odd]
+    table = p.terms[odd]
     for k in range(1 - odd, MAX_TERMS + 1):
-        if k < len(pw):
-            qk = pw[k]
+        if k < len(table):
+            qk, lnr, lnb, half = table[k]
         else:
-            qk = q ** (k * (k + odd))
-            # k == len(pw) here; as a slice store, a thread that
-            # extended pw first is overwritten with the same value
-            pw[k:k + 1] = (qk,)
+            qk, lnr, lnb, half = entry = theta_term(q, p.ln_abs_q, k, odd)
+            # k == len(table) here; as a slice store, a thread that
+            # extended the table first is overwritten with the same entry
+            table[k:k + 1] = (entry,)
         plus = qk * (up + um)
         minus = qk * (up - um) if odd else plus
         a += -minus if odd and k % 2 else minus
         b += -plus if k % 2 and not odd else plus
-        ln_ratio = (2 * k + 1 + odd) * ln_q + imz2
+        ln_ratio = lnr + imz2
         if ln_ratio < 0.0:
-            ln_bound = _LN_2 + (k * (k + odd)) * ln_q + (k + odd / 2) * imz2
-            head = ln_bound + ln_ratio
+            head = lnb + half * imz2 + ln_ratio
             if head < LN_EPS and head - math.log1p(-math.exp(ln_ratio)) < LN_EPS:
                 pair = (a, b) if kind % 2 else (b, a)
                 if not (cmath.isfinite(a) and cmath.isfinite(b)):
@@ -158,20 +173,51 @@ def theta_sum_null(kind: int, p: ModularParam) -> complex:
     return value
 
 
-def qpochhammer(a: complex, q: complex) -> complex:
+def qpochhammer(a: complex, q: complex, logs: tuple | None = None) -> complex:
     """The q-shifted factorial (a;q)_inf = prod_{n>=0} (1 - a q^n).
 
     Truncated once the remaining logarithmic tail |a| |q|^n / (1 - |q|)
-    drops below EPS.
+    drops below EPS, or ConvergenceError after MAX_TERMS factors.
+
+    The first n factors skip that test, where n (at most MAX_TERMS) is the
+    largest count with ln|a| + j ln|q| >= ln(EPS (1 - |q|)) + PREFIX_MARGIN
+    for every j < n: the test provably fails there, so the value and the
+    errors are those of a loop that tests every factor.  The margin covers
+    the rounding, which stays below 1e-12 in log space:
+    * the computed term a q^j is at most 255 complex products away from a,
+      each off by at most sqrt(5) 2^-53 relative (Brent, Percival and
+      Zimmermann, 2007), 3.2e-14 in all;
+    * abs, 1 - |q| and the division add a few 2^-53, and |q| rounded in
+      abs(q), then raised to j < 256, another 2.9e-14;
+    * the logarithms are each within an ulp of values below 800 in
+      magnitude, and n comes from one rounded quotient, about 3e-13.
+    Terms in the prefix exceed 1e-32, far above the subnormals, and a term
+    that overflowed to inf or nan fails the test anyway.
+
+    logs is pochhammer_logs(abs(q)), the nome-only parts of that bound,
+    computed here when omitted; ModularParam.q2_logs holds it for q*q, so
+    a call at a param's nome q^2 takes one logarithm, of |a|.
     """
     q = complex(q)
     aq = abs(q)
     if aq >= 1:
         raise DomainError("q-Pochhammer needs |q| < 1, got |q| = %g" % aq)
     a = complex(a)
+    n = 0
+    abs_a = abs(a)
+    if abs_a > 0.0:
+        ln_floor, ln_step = logs or pochhammer_logs(aq)
+        slack = math.log(abs_a) - ln_floor - PREFIX_MARGIN
+        if slack >= MAX_TERMS * ln_step:   # also when |a| is inf
+            n = MAX_TERMS
+        elif slack >= 0.0:
+            n = min(MAX_TERMS, int(slack / ln_step) + 1)
     prod = 1 + 0j
     term = a
-    for _ in range(MAX_TERMS):
+    for _ in range(n):
+        prod *= 1 - term
+        term *= q
+    for _ in range(n, MAX_TERMS):
         if abs(term) / (1.0 - aq) < EPS:
             return prod
         prod *= 1 - term
@@ -185,24 +231,37 @@ def theta_eval(kind: int, z: complex, p: ModularParam, *,
                method: str = "series") -> complex:
     """Evaluate theta_kind(z|tau) by the series or the product path.
 
-    The product path forms head * (q^2;q^2) (a e^(2iz);q^2) (a e^(-2iz);q^2)
-    with a = s q^c from PRODUCT_FACTOR and head as documented there.
+    The series path is theta_sum times the prefactor of theta_pair.  The
+    product path forms head * (q^2;q^2) (a e^(2iz);q^2) (a e^(-2iz);q^2)
+    with a = s q^c from PRODUCT_FACTOR and head as documented there; the
+    z-free factor (q^2;q^2) is computed once per nome, in p.products.
     """
     if method == "series":
-        return theta_pair(kind, z, p)[0]
+        s = theta_sum(kind, complex(z), p)[0]
+        if kind > 2:
+            return s
+        c = p.q_quarter
+        return -1j * c * s if kind == 1 else c * s
     check_kind(kind)
     z = complex(z)
     if method != "product":
         raise DomainError("method must be 'series' or 'product', got %r" % (method,))
 
     # every kind's product carries e^(2iz) and its inverse, both in range here
+    # unless 2*Re z overflows to inf
     if abs(z.imag) * 2 > _LN_DOUBLE_MAX:
         raise _overflow(kind, z, "product")
     q = p.q
     q2 = q * q
-    w = cmath.exp(2j * z)
+    try:
+        w = cmath.exp(2j * z)
+    except (ValueError, OverflowError):
+        raise _overflow(kind, z, "product") from None
     winv = 1 / w
-    base = qpochhammer(q2, q2)
+    logs = p.q2_logs
+    base = p.products.get("theta")
+    if base is None:
+        base = p.products["theta"] = qpochhammer(q2, q2, logs)
     sign, power = PRODUCT_FACTOR[kind]
     a = q2 if power == 2 else q
     if sign < 0:
@@ -211,7 +270,7 @@ def theta_eval(kind: int, z: complex, p: ModularParam, *,
     if kind in (1, 2):
         trig = cmath.sin if kind == 1 else cmath.cos
         value = 2 * p.q_quarter * trig(z) * base
-    value = value * qpochhammer(a * w, q2) * qpochhammer(a * winv, q2)
+    value = value * qpochhammer(a * w, q2, logs) * qpochhammer(a * winv, q2, logs)
     # e^(2iz) is in range, but the partial products can still overflow
     if not cmath.isfinite(value):
         raise _overflow(kind, z, "product")

@@ -101,6 +101,20 @@ def test_eval_huge_imaginary_argument(capsys):
                 assert "%s overflowed double range" % method in err
 
 
+def test_eval_huge_real_argument(capsys):
+    # 2*Re z overflows in e^(2iz), and q^((w-1/2)^2) overflows on the q-trig
+    # product path: a typed range error (exit 3), not an internal error
+    cases = [(fn, "1e308,0", method) for fn in ("theta3", "theta4")
+             for method in ("series", "product")]
+    cases += [("ssn_q", "1e308,0", "series")]
+    cases += [(fn, "1e17,0", "product") for fn in ("sin_q", "tan_q", "ssn_q")]
+    for fn, z, method in cases:
+        code, out, err = run_cli(capsys, "eval", "--fn", fn, "--z", z,
+                                 "--tau", "0,1.1", "--method", method)
+        assert (code, out) == (3, ""), (fn, z, method)
+        assert "overflowed double range" in err
+
+
 @pytest.mark.parametrize("exc", [RuntimeError("boom"), GradeMismatch("boom")])
 def test_internal_error_exit_code(capsys, monkeypatch, exc):
     def crash(args):

@@ -12,6 +12,7 @@ from thetaq import (
     param_from_nome,
     qsquared_param,
     tau_prime,
+    theta_eval,
     theta_sum,
 )
 from thetaq.params import EPS, LN_EPS, MAX_TERMS, PARAM_CACHE_SIZE
@@ -102,9 +103,11 @@ def test_nome_state_is_not_part_of_equality():
                    for _ in range(2))
     theta_sum(1, 0.3 + 0.2j, used)     # fills used's tables and null cache
     theta_sum_null(3, used)
+    theta_eval(3, 0.3, used, method="product")   # and its product cache
     assert tau_prime(used) is tau_prime(used) is make_param(-1 / p.tau)
     assert qsquared_param(used) is make_param(2 * p.tau)
-    assert len(used.powers[1]) > len(fresh.powers[1]) and used.nulls
+    assert len(used.terms[1]) > len(fresh.terms[1]) and used.nulls and used.products
+    assert not fresh.nulls and not fresh.products
     assert set(used.companions) == {"prime", "double"} and not fresh.companions
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh) == repr(p)

@@ -7,7 +7,9 @@ import pytest
 from thetaq import (
     ConvergenceError,
     DomainError,
+    ModularParam,
     PoleError,
+    RangeError,
     make_param,
     param_from_nome,
     qsquared_param,
@@ -15,9 +17,12 @@ from thetaq import (
     qtrig_product_any,
     qtrig_theta,
     tau_prime,
+    qpochhammer,
     theta_null,
     theta_sum,
 )
+from thetaq import qtrig as qtrig_module
+from thetaq.qtrig import QTRIG_KINDS
 
 TAUS = (1.1j, 0.3 + 1.1j, 1.3j)
 # Log q != i*pi*tau once |Re tau| >= 1, and Log q^2 != 2*pi*i*tau once
@@ -196,3 +201,72 @@ def test_failed_null_is_not_cached():
     z = 0.4 + 0.1j
     assert qtrig_theta("sin_q", z, p) == -1j * theta_sum(1, z, pp)[0] / theta_sum(2, 0.0, pp)[0]
     assert pp.nulls[2] == theta_sum(2, 0.0, pp)[0]
+
+
+def counting_pochhammer(monkeypatch):
+    """Route qtrig's qpochhammer through a wrapper; returns the list of a's."""
+    calls = []
+
+    def counted(a, q, *logs):
+        calls.append(a)
+        return qpochhammer(a, q, *logs)
+
+    monkeypatch.setattr(qtrig_module, "qpochhammer", counted)
+    return calls
+
+
+def test_six_kinds_crosscheck_reuses_the_product_denominators(monkeypatch):
+    # (q;q^2)^2 is computed once per nome, for p and for 2*tau's param
+    calls = counting_pochhammer(monkeypatch)
+    p = make_param(0.123 + 0.987j)    # a tau (and 2*tau) no other test uses
+    z = 0.4 + 0.1j
+
+    def six():
+        del calls[:]
+        return [qtrig_crosscheck(kind, z, p) for kind in QTRIG_KINDS]
+
+    cold = six()
+    assert len(calls) == 22
+    warm = six()
+    assert len(calls) == 20 and warm == cold     # 26 without the caches
+    assert p.products == {"sin_q": qpochhammer(p.q, p.q * p.q) ** 2}
+    assert qsquared_param(p).products.keys() == {"sin_q"}
+
+
+def test_failed_product_denominator_is_not_cached(monkeypatch):
+    calls = counting_pochhammer(monkeypatch)
+    warm = make_param(1.1j)
+    p = ModularParam(tau=warm.tau, q=warm.q, q_quarter=warm.q_quarter)   # cold
+
+    def fail_on_denominator(a, q, *logs):
+        calls.append(a)
+        if a == p.q:
+            raise ConvergenceError("injected")
+        return qpochhammer(a, q, *logs)
+
+    monkeypatch.setattr(qtrig_module, "qpochhammer", fail_on_denominator)
+    for _ in range(2):
+        with pytest.raises(ConvergenceError, match="injected"):
+            qtrig_product_any("sin_q", 0.3, p)
+    assert p.products == {} and calls.count(p.q) == 2
+    monkeypatch.undo()
+    value = qtrig_product_any("sin_q", 0.3, p)
+    assert p.products == {"sin_q": qpochhammer(p.q, p.q * p.q) ** 2}
+    assert value == qtrig_product_any("sin_q", 0.3, warm)
+    # the underflowed-nome DomainError still comes first and caches nothing
+    dead = make_param(1000j)
+    with pytest.raises(DomainError):
+        qtrig_product_any("sin_q", 0.3, dead)
+    assert dead.products == {}
+
+
+def test_huge_real_argument_raises_range_error():
+    # q^(2-2w) overflows at w = 1e17 on the product path; at 1e308 the
+    # theta path's theta4(z|tau') exponent 2*Re z is inf
+    p = make_param(1.1j)
+    for kind in QTRIG_KINDS:
+        with pytest.raises(RangeError, match="overflowed double range"):
+            qtrig_product_any(kind, 1e17 / math.pi, p)
+    for kind in ("ssn_q", "ccs_q"):
+        with pytest.raises(RangeError, match="overflowed double range"):
+            qtrig_theta(kind, 1e308, p)

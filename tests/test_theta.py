@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import sys
+import threading
 
 import mpmath as mp
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from thetaq import (
     ConvergenceError,
     DomainError,
+    ModularParam,
+    RangeError,
     half_period_shift,
     make_param,
     qpochhammer,
@@ -16,7 +20,8 @@ from thetaq import (
     theta_null,
     theta_sum,
 )
-from thetaq.params import EPS, MAX_TERMS
+from thetaq import theta as theta_module
+from thetaq.params import EPS, MAX_TERMS, pochhammer_logs, theta_term
 from thetaq.theta import PARTNER
 
 TAU = 0.2 + 1.3j
@@ -240,8 +245,9 @@ def test_product_path_huge_imaginary_argument_raises_convergence_error():
 
 
 def table_free_sum(kind, z, p):
-    """theta_sum without the per-nome power tables or the tail pre-test:
-    q ** (k*(k+odd)) for every term and the full tail test at every k."""
+    """theta_sum without the per-nome term tables or the tail pre-test:
+    q ** (k*(k+odd)) and every part of the tail bound formed afresh for each
+    term, and the full tail test at every k."""
     odd = 1 if kind in (1, 2) else 0
     up = cmath.exp((2 - odd) * 1j * z)
     um = 1 / up
@@ -279,7 +285,7 @@ def test_power_tables_do_not_change_values():
               for z in (0.0, -0.0, 0.3 + 0.2j, complex(-0.7, -0.0), complex(-0.0, 0.2))]
     before = [list(map(value_bits, theta_sum(kind, z, p))) for kind, z in points]
     grown = [list(map(value_bits, theta_sum(kind, long_z, p))) for kind in (1, 2, 3, 4)]
-    assert min(len(table) for table in p.powers) > 50
+    assert min(len(table) for table in p.terms) > 50
     after = [list(map(value_bits, theta_sum(kind, z, p))) for kind, z in points]
     oracle = [pair_oracle(kind, z, p) for kind, z in points]
     assert before == after == oracle
@@ -291,7 +297,147 @@ def test_power_tables_do_not_change_values():
     for kind in (1, 2, 3, 4):
         with pytest.raises(ConvergenceError, match="in 256 terms"):
             theta_sum(kind, 0.2 + 0.01j, capped)
-    assert [len(table) for table in capped.powers] == [MAX_TERMS + 1] * 2
+    assert [len(table) for table in capped.terms] == [MAX_TERMS + 1] * 2
+
+
+def cold_copy(p):
+    """A ModularParam equal to p whose tables and caches are empty."""
+    return ModularParam(tau=p.tau, q=p.q, q_quarter=p.q_quarter)
+
+
+def test_concurrent_table_growth_keeps_one_entry_per_k():
+    # 8 threads (more than the cores) grow the term tables of one cold param
+    # at once, with a thread switch every microsecond; a check-then-append
+    # would store some entry twice and shift every later one
+    points = [(kind, z) for kind in (1, 2, 3, 4) for z in (0.1 - 4j, 0.2 + 3.5j)]
+    taus = [complex(0.03 * i, 0.05 + 0.002 * i) for i in range(12)]
+    want = {}
+    for tau in taus:
+        lone = cold_copy(make_param(tau))
+        want[tau] = ([list(map(value_bits, theta_sum(kind, z, lone))) for kind, z in points],
+                     [len(table) for table in lone.terms])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for tau in taus:
+            p = cold_copy(make_param(tau))
+            got = [None] * 8
+            barrier = threading.Barrier(8, timeout=30)
+
+            def work(i, p=p, got=got, barrier=barrier):
+                barrier.wait()
+                # each thread takes the points in its own rotation
+                order = points[i:] + points[:i]
+                got[i] = {pt: list(map(value_bits, theta_sum(*pt, p))) for pt in order}
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            values, lengths = want[tau]
+            for result in got:
+                assert [result[pt] for pt in points] == values
+            assert [len(table) for table in p.terms] == lengths
+            for odd, table in enumerate(p.terms):
+                assert table == [theta_term(p.q, p.ln_abs_q, k, odd)
+                                 for k in range(len(table))]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_huge_real_argument_raises_range_error():
+    # 2*Re z overflows to inf in e^(2iz): a typed error, not a ValueError
+    p = make_param(1.1j)
+    for z in (1e308, -1e308, complex(1e308, 0.5)):
+        for kind in (3, 4):
+            with pytest.raises(RangeError, match="theta%d series overflowed" % kind):
+                theta_sum(kind, z, p)
+            with pytest.raises(RangeError):
+                theta_eval(kind, z, p)
+        for kind in (1, 2, 3, 4):
+            with pytest.raises(RangeError, match="theta%d product overflowed" % kind):
+                theta_eval(kind, z, p, method="product")
+    # kinds 1, 2 step e^(iz), still in range; in range values keep their bits
+    assert value_bits(theta_sum(1, 1e308, p)[0]) == value_bits(table_free_sum(1, 1e308, p))
+    assert cmath.isfinite(theta_eval(2, 1e17, p, method="product"))
+
+
+def reference_pochhammer(a, q):
+    """qpochhammer as it was before the untested prefix: the tail test at
+    every factor, the reference it must match bit for bit."""
+    q = complex(q)
+    aq = abs(q)
+    if aq >= 1:
+        raise DomainError("q-Pochhammer needs |q| < 1, got |q| = %g" % aq)
+    a = complex(a)
+    prod = 1 + 0j
+    term = a
+    for _ in range(MAX_TERMS):
+        if abs(term) / (1.0 - aq) < EPS:
+            return prod
+        prod *= 1 - term
+        term *= q
+    raise ConvergenceError(
+        "(a;q)_inf with |a|=%g, |q|=%g needs more than %d factors"
+        % (abs(a), aq, MAX_TERMS))
+
+
+def outcome(f, *args):
+    try:
+        return value_bits(f(*args))
+    except ConvergenceError as exc:
+        return type(exc), str(exc)
+
+
+def random_pochhammer_args(rng):
+    aq = rng.choice([10 ** rng.uniform(-300, -3), rng.random(),
+                     1 - 10 ** rng.uniform(-3, -1), 1 - 10 ** rng.uniform(-15, -9)])
+    q = cmath.rect(aq, rng.uniform(-math.pi, math.pi)) if rng.random() < 0.7 else complex(aq)
+    a = rng.choice([0j, complex(5e-324 * rng.randint(1, 99), -0.0),
+                    complex(math.inf, rng.choice([0.0, 1.0])), complex(math.nan, 1.0),
+                    complex(1e308, -1e308), complex(-0.0, 0.0),
+                    cmath.rect(10 ** rng.uniform(-40, 40), rng.uniform(-math.pi, math.pi))])
+    return a, q
+
+
+def test_untested_prefix_keeps_the_bits_of_the_tested_loop():
+    # every |q| regime up to 1e-15 from 1, with a = 0, subnormal, infinite or
+    # nan; the nome logs given or computed, and 256 factors not enough
+    rng = random.Random(12)
+    exhausted = 0
+    for _ in range(6000):
+        a, q = random_pochhammer_args(rng)
+        want = outcome(reference_pochhammer, a, q)
+        exhausted += want[0] is ConvergenceError
+        assert outcome(qpochhammer, a, q) == want, (a, q)
+        assert outcome(qpochhammer, a, q, pochhammer_logs(abs(q))) == want, (a, q)
+    assert exhausted > 500
+
+
+def test_theta_product_factor_is_computed_once_per_nome(monkeypatch):
+    calls = []
+
+    def counted(a, q, *logs):
+        calls.append(a)
+        return qpochhammer(a, q, *logs)
+
+    monkeypatch.setattr(theta_module, "qpochhammer", counted)
+    p = cold_copy(make_param(0.31 + 0.83j))
+    q2 = p.q * p.q
+    points = [(kind, z) for kind in (1, 2, 3, 4) for z in (0.3, 0.2 - 0.4j)]
+    first = [value_bits(theta_eval(kind, z, p, method="product")) for kind, z in points]
+    assert calls.count(q2) == 1 and len(calls) == 1 + 2 * len(points)
+    assert p.products == {"theta": qpochhammer(q2, q2)}
+    again = [value_bits(theta_eval(kind, z, p, method="product")) for kind, z in points]
+    assert first == again and len(calls) == 1 + 4 * len(points)
+    # a call that raises caches nothing: (q^2;q^2) needs over 256 factors here
+    slow = cold_copy(make_param(0.001j))
+    for _ in range(2):
+        with pytest.raises(ConvergenceError, match="needs more than 256 factors"):
+            theta_eval(3, 0.1, slow, method="product")
+    assert slow.products == {}
 
 
 def test_kind_validation():

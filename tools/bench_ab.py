@@ -37,9 +37,10 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# seeds per workload, as in BENCH_7.json: the claimed workload gets ten pairs
+# seeds per workload: each workload a speed-up may be claimed on gets ten
+# pairs, so that nine wins of ten can be shown; the controls get three
 SEEDS = {"sampled_residuals": 10, "exact_certify": 3, "classical_limit": 3,
-         "crosscheck_domain": 5}
+         "crosscheck_domain": 10}
 FIRST_SEED = 11
 RUN_TIMEOUT_S = 1800
 
