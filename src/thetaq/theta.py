@@ -203,20 +203,21 @@ def qpochhammer(a: complex, q: complex, logs: tuple | None = None) -> complex:
     if aq >= 1:
         raise DomainError("q-Pochhammer needs |q| < 1, got |q| = %g" % aq)
     a = complex(a)
+    prod = 1 + 0j
+    term = a
     n = 0
     abs_a = abs(a)
     if abs_a > 0.0:
         ln_floor, ln_step = logs or pochhammer_logs(aq)
         slack = math.log(abs_a) - ln_floor - PREFIX_MARGIN
-        if slack >= MAX_TERMS * ln_step:   # also when |a| is inf
-            n = MAX_TERMS
-        elif slack >= 0.0:
-            n = min(MAX_TERMS, int(slack / ln_step) + 1)
-    prod = 1 + 0j
-    term = a
-    for _ in range(n):
-        prod *= 1 - term
-        term *= q
+        if slack >= 0.0:
+            # n <= MAX_TERMS: short of the first branch's bound, slack /
+            # ln_step rounds to at most 255; that branch also takes |a| = inf
+            n = (MAX_TERMS if slack >= (MAX_TERMS - 1) * ln_step
+                 else int(slack / ln_step) + 1)
+            for _ in range(n):
+                prod *= 1 - term
+                term *= q
     for _ in range(n, MAX_TERMS):
         if abs(term) / (1.0 - aq) < EPS:
             return prod

@@ -203,8 +203,8 @@ def test_failed_null_is_not_cached():
     assert pp.nulls[2] == theta_sum(2, 0.0, pp)[0]
 
 
-def counting_pochhammer(monkeypatch):
-    """Route qtrig's qpochhammer through a wrapper; returns the list of a's."""
+def test_six_kinds_crosscheck_reuses_the_product_denominators(monkeypatch):
+    # (q;q^2)^2 is computed once per nome, for p and for 2*tau's param
     calls = []
 
     def counted(a, q, *logs):
@@ -212,12 +212,6 @@ def counting_pochhammer(monkeypatch):
         return qpochhammer(a, q, *logs)
 
     monkeypatch.setattr(qtrig_module, "qpochhammer", counted)
-    return calls
-
-
-def test_six_kinds_crosscheck_reuses_the_product_denominators(monkeypatch):
-    # (q;q^2)^2 is computed once per nome, for p and for 2*tau's param
-    calls = counting_pochhammer(monkeypatch)
     p = make_param(0.123 + 0.987j)    # a tau (and 2*tau) no other test uses
     z = 0.4 + 0.1j
 
@@ -234,7 +228,7 @@ def test_six_kinds_crosscheck_reuses_the_product_denominators(monkeypatch):
 
 
 def test_failed_product_denominator_is_not_cached(monkeypatch):
-    calls = counting_pochhammer(monkeypatch)
+    calls = []
     warm = make_param(1.1j)
     p = ModularParam(tau=warm.tau, q=warm.q, q_quarter=warm.q_quarter)   # cold
 

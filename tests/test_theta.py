@@ -365,8 +365,8 @@ def test_huge_real_argument_raises_range_error():
 
 
 def reference_pochhammer(a, q):
-    """qpochhammer as it was before the untested prefix: the tail test at
-    every factor, the reference it must match bit for bit."""
+    """qpochhammer without the untested prefix, the tail test run before
+    every factor: the reference it must match bit for bit."""
     q = complex(q)
     aq = abs(q)
     if aq >= 1:
