@@ -150,18 +150,9 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                mono = (a1 + a2, b1 + b2)
-                s = out.get(mono, G_ZERO) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+        acc: dict = {}
+        _mul_into(acc, self, other)
+        return _poly_from(acc)
 
     def scale(self, coeff) -> "LaurentPoly":
         c0 = _as_gaussian(coeff)
@@ -195,6 +186,28 @@ class LaurentPoly:
         return " + ".join(bits)
 
     __repr__ = __str__
+
+
+def _mul_into(acc: dict, p1: LaurentPoly, p2: LaurentPoly) -> None:
+    """Add p1 * p2 into acc, a map monomial -> [re, im] of plain ints."""
+    for (a1, b1), c1 in p1.terms.items():
+        r1, i1 = c1.re, c1.im
+        for (a2, b2), c2 in p2.terms.items():
+            r2, i2 = c2.re, c2.im
+            mono = (a1 + a2, b1 + b2)
+            cur = acc.get(mono)
+            if cur is None:
+                acc[mono] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
+            else:
+                cur[0] += r1 * r2 - i1 * i2
+                cur[1] += r1 * i2 + i1 * r2
+
+
+def _poly_from(acc: dict) -> LaurentPoly:
+    """The LaurentPoly of a _mul_into accumulator, zero terms dropped."""
+    res = LaurentPoly.__new__(LaurentPoly)
+    res.terms = {m: Gaussian(re, im) for m, (re, im) in acc.items() if re or im}
+    return res
 
 
 def monomial_str(mono: tuple) -> str:
@@ -352,24 +365,16 @@ class GradedSeries:
             return GradedSeries.zero(
                 min(self.boundary + other.quarter_prefactor,
                     other.boundary + self.quarter_prefactor))
+        # Every pair n1 + n2 = n adds straight into one accumulator per
+        # grade; each grade's LaurentPoly is built once, after the sums.
         order = min(self.order, other.order)
-        out: dict = {}
+        acc: dict = {}
         for n1, p1 in self.coeffs.items():
-            if n1 > order:
-                continue
             for n2, p2 in other.coeffs.items():
-                n = n1 + n2
-                if n > order:
-                    continue
-                prod = p1 * p2
-                if n in out:
-                    prod = out[n] + prod
-                if prod.is_zero():
-                    out.pop(n, None)
-                else:
-                    out[n] = prod
+                if n1 + n2 <= order:
+                    _mul_into(acc.setdefault(n1 + n2, {}), p1, p2)
         return GradedSeries(self.quarter_prefactor + other.quarter_prefactor,
-                            out, order)
+                            {n: _poly_from(t) for n, t in acc.items()}, order)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -432,8 +437,14 @@ def pochhammer_product(factors: Iterable[tuple], order: int) -> GradedSeries:
     integer c >= 1 governing truncation, and monomial an exponent pair or
     None for a pure nome factor.  Factors with c > order are identity
     modulo q^(order+1) and may simply be omitted by the caller.
+
+    Multiplying by a factor is a shift-and-add: acc[n] += sign*m*acc[n-c],
+    top grade first, so each acc[n-c] is read before it changes.  Every
+    coefficient is a real integer, since each sign is.  The accumulator
+    (grade -> monomial -> int) is private to this call; the result's
+    LaurentPolys are built from it once, after the last factor.
     """
-    acc = GradedSeries.one(order)
+    acc = {0: {(0, 0): 1}}
     for sign, c, mono in factors:
         if sign not in (1, -1):
             raise DomainError("factor sign must be +-1, got %r" % (sign,))
@@ -442,13 +453,20 @@ def pochhammer_product(factors: Iterable[tuple], order: int) -> GradedSeries:
             raise DomainError("factor nome power must be >= 1, got %d" % c)
         if c > order:
             continue
-        mono = (0, 0) if mono is None else (int(mono[0]), int(mono[1]))
-        factor = GradedSeries(
-            0,
-            {0: LaurentPoly.constant(1), c: LaurentPoly.monomial(*mono, coeff=sign)},
-            order)
-        acc = acc * factor
-    return acc
+        ma, mb = (0, 0) if mono is None else (int(mono[0]), int(mono[1]))
+        for n in range(order, c - 1, -1):
+            src = acc.get(n - c)
+            if not src:
+                continue
+            dst = acc.setdefault(n, {})
+            for (a, b), k in src.items():
+                key = (a + ma, b + mb)
+                k = dst.get(key, 0) + sign * k
+                if k:
+                    dst[key] = k
+                else:
+                    del dst[key]
+    return GradedSeries(0, {n: LaurentPoly(t) for n, t in acc.items()}, order)
 
 
 def geometric_factors(sign: int, first: int, step: int, monomial,

@@ -285,6 +285,167 @@ def test_factor_validation():
 
 
 # ---------------------------------------------------------------------------
+# the accumulating kernel against the per-pair loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def pairwise_poly_mul(p1, p2):
+    """LaurentPoly product one Gaussian term at a time: the oracle."""
+    out = {}
+    for (a1, b1), c1 in p1.terms.items():
+        for (a2, b2), c2 in p2.terms.items():
+            mono = (a1 + a2, b1 + b2)
+            s = out.get(mono, Gaussian(0)) + c1 * c2
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+    return LaurentPoly(out)
+
+
+def pairwise_mul(x, y):
+    """GradedSeries product with one LaurentPoly per grade pair (n1, n2),
+    added into grade n1 + n2: the oracle."""
+    if x.is_zero() or y.is_zero():
+        return GradedSeries.zero(min(x.boundary + y.quarter_prefactor,
+                                     y.boundary + x.quarter_prefactor))
+    order = min(x.order, y.order)
+    out = {}
+    for n1, p1 in x.coeffs.items():
+        for n2, p2 in y.coeffs.items():
+            n = n1 + n2
+            if n > order:
+                continue
+            prod = pairwise_poly_mul(p1, p2)
+            if n in out:
+                prod = out[n] + prod
+            if prod.is_zero():
+                out.pop(n, None)
+            else:
+                out[n] = prod
+    return GradedSeries(x.quarter_prefactor + y.quarter_prefactor, out, order)
+
+
+def factor_by_factor_pochhammer(factors, order):
+    """pochhammer_product as acc * (1 + s q^c m), one factor at a time."""
+    acc = GradedSeries.one(order)
+    for sign, c, mono in factors:
+        if sign not in (1, -1):
+            raise DomainError("factor sign must be +-1, got %r" % (sign,))
+        c = int(c)
+        if c < 1:
+            raise DomainError("factor nome power must be >= 1, got %d" % c)
+        if c > order:
+            continue
+        mono = (0, 0) if mono is None else (int(mono[0]), int(mono[1]))
+        factor = GradedSeries(0, {0: LaurentPoly.constant(1),
+                                  c: LaurentPoly.monomial(*mono, coeff=sign)}, order)
+        acc = pairwise_mul(acc, factor)
+    return acc
+
+
+def snapshot(series):
+    """Prefactor, order and the full coefficient table, as plain values."""
+    return (series.quarter_prefactor, series.order,
+            {n: {m: (c.re, c.im) for m, c in p.terms.items()}
+             for n, p in series.coeffs.items()})
+
+
+def assert_clean(series):
+    assert all(p.terms for p in series.coeffs.values()), "empty grade stored"
+    assert all(c for p in series.coeffs.values() for c in p.terms.values()), \
+        "zero coefficient stored"
+
+
+def random_series(rng, order):
+    def coeff():
+        big = 2 ** rng.randint(0, 90)
+        return Gaussian(rng.randint(-big, big), rng.choice([0, rng.randint(-big, big)]))
+
+    coeffs = {}
+    for n in rng.sample(range(order + 1), rng.randint(0, min(order + 1, 4))):
+        coeffs[n] = LaurentPoly({(rng.randint(-2, 2), rng.randint(-1, 1)): coeff()
+                                 for _ in range(rng.randint(1, 4))})
+    return GradedSeries(rng.randint(-6, 6), coeffs, order)
+
+
+def test_fused_product_matches_pairwise_oracle():
+    rng = random.Random(13)
+    u, v = LaurentPoly.monomial(1, 0), LaurentPoly.monomial(0, 1)
+    cases = [
+        # (1 + q u)(1 - q u): grade 1 cancels, the q^2 u^2 term survives
+        (GradedSeries(0, {0: LaurentPoly.constant(1), 1: u}, 3),
+         GradedSeries(0, {0: LaurentPoly.constant(1), 1: -u}, 3)),
+        # (1 + q u)(u - q u^2): all of grade 1 cancels, an empty grade
+        (GradedSeries(0, {0: LaurentPoly.constant(1), 1: u}, 2),
+         GradedSeries(0, {0: u, 1: LaurentPoly.monomial(2, 0, coeff=-1)}, 2)),
+        # (u + v)(u - v) in one grade: only the cross terms cancel
+        (GradedSeries.from_poly(u + v, 1, 0), GradedSeries.from_poly(u - v, 3, 0)),
+        (GradedSeries.zero(7), theta_series(1, 1, (1, 0), 4)),
+        (theta_series(2, 2, (1, -1), 5), GradedSeries.zero(-3)),
+        (GradedSeries.one(0), theta_series(3, 1, (0, 1), 0)),
+    ]
+    for _ in range(400):
+        cases.append((random_series(rng, rng.randint(0, 6)),
+                      random_series(rng, rng.randint(0, 6))))
+    for x, y in cases:
+        before = (snapshot(x), snapshot(y))
+        got = x * y
+        assert snapshot(got) == snapshot(pairwise_mul(x, y)), (x, y)
+        assert got.boundary == pairwise_mul(x, y).boundary
+        assert_clean(got)
+        assert (snapshot(x), snapshot(y)) == before
+    assert snapshot(cases[0][0] * cases[0][1])[2] == {0: {(0, 0): (1, 0)},
+                                                      2: {(2, 0): (-1, 0)}}
+    assert 1 not in (cases[1][0] * cases[1][1]).coeffs
+
+
+def test_fused_poly_product_matches_pairwise_oracle():
+    rng = random.Random(14)
+    for _ in range(300):
+        p1, p2 = (random_series(rng, 0).coeffs.get(0, LaurentPoly()) for _ in range(2))
+        before = (dict(p1.terms), dict(p2.terms))
+        got = p1 * p2
+        assert got.terms == pairwise_poly_mul(p1, p2).terms
+        assert all(got.terms.values())
+        assert (p1.terms, p2.terms) == before
+
+
+def test_shift_and_add_pochhammer_matches_factor_by_factor_oracle():
+    rng = random.Random(15)
+
+    def random_factor(order):
+        mono = rng.choice([None, (rng.randint(-2, 2), rng.randint(-1, 1))])
+        return rng.choice([1, -1]), rng.randint(1, order + 3), mono
+
+    cases = [([], 0), ([], 5), ([(1, 1, None)], 0), ([(1, 4, (1, 0))], 3),
+             # (1 + q u)(1 - q u) and (1 - q)(1 + q): grade 1 cancels
+             ([(1, 1, (1, 0)), (-1, 1, (1, 0))], 4), ([(-1, 1, None), (1, 1, None)], 3),
+             (geometric_factors(-1, 1, 1, None, 12), 12)]
+    for _ in range(300):
+        order = rng.randint(0, 10)
+        cases.append(([random_factor(order) for _ in range(rng.randint(0, 8))], order))
+    for factors, order in cases:
+        before = list(factors)
+        got = pochhammer_product(factors, order)
+        assert snapshot(got) == snapshot(factor_by_factor_pochhammer(factors, order)), \
+            (factors, order)
+        assert_clean(got)
+        assert factors == before
+    assert snapshot(pochhammer_product([(1, 1, (1, 0)), (-1, 1, (1, 0))], 4)) == \
+           (0, 4, {0: {(0, 0): (1, 0)}, 2: {(2, 0): (-1, 0)}})
+    # an invalid factor raises as in the oracle, even after one past the order
+    for bad in ([(1, 9, None), (2, 1, None)], [(1, 9, None), (1, 0, None)],
+                [(0, 0, None)]):
+        with pytest.raises(DomainError) as want:
+            factor_by_factor_pochhammer(bad, 4)
+        with pytest.raises(DomainError) as got:
+            pochhammer_product(bad, 4)
+        assert str(got.value) == str(want.value)
+
+
+
+# ---------------------------------------------------------------------------
 # comparison
 # ---------------------------------------------------------------------------
 

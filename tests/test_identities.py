@@ -405,6 +405,67 @@ def test_certificates_at_default_order_are_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
+# SHA-256 of certificate_text(id, order)[1] at the higher orders, as
+# (order 48, order 96), for every formal id
+HIGH_ORDER_CERTIFICATE_SHA256 = {
+    "quasi_period_1": (
+        "9855d9647dbf5b390bd31b9cd6f83f4e8b90430478d432c3628811081634070d",
+        "a61571cdafd983be190fbe8a9418dc3193937d40de16a73759a85449230b1826"),
+    "quasi_period_2": (
+        "e51823908f614458804206c4bd8afddb2e27aa8510e6ce48d473dda1f20fa988",
+        "f6ebe679b8f2797bfe3c3095f0ea53e5075210a5386c8f91ad312de72bda39dc"),
+    "quasi_period_3": (
+        "d0e5e540e8045ca37c7109c1e44e53409330759c5d1f033f0b50b5fec27fbdef",
+        "5e5441084811a120317c322d1979018184de45203bc681f9d76d66090a604992"),
+    "quasi_period_4": (
+        "8729c0a20c9231875048cf5b703ef0fde33079c3e0579069360327d31754212c",
+        "a3b8baef902391e98261eb1fbe4964c789c174023bdc4c00e95e7714572f8d8f"),
+    "half_period_1": (
+        "c2ac2dcafbc78102bf3a7a03c2e0c9efbf4b4b43672c80ee1bb7527d89350c45",
+        "f87f85d88a9ba860d8da4c63a5f4ed918ecb9841c21a923766f0cb200a71a880"),
+    "half_period_2": (
+        "657f236b3c210e473786d6a4cf2e67982de5898c95dac74e0b19a1174580b913",
+        "d0cb2a41f1653c7af7941261ad794ec9b04ed58c7db5345509485dcead8a2093"),
+    "half_period_3": (
+        "e22bb52294bf8ff2f76d8108161be16658c7449f37390e86cb1b197f87025a1a",
+        "cadd1c794f362b99cbf6208a3feb755116de06d014474c76c711a70eb0720085"),
+    "half_period_4": (
+        "d28b8cd769947bf26d3ca0ad7ce36a2d033373d6933c8d6b7b8272fa3ed31f37",
+        "f22acae801014ce430632150a81ed59bd96fcc3f9a966800aa0d59d4f3b4f51e"),
+    "duplication_12": (
+        "e46c4a316c51b16cb85539307ff048f4ea922f39de0d833eb7761357d43716e1",
+        "df58b1ec056be65da446d708f9e43f6740f2f6dbb1ec2f0342a1b5b38dcaeae5"),
+    "duplication_23": (
+        "0bafd085afc272d47d879915f50a0fab3c2cbb0352e89dcb033403cf1080df1a",
+        "7ccd1bbbc21cdfe9a7674817752937e29685e908f2e9a0502388d3a64e6da489"),
+    "triple_product_1": (
+        "ca8222fb639602090074144bdde8af67abf535f8f7fe98bc4d23fbb0537a6126",
+        "5962a512e55e48d8ce6e0b9cad2c11713311e9fa9937d48d6681bd6f6e92e3b5"),
+    "triple_product_2": (
+        "0e6ce8dc42ec75ee4e6e7a6dc064e6bc8f0d7e492261735783808fe0de8327ce",
+        "0d61a2cd5797c0ff86c83acbbe2a2e468423d102c20b3bf77fedb1ab8a260d27"),
+    "triple_product_3": (
+        "e84c13d3ec9557fa66bf219ea2fc9026397040ac79b0a49bedeca9497e241c61",
+        "5f96d1837d4c8ed581e355f2ceeb82e117e01e0682aa53d8497e4aa787e1a330"),
+    "triple_product_4": (
+        "bf776744d12f22d084ea65d31d622df6d786e5cd3313f3c90b110f00ccab4c12",
+        "6bf2664468b02b2811c1ad228962b0222680a173979c65d2abe3b9e0de5ea0b6"),
+    "thm2": (
+        "fbdbc63eecb8103d4d9281b6465175b07b24458a7de038aaac6aa085436cd7b1",
+        "b3996a9ef95092a715b432d0091e5d8ded046240f9d2aa6995bbe5af888ef5a5"),
+}
+
+
+def test_certificates_at_orders_48_and_96_are_pinned():
+    assert list(HIGH_ORDER_CERTIFICATE_SHA256) == list(CERTIFICATE_SHA256)
+    for name, digests in HIGH_ORDER_CERTIFICATE_SHA256.items():
+        for order, digest in zip((48, 96), digests):
+            report, text = certificate_text(name, order)
+            assert report.params["requested_order"] == order, name
+            assert report.passed, (name, order, report.failures)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, order)
+
+
 def test_classical_residuals_strictly_decreasing():
     for which in ("tan", "cot"):
         r = classical_residuals(which)

@@ -416,6 +416,21 @@ def test_untested_prefix_keeps_the_bits_of_the_tested_loop():
     assert exhausted > 500
 
 
+def test_untested_prefix_stops_short_of_the_first_tested_stop():
+    # real 0 < a < 1 and q in [1e-6, 0.9], ln(a q^j) placed 1e-6 to 5e-4
+    # below ln(EPS (1 - q)): the tested loop stops at factor j, and a prefix
+    # margin below -5e-4 would multiply in the factor (1 - a q^j) as well
+    rng = random.Random(13)
+    for _ in range(2000):
+        q = 10 ** rng.uniform(-6, math.log10(0.9))
+        ln_floor, ln_step = pochhammer_logs(q)
+        j = rng.randint(0, min(MAX_TERMS - 1, int(-ln_floor / ln_step)))
+        a = math.exp(ln_floor - rng.uniform(1e-6, 5e-4) + j * ln_step)
+        want = outcome(reference_pochhammer, a, q)
+        assert outcome(qpochhammer, a, q) == want, (a, q, j)
+        assert outcome(qpochhammer, a, q, (ln_floor, ln_step)) == want, (a, q, j)
+
+
 def test_theta_product_factor_is_computed_once_per_nome(monkeypatch):
     calls = []
 

@@ -38,8 +38,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # seeds per workload: each workload a speed-up may be claimed on gets ten
-# pairs, so that nine wins of ten can be shown; the controls get three
-SEEDS = {"sampled_residuals": 10, "exact_certify": 3, "classical_limit": 3,
+# pairs, so that nine wins of ten can be shown; the control gets three
+SEEDS = {"sampled_residuals": 10, "exact_certify": 10, "classical_limit": 3,
          "crosscheck_domain": 10}
 FIRST_SEED = 11
 RUN_TIMEOUT_S = 1800
