@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Optional
 
 import mpmath as mp
@@ -225,18 +226,25 @@ def thm2_sides(s2, d3, x1, y2, y1, x2, s1, d4) -> tuple:
     return s2 * d3 * (x1 * y2 + y1 * x2), s1 * d4 * (x2 * y2 - x1 * y1)
 
 
+# the first-listed entry of each of THM2_THETAS' four partner pairs, and an
+# itemgetter that takes the table's values from the leads' theta_pair results
+_THM2_LEADS = tuple(e for i, e in enumerate(THM2_THETAS)
+                    if (PARTNER[e[0]], *e[1:]) not in THM2_THETAS[:i])
+_THM2_PICK = itemgetter(*(2 * _THM2_LEADS.index(e) if e in _THM2_LEADS else
+                          2 * _THM2_LEADS.index((PARTNER[e[0]], *e[1:])) + 1
+                          for e in THM2_THETAS))
+
+
 def _thm2_thetas(x: complex, y: complex, p: ModularParam) -> tuple:
     """The values of THM2_THETAS at x, y and tau, in the table's order; its
     four partner pairs take one theta_pair each, led by the first-listed kind."""
     p2 = qsquared_param(p)
     # a*x + b*y as the plain x + y, x - y, x or y: 1*x + 0*y can flip a zero's sign
     args = {(1, 1): x + y, (1, -1): x - y, (1, 0): x, (0, 1): y}
-    values = {}
-    for kind, scale, ab in THM2_THETAS:
-        if (kind, scale, ab) not in values:
-            values[kind, scale, ab], values[PARTNER[kind], scale, ab] = theta_pair(
-                kind, args[ab], p2 if scale == 2 else p)
-    return tuple(values[entry] for entry in THM2_THETAS)
+    values = []
+    for kind, scale, ab in _THM2_LEADS:
+        values += theta_pair(kind, args[ab], p2 if scale == 2 else p)
+    return _THM2_PICK(values)
 
 
 def _pairs_thm2(x: complex, y: complex, p: ModularParam) -> list:
@@ -432,17 +440,15 @@ def tolerance_for(identity: str, tolerance: Optional[float] = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _normalized(lhs: complex, rhs: complex) -> float:
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-
 def numeric_residual(identity: str, x: complex, y: Optional[complex] = None,
                      tau: complex = 1.1j) -> float:
     """Normalized residual of one identity at one sample point.
 
     For constrained identities the third argument is derived from x and y;
     single-variable identities read their variable from x and reject a y.
-    Propagates PoleError so callers can resample.
+    Propagates PoleError so callers can resample.  The residual is the
+    largest over the identity's pairs of |lhs - rhs| / max(1, |lhs|, |rhs|),
+    or nan as soon as one pair gives nan.
     """
     info = identity_info(identity)
     if info.pairs is None:
@@ -453,8 +459,14 @@ def numeric_residual(identity: str, x: complex, y: Optional[complex] = None,
     if info.nvars == 1 and y is not None:
         raise DomainError("identity %s takes x only, not y" % identity)
     p = make_param(tau)
-    pairs = info.pairs(complex(x), None if y is None else complex(y), p)
-    return max(_normalized(lhs, rhs) for lhs, rhs in pairs)
+    worst = 0.0
+    for lhs, rhs in info.pairs(complex(x), None if y is None else complex(y), p):
+        res = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+        if res > worst:
+            worst = res
+        elif res != res:
+            return res
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +551,14 @@ def classical_residuals(which: str, qs=CLASSICAL_Q) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _draw(rng: random.Random, box) -> complex:
+def _sampler(rng: random.Random, box) -> Callable:
+    """Uniform draws from box (corners lo, hi), real part first, each by
+    random.uniform's own formula lo + (hi - lo) * random()."""
+    unit = rng.random
     lo, hi = complex(box[0]), complex(box[1])
-    return complex(rng.uniform(lo.real, hi.real), rng.uniform(lo.imag, hi.imag))
+    re_lo, re_span = lo.real, hi.real - lo.real
+    im_lo, im_span = lo.imag, hi.imag - lo.imag
+    return lambda: complex(re_lo + re_span * unit(), im_lo + im_span * unit())
 
 
 def _verify_classical(identity: str, tolerance: float) -> IdentityReport:
@@ -570,14 +587,14 @@ def _verify_classical(identity: str, tolerance: float) -> IdentityReport:
 
 
 def _verify_probe(plan: SamplePlan, tolerance: float) -> IdentityReport:
-    rng = random.Random("%d:f_constancy" % plan.seed)
+    draw = _sampler(random.Random("%d:f_constancy" % plan.seed), PROBE_BOX)
     count = min(plan.count, PROBE_COUNT)
     values = []
     failures = []
     attempts = 0
     while len(values) < count and attempts < 10 * count:
         attempts += 1
-        x = _draw(rng, PROBE_BOX)
+        x = draw()
         try:
             values.append(constancy_probe(x, PROBE_Y, PROBE_TAU))
         except PoleError:
@@ -613,7 +630,8 @@ def verify_numeric(identity: str, plan: SamplePlan = DEFAULT_PLAN,
 
     Deterministic for a given plan seed.  Samples that land on a pole are
     resampled (up to ten times the requested count); convergence failures
-    are recorded and fail the identity without raising.
+    and residuals that are not finite are recorded and fail the identity
+    without raising.
     """
     info = identity_info(identity)
     tolerance = tolerance_for(identity, tolerance)
@@ -624,24 +642,30 @@ def verify_numeric(identity: str, plan: SamplePlan = DEFAULT_PLAN,
         # its own fixed box and tau, not by per-sample residuals
         return _verify_probe(plan, tolerance)
 
-    rng = random.Random("%d:%s" % (plan.seed, identity))
+    draw = _sampler(random.Random("%d:%s" % (plan.seed, identity)), SAMPLE_BOX)
     taus = [complex(t) for t in plan.tau_set]
     max_res = 0.0
     worst = None
     failures = []
     done = 0
     attempts = 0
+    two = info.nvars == 2
     while done < plan.count and attempts < 10 * plan.count:
         attempts += 1
         tau = taus[done % len(taus)]
-        x = _draw(rng, SAMPLE_BOX)
-        y = _draw(rng, SAMPLE_BOX) if info.nvars == 2 else None
+        x = draw()
+        y = draw() if two else None
         try:
             res = numeric_residual(identity, x, y, tau)
         except PoleError:
             continue
         except (ConvergenceError, DomainError) as exc:
             failures.append({"tau": [tau.real, tau.imag], "error": str(exc)})
+            break
+        if not math.isfinite(res):
+            # a nan or inf residual is no sample; it fails like a ConvergenceError
+            failures.append({**sample_point(x, y, tau),
+                             "error": "residual is %r" % res})
             break
         done += 1
         if res > max_res:

@@ -57,7 +57,8 @@ def qtrig_theta(kind: str, z: complex, p: ModularParam) -> complex:
     null cache of tau' (theta_sum_null), so each is summed once per tau'.
     tan_q, cot_q sum both thetas at once, denominator first.
     """
-    check_qtrig_kind(kind)
+    if kind not in QTRIG_KINDS:
+        check_qtrig_kind(kind)
     z = complex(z)
     if kind in ("ssn_q", "ccs_q"):
         return ssn_ccs(z, p, kind)[0]

@@ -30,6 +30,7 @@ from .params import (
     EPS,
     LN_EPS,
     MAX_TERMS,
+    THETA_KINDS,
     ModularParam,
     check_kind,
     pochhammer_logs,
@@ -90,17 +91,18 @@ def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
     quotients (q-trigonometric functions) cancel the prefactors exactly,
     which matters when q^(1/4) underflows.
 
-    One loop serves every kind and sums both of a pair.  With odd = 1 for
+    One call sums both of a pair, in one loop per parity.  With odd = 1 for
     kinds 1, 2 and 0 for kinds 3, 4, index k >= 1 - odd contributes
 
         q^(k(k+odd)) (e^((2k+odd)iz) +- e^(-(2k+odd)iz)),
 
     the difference for kind 1, a sign (-1)^k for kinds 1 and 4, and the
-    k = 0 term of kinds 3, 4 is the 1 the sum starts from; each sum adds its
-    terms in the order a loop of its own would.  It stops once the geometric
-    tail past k, first term 2 |q|^(k(k+odd)) e^((2k+odd)|Im z|) and ratio
-    r = |q|^(2k+1+odd) e^(2|Im z|), is below EPS.  Errors name kind,
-    and the partner only when its sum alone is not finite.
+    k = 0 term of kinds 3, 4 is the 1 the sum starts from.  A term with sign
+    -1 is subtracted, which in IEEE arithmetic is adding its negation, so
+    each sum keeps the bits of a loop of its own.  It stops once the
+    geometric tail past k, first term 2 |q|^(k(k+odd)) e^((2k+odd)|Im z|)
+    and ratio r = |q|^(2k+1+odd) e^(2|Im z|), is below EPS.  Errors name
+    kind, and the partner only when its sum alone is not finite.
 
     In log space the tail test is ln_bound + ln r - log1p(-r) < ln eps,
     with ln r = (2k+1+odd) ln|q| + 2|Im z| and ln_bound = ln 2 +
@@ -112,11 +114,13 @@ def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
     ln_bound + ln r < ln eps does, so log1p and exp run only once that
     cheaper pre-test passes.
     """
-    check_kind(kind)
+    if kind not in THETA_KINDS:
+        check_kind(kind)
     odd = 1 if kind < 3 else 0
+    imz = abs(z.imag)
     # |e^(iz)|^(2-odd) is the largest factor; past double range exp fails,
     # as it does when (2-odd)*Re z overflows to inf
-    if abs(z.imag) * (2 - odd) > _LN_DOUBLE_MAX:
+    if imz * (2 - odd) > _LN_DOUBLE_MAX:
         raise _overflow(kind, z, "series")
     try:
         up = cmath.exp((2 - odd) * 1j * z)    # e^((2k+odd)iz), stepped with k
@@ -124,42 +128,73 @@ def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
         raise _overflow(kind, z, "series") from None
     um = 1 / up
     q = p.q
-    if abs(q) == 0.0:
+    if not q:
         # nome underflowed (huge Im tau); the q -> 0 limit is the correctly
         # rounded value: only the innermost summation indices survive
         pair = (up - um, up + um) if odd else (1 + 0j, 1 + 0j)
         return pair if kind % 2 else pair[::-1]
-    step, step_inv = (up * up, um * um) if odd else (up, um)
     # tail bounds live in log space so huge |Im z| cannot overflow a float
-    imz2 = 2.0 * abs(z.imag)   # log of the growth factor |e^(2zi)|^(+-1)
-    a = b = 0j if odd else 1 + 0j   # the sums of kinds 1, 2 or of kinds 3, 4
+    imz2 = 2.0 * imz   # log of the growth factor |e^(2zi)|^(+-1)
+    # the term table grows by slice stores: a thread that extended it first
+    # is overwritten with the same entry
     table = p.terms[odd]
-    for k in range(1 - odd, MAX_TERMS + 1):
-        if k < len(table):
+    n = len(table)
+    if odd:
+        # a = theta1's sum, with (-1)^k, b = theta2's; e^((2k+1)iz) steps by e^(2iz)
+        a = b = 0j
+        step, step_inv = up * up, um * um
+        for k in range(MAX_TERMS + 1):
+            if k == n:
+                table[k:k + 1] = (theta_term(q, p.ln_abs_q, k, 1),)
+                n = len(table)
             qk, lnr, lnb, half = table[k]
-        else:
-            qk, lnr, lnb, half = entry = theta_term(q, p.ln_abs_q, k, odd)
-            # k == len(table) here; as a slice store, a thread that
-            # extended the table first is overwritten with the same entry
-            table[k:k + 1] = (entry,)
-        plus = qk * (up + um)
-        minus = qk * (up - um) if odd else plus
-        a += -minus if odd and k % 2 else minus
-        b += -plus if k % 2 and not odd else plus
-        ln_ratio = lnr + imz2
-        if ln_ratio < 0.0:
-            head = lnb + half * imz2 + ln_ratio
-            if head < LN_EPS and head - math.log1p(-math.exp(ln_ratio)) < LN_EPS:
-                pair = (a, b) if kind % 2 else (b, a)
-                if not (cmath.isfinite(a) and cmath.isfinite(b)):
-                    bad = kind if not cmath.isfinite(pair[0]) else PARTNER[kind]
-                    raise _overflow(bad, z, "series")
-                return pair
-        up *= step
-        um *= step_inv
+            if k & 1:
+                a -= qk * (up - um)
+            else:
+                a += qk * (up - um)
+            b += qk * (up + um)
+            ln_ratio = lnr + imz2
+            if ln_ratio < 0.0:
+                head = lnb + half * imz2 + ln_ratio
+                if head < LN_EPS and head - math.log1p(-math.exp(ln_ratio)) < LN_EPS:
+                    return _finished(kind, z, a, b)
+            up *= step
+            um *= step_inv
+    else:
+        # a = theta3's sum, b = theta4's, with (-1)^k; e^(2kiz) steps by e^(2iz)
+        a = b = 1 + 0j
+        step, step_inv = up, um
+        for k in range(1, MAX_TERMS + 1):
+            if k == n:
+                table[k:k + 1] = (theta_term(q, p.ln_abs_q, k, 0),)
+                n = len(table)
+            qk, lnr, lnb, half = table[k]
+            plus = qk * (up + um)
+            a += plus
+            if k & 1:
+                b -= plus
+            else:
+                b += plus
+            ln_ratio = lnr + imz2
+            if ln_ratio < 0.0:
+                head = lnb + half * imz2 + ln_ratio
+                if head < LN_EPS and head - math.log1p(-math.exp(ln_ratio)) < LN_EPS:
+                    return _finished(kind, z, a, b)
+            up *= step
+            um *= step_inv
     raise ConvergenceError(
         "theta%d series did not meet eps=%g in %d terms (reduce the argument?)"
         % (kind, EPS, MAX_TERMS))
+
+
+def _finished(kind: int, z: complex, a: complex, b: complex) -> tuple:
+    """theta_sum's result from the sums a of kind 1 or 3 and b of kind 2 or 4:
+    kind's sum first, or RangeError naming the first sum that is not finite."""
+    pair = (a, b) if kind % 2 else (b, a)
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        bad = kind if not cmath.isfinite(pair[0]) else PARTNER[kind]
+        raise _overflow(bad, z, "series")
+    return pair
 
 
 def theta_sum_null(kind: int, p: ModularParam) -> complex:

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import hashlib
+import json
 import math
 import random
 
@@ -646,6 +647,83 @@ def test_probe_pole_draws(monkeypatch):
     assert len(calls) == 100
     assert (report.status, report.samples) == ("fail", 0)
     assert report.failures == [{"error": "no valid samples"}]
+
+
+def reference_draw(rng, box):
+    lo, hi = complex(box[0]), complex(box[1])
+    return complex(rng.uniform(lo.real, hi.real), rng.uniform(lo.imag, hi.imag))
+
+
+def reference_verify(identity, plan):
+    """verify_numeric's sampling loop, drawing with random.uniform: the
+    stream its hoisted draws must keep, and the report built from it."""
+    info = identity_info(identity)
+    tolerance = info.tolerance
+    rng = random.Random("%d:%s" % (plan.seed, identity))
+    taus = [complex(t) for t in plan.tau_set]
+    max_res, worst, failures, done, attempts = 0.0, None, [], 0, 0
+    while done < plan.count and attempts < 10 * plan.count:
+        attempts += 1
+        tau = taus[done % len(taus)]
+        x = reference_draw(rng, identities.SAMPLE_BOX)
+        y = reference_draw(rng, identities.SAMPLE_BOX) if info.nvars == 2 else None
+        try:
+            res = identities.numeric_residual(identity, x, y, tau)
+        except PoleError:
+            continue
+        done += 1
+        if res > max_res:
+            max_res, worst = res, (x, y, tau)
+        if res > tolerance:
+            failures.append({**identities.sample_point(x, y, tau), "residual": res})
+    params = {"seed": plan.seed, "tolerance": tolerance,
+              "tau_set": [[t.real, t.imag] for t in taus]}
+    if worst is not None:
+        params["worst_sample"] = identities.sample_point(*worst)
+    return identities.IdentityReport(
+        id=identity, mode="numeric",
+        status="pass" if done == plan.count and not failures else "fail",
+        samples=done, max_abs_residual=max_res, params=params, failures=failures)
+
+
+def test_sampler_keeps_the_random_uniform_stream(monkeypatch):
+    # one and two variables, and pole resamples that skip draws
+    for ident in ("quasi_period_2", "thm2"):
+        plan = SamplePlan(seed=11, count=30)
+        want = report_as_dict(reference_verify(ident, plan))
+        assert report_as_dict(verify_numeric(ident, plan)) == want
+    plan = SamplePlan(seed=5, count=12)
+    runs = []
+    for driver in (verify_numeric, reference_verify):
+        calls = _poles_on(monkeypatch, "numeric_residual", lambda i: i % 3 == 0)
+        runs.append((report_as_dict(driver("cor_tan", plan)), calls))
+        monkeypatch.undo()
+    assert runs[0] == runs[1] and len(runs[0][1]) == 17
+
+
+@pytest.mark.parametrize("pairs", [[(1, 1), (math.nan, 1)], [(math.nan, 1), (1, 1)],
+                                   [(math.nan, 1)], [(1e308, -1e308)]])
+def test_non_finite_residual_fails_the_identity(monkeypatch, pairs):
+    # |lhs - rhs| / max(1, |lhs|, |rhs|) is nan when a side is nan, and inf
+    # when the difference overflows; max() and "res > tolerance" let both pass
+    calls = []
+
+    def builder(x, y, p):
+        calls.append(x)
+        return [(1, 1)] if len(calls) < 3 else pairs
+
+    info = dataclasses.replace(identities.REGISTRY["cosq_shift"], pairs=builder)
+    monkeypatch.setitem(identities.REGISTRY, "cosq_shift", info)
+    report = verify_numeric("cosq_shift", SamplePlan(seed=7, count=5))
+    bad = numeric_residual("cosq_shift", 0.5, None, 1.1j)
+    assert math.isnan(bad) or bad == math.inf
+    assert (report.status, report.samples, report.max_abs_residual) == ("fail", 2, 0.0)
+    [failure] = report.failures
+    assert failure["error"] == "residual is %r" % bad
+    x = calls[2]
+    assert (failure["x"], failure["y"]) == ([x.real, x.imag], None)
+    assert failure["tau"] == [0.5, 0.9]      # tau_set[2], after two samples
+    json.dumps(report_as_dict(report), allow_nan=False)
 
 
 def _negate(kinds):

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import math
 import random
 import sys
@@ -245,12 +246,22 @@ def test_product_path_huge_imaginary_argument_raises_convergence_error():
 
 
 def table_free_sum(kind, z, p):
-    """theta_sum without the per-nome term tables or the tail pre-test:
-    q ** (k*(k+odd)) and every part of the tail bound formed afresh for each
-    term, and the full tail test at every k."""
+    """theta_sum's sum of kind alone, without the per-nome term tables or the
+    tail pre-test: q ** (k*(k+odd)) and every part of the tail bound formed
+    afresh for each term, and the full tail test at every k.  Each error is
+    theta_sum's, naming kind."""
     odd = 1 if kind in (1, 2) else 0
-    up = cmath.exp((2 - odd) * 1j * z)
+    overflow = RangeError("theta%d series overflowed double range at z = %r "
+                          "(reduce the argument first)" % (kind, z))
+    if abs(z.imag) * (2 - odd) > math.log(sys.float_info.max):
+        raise overflow
+    try:
+        up = cmath.exp((2 - odd) * 1j * z)
+    except (ValueError, OverflowError):
+        raise overflow from None
     um = 1 / up
+    if p.q == 0:
+        return (up - um if kind == 1 else up + um) if odd else 1 + 0j
     step, step_inv = (up * up, um * um) if odd else (up, um)
     ln_q, ln_eps, imz2 = math.log(abs(p.q)), math.log(EPS), 2.0 * abs(z.imag)
     total = 0j if odd else 1 + 0j
@@ -262,10 +273,13 @@ def table_free_sum(kind, z, p):
         if ln_ratio < 0.0:
             ln_bound = math.log(2.0) + (k * (k + odd)) * ln_q + (k + odd / 2) * imz2
             if ln_bound + ln_ratio - math.log1p(-math.exp(ln_ratio)) < ln_eps:
+                if not cmath.isfinite(total):
+                    raise overflow
                 return total
         up *= step
         um *= step_inv
-    raise ConvergenceError("no convergence")
+    raise ConvergenceError("theta%d series did not meet eps=1e-16 in 256 terms "
+                           "(reduce the argument?)" % kind)
 
 
 def value_bits(v):
@@ -298,6 +312,50 @@ def test_power_tables_do_not_change_values():
         with pytest.raises(ConvergenceError, match="in 256 terms"):
             theta_sum(kind, 0.2 + 0.01j, capped)
     assert [len(table) for table in capped.terms] == [MAX_TERMS + 1] * 2
+
+
+def sum_bits(kind, z, p):
+    return list(map(value_bits, theta_sum(kind, z, p)))
+
+
+def pair_outcome(f, kind, z, p):
+    """Both sums' bits, or the class and message of the error."""
+    try:
+        return f(kind, z, p)
+    except (ConvergenceError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def test_theta_sum_keeps_the_bits_of_the_table_free_sum():
+    # every kind and |q| regime, cold and warm params, tables grown past
+    # their length, signed zeros, the q = 0 branch, and every error
+    rng = random.Random(14)
+    cases = []
+    for _ in range(600):
+        im_tau = 10 ** rng.uniform(math.log10(0.05), math.log10(30.0))
+        p = make_param(complex(rng.uniform(-2, 2), im_tau))
+        zs = [complex(rng.uniform(-3, 3), rng.uniform(-1.5, 1.5) * im_tau),
+              complex(rng.uniform(-3, 3), rng.uniform(-12, 12)),
+              complex(rng.choice([0.0, -0.0, 0.4]), rng.choice([0.0, -0.0, -0.3])),
+              complex(rng.uniform(-1, 1), rng.choice([-1, 1]) * rng.uniform(340, 360)),
+              complex(rng.choice([-1e308, 1e308, 1e300]), rng.uniform(-1, 1))]
+        for z in zs:
+            cases.append((rng.choice([1, 2, 3, 4]), z, rng.choice([p, cold_copy(p)])))
+    grown = cold_copy(make_param(0.37 + 0.45j))
+    cases += [(kind, z, grown) for z in (0.3 + 0.1j, 0.1 - 9j, 0.2 + 25j)
+              for kind in (1, 2, 3, 4)]
+    for im_tau in (240.0, 300.0, 1000.0):      # q underflows to 0
+        cases += [(kind, z, make_param(complex(0.3, im_tau))) for kind in (1, 2, 3, 4)
+                  for z in (0.5 - 0.2j, complex(-0.0, 0.0), 300j, 600j, 1e308)]
+    capped = make_param(3e-5j)                 # |q| = 0.9999: 256 terms fall short
+    cases += [(kind, 0.2 + 0.01j, capped) for kind in (1, 2, 3, 4)]
+    outcomes = collections.Counter()
+    for kind, z, p in cases:
+        want = pair_outcome(pair_oracle, kind, z, p)
+        assert pair_outcome(sum_bits, kind, z, p) == want, (kind, z, p.tau)
+        outcomes[want[0] if want[0] in (ConvergenceError, RangeError) else "value"] += 1
+    assert max(len(table) for table in grown.terms) > 30
+    assert len(outcomes) == 3 and min(outcomes.values()) >= 4, outcomes
 
 
 def cold_copy(p):
