@@ -694,9 +694,9 @@ def test_sampler_keeps_the_random_uniform_stream(monkeypatch):
         assert report_as_dict(verify_numeric(ident, plan)) == want
     plan = SamplePlan(seed=5, count=12)
     runs = []
-    for driver in (verify_numeric, reference_verify):
+    for verify in (verify_numeric, reference_verify):
         calls = _poles_on(monkeypatch, "numeric_residual", lambda i: i % 3 == 0)
-        runs.append((report_as_dict(driver("cor_tan", plan)), calls))
+        runs.append((report_as_dict(verify("cor_tan", plan)), calls))
         monkeypatch.undo()
     assert runs[0] == runs[1] and len(runs[0][1]) == 17
 
