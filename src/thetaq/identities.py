@@ -12,7 +12,11 @@ precision: the deviation of the q-deformed tangent from the ordinary one
 shrinks superexponentially as q -> 1 and falls below the double rounding
 floor well before q = 0.9, so those residuals are computed with mpmath,
 expanded in that small deviation itself so that no O(1) terms cancel, at 25
-digits above the caller's precision.
+digits above the caller's precision.  Their theta tails keep the package's
+truncation contract at that precision: each stops once the next term is
+below the working precision relative to the first, which near q = 1 is after
+one term and at small q after a few dozen, and raises ConvergenceError after
+MAX_TERMS.  One mp.cos_sin per point gives every sine and cosine they use.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .formal import (
     shift_margin,
     theta_series,
 )
-from .params import ModularParam, check_integer, make_param
+from .params import MAX_TERMS, ModularParam, check_integer, make_param
 from .qtrig import (
     POLE_RATIO,
     QTRIG_KINDS,
@@ -139,7 +143,10 @@ PROBE_COUNT = 50
 CLASSICAL_Q = (0.9, 0.99, 0.999)
 CLASSICAL_X = 0.7
 CLASSICAL_Y = 1.1
-CLASSICAL_TERMS = 8    # summation indices k < 8 in each classical tan_q
+# bits below the working precision, relative to the k = 1 term, at which the
+# classical tan_q tails stop: room for the cancellation in a - b and for the
+# size of the dropped tail
+_TAIL_GUARD_BITS = 10
 
 
 @dataclass
@@ -481,14 +488,33 @@ def _mp_tan_eps(z, qprime) -> tuple:
     and cos z, so tan_q z = tan z * (1 + a) / (1 + b) with a, b the k >= 1
     tails of the two sums.  eps = (a - b) / (1 + b) is formed from the tails
     alone and carries no cancellation against the O(1) terms.
+
+    Term k is w_k = qprime^(k(k+1)) times a sine or cosine of (2k+1)z, each
+    from the one before by the angle-addition step with 2z, and w_k is
+    w_(k-1) qprime^(2k).  The ratios of successive weights shrink, so the
+    tails stop before the first weight below 2^-(prec + _TAIL_GUARD_BITS)
+    times w_1, or raise ConvergenceError after MAX_TERMS terms.
     """
-    s, c = mp.sin(z), mp.cos(z)
-    a = mp.mpf(0)
-    b = mp.mpf(0)
-    for k in range(1, CLASSICAL_TERMS):
-        w = qprime ** (k * (k + 1))
-        a += (-w if k % 2 else w) * mp.sin((2 * k + 1) * z)
-        b += w * mp.cos((2 * k + 1) * z)
+    c, s = mp.cos_sin(z)
+    c2, s2 = c * c - s * s, 2 * s * c
+    q2 = qprime * qprime
+    w = step = q2
+    floor = mp.ldexp(w, -mp.mp.prec - _TAIL_GUARD_BITS)
+    a = b = mp.mpf(0)
+    sk, ck = s, c
+    for k in range(1, MAX_TERMS + 1):
+        sk, ck = sk * c2 + ck * s2, ck * c2 - sk * s2    # sin, cos of (2k+1)z
+        a += -w * sk if k & 1 else w * sk
+        b += w * ck
+        step *= q2
+        w *= step
+        if w < floor:
+            break
+    else:
+        raise ConvergenceError("classical tan_q tail at nome' %s not below "
+                               "2^-%d after %d terms"
+                               % (mp.nstr(qprime, 6), mp.mp.prec + _TAIL_GUARD_BITS,
+                                  MAX_TERMS))
     a /= s
     b /= c
     return s / c, (a - b) / (1 + b)

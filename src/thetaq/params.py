@@ -154,18 +154,23 @@ def param_from_nome(q: complex) -> ModularParam:
 
 def tau_prime(p: ModularParam) -> ModularParam:
     """The companion parameter -1/tau (an involution on the half-plane)."""
-    return _companion(p, "prime", -1 / p.tau)
+    ref = p.companions.get("prime")
+    if ref is not None and (c := ref()) is not None:
+        return c
+    return _link(p, "prime", -1 / p.tau)
 
 
 def qsquared_param(p: ModularParam) -> ModularParam:
     """Parameter whose nome is q^2, i.e. tau doubled."""
-    return _companion(p, "double", 2 * p.tau)
+    ref = p.companions.get("double")
+    if ref is not None and (c := ref()) is not None:
+        return c
+    return _link(p, "double", 2 * p.tau)
 
 
-def _companion(p: ModularParam, key: str, tau: complex) -> ModularParam:
+def _link(p: ModularParam, key: str, tau: complex) -> ModularParam:
     """make_param(tau), weakly linked from p.companions[key]: a link keeps no
-    param alive, so the make_param cache alone bounds how many stay."""
-    ref = p.companions.get(key)
-    if ref is None or (c := ref()) is None:
-        p.companions[key] = weakref.ref(c := make_param(tau))
+    param alive, so the make_param cache alone bounds how many stay.  The
+    callers form tau only when the link is missing or dead."""
+    p.companions[key] = weakref.ref(c := make_param(tau))
     return c

@@ -492,7 +492,7 @@ def test_classical_residuals_format_at_caller_precision():
             assert abs(float(mp.log10(value)) - expected) < 1e-6
 
 
-def _brute_tan_q(z, qprime, terms=8):
+def _brute_tan_q(z, qprime, terms):
     """tan_q as the plain quotient of the prefactor-free theta sums."""
     num = mp.mpf(0)
     den = mp.mpf(0)
@@ -504,14 +504,16 @@ def _brute_tan_q(z, qprime, terms=8):
     return num / den
 
 
-def _brute_classical_residual(which, qv):
+def _brute_classical_residual(which, qv, terms=8):
     """Reference: subtract the O(1) sides at enough digits to resolve the
-    exp(-2*pi^2/|ln q|) gap, then round to the caller's precision."""
+    exp(-2*pi^2/|ln q|) gap, then round to the caller's precision; each
+    tan_q sums the indices k < terms."""
     digits = int(2 * math.pi ** 2 / -math.log(qv) / math.log(10)) + 80
     with mp.workdps(digits):
         qprime = mp.exp(-mp.pi ** 2 / mp.log(mp.mpf(1) / qv))
         x, y = mp.mpf(0.7), mp.mpf(1.1)
-        tx, ty, tz = (_brute_tan_q(v, qprime) for v in (x, y, mp.pi - x - y))
+        tx, ty, tz = (_brute_tan_q(v, qprime, terms)
+                      for v in (x, y, mp.pi - x - y))
         if which == "tan":
             lhs, rhs = tx + ty + tz, tx * ty * tz
         else:
@@ -532,6 +534,55 @@ def test_classical_residuals_match_brute_force_reference():
             for qv, value in zip(qs, fast):
                 ref = _brute_classical_residual(which, qv)
                 assert abs(value - ref) <= mp.mpf("1e-30") * ref, (which, qv)
+
+
+def _oracle_tan_eps(z, qprime):
+    """The classical (tan z, eps) as first written: a fixed eight indices,
+    each sine and cosine and nome power formed afresh.  Near q = 1 only the
+    k = 1 term reaches the working precision, so at q >= 0.2 the eight
+    suffice."""
+    s, c = mp.sin(z), mp.cos(z)
+    a = mp.mpf(0)
+    b = mp.mpf(0)
+    for k in range(1, 8):
+        w = qprime ** (k * (k + 1))
+        a += (-w if k % 2 else w) * mp.sin((2 * k + 1) * z)
+        b += w * mp.cos((2 * k + 1) * z)
+    a /= s
+    b /= c
+    return s / c, (a - b) / (1 + b)
+
+
+@pytest.mark.parametrize("dps", [15, 30, 50])
+def test_classical_residuals_equal_the_fixed_term_oracle(dps, monkeypatch):
+    # the tail test drops only terms the working precision cannot see, and
+    # the angle-addition sines stay within the 25 guard digits, so every
+    # residual is the same mpf as the eight-term one
+    qs = (0.2, 0.5, 0.9, 0.99, 0.999)
+    with mp.workdps(dps):
+        fast = {which: classical_residuals(which, qs) for which in ("tan", "cot")}
+        monkeypatch.setattr(identities, "_mp_tan_eps", _oracle_tan_eps)
+        for which, values in fast.items():
+            assert values == classical_residuals(which, qs), which
+
+
+def test_classical_residuals_hold_precision_at_small_q():
+    # at small q the nome' nears 1 and the theta tails run long: eight fixed
+    # indices left the residual off by 3.6e-44 at q = 1e-3 and 1.8e-22 at 1e-6
+    qs = (1e-3, 1e-6)
+    with mp.workdps(50):
+        for which in ("tan", "cot"):
+            for qv, value in zip(qs, classical_residuals(which, qs)):
+                ref = _brute_classical_residual(which, qv, terms=40)
+                assert abs(value - ref) <= mp.mpf("1e-45") * ref, (which, qv)
+
+
+def test_classical_tails_keep_the_truncation_contract():
+    # no fixed term count: the tails stop on the tail test, and a nome' too
+    # near 1 for MAX_TERMS terms raises like every other sum
+    assert not hasattr(identities, "CLASSICAL_TERMS")
+    with pytest.raises(ConvergenceError, match="after 256 terms"):
+        identities._mp_tan_eps(mp.mpf(0.7), mp.mpf(1) - mp.mpf(2) ** -20)
 
 
 def test_classical_residuals_validation():

@@ -127,6 +127,23 @@ def test_companion_links_keep_no_param_alive():
     assert qsquared_param(p) is make_param(2 * p.tau)
 
 
+@pytest.mark.parametrize("re", [0.0, -0.0, 0.37])
+def test_dead_companion_link_is_rebuilt_to_the_same_param(re):
+    # a dead link is rebuilt through make_param from the same -1/tau and
+    # 2*tau, so the cached param comes back, zero real part's sign and all
+    p = make_param(complex(re, 0.9))
+    prime, double = tau_prime(p), qsquared_param(p)
+    dead = ModularParam(tau=p.tau, q=p.q, q_quarter=p.q_quarter)
+    p.companions["prime"] = p.companions["double"] = weakref.ref(dead)
+    del dead
+    assert p.companions["prime"]() is None
+    assert tau_prime(p) is prime is make_param(-1 / p.tau)
+    assert qsquared_param(p) is double is make_param(2 * p.tau)
+    for c, tau in ((prime, -1 / p.tau), (double, 2 * p.tau)):
+        assert math.copysign(1.0, c.tau.real) == math.copysign(1.0, tau.real)
+    assert p.companions["prime"]() is prime and p.companions["double"]() is double
+
+
 def test_truncation_contract():
     # one stopping rule for every sum and product: a tail below a double's
     # rounding unit (2.2e-16), or at most 256 terms
