@@ -4,7 +4,7 @@
 
 Each side is a committed revision (the change defaults to HEAD), unpacked
 with `git archive` into a temporary directory, so both sides run from clean
-trees.  For every workload of BENCHMARK.json and each of its SEEDS below,
+trees.  For every workload of BENCHMARK.json, at each of SEEDS seeds (below),
 `perfbench/run.py` runs once per side untraced for BENCHMARK.json's
 run_seconds, parent and change alternating, and which side goes first
 alternating with the seed; then each workload runs once per side with
@@ -39,8 +39,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # seeds per workload: a speed-up may be claimed on any workload, so each gets
 # ten pairs, and nine wins of ten can be shown
-SEEDS = {"sampled_residuals": 10, "exact_certify": 10, "classical_limit": 10,
-         "crosscheck_domain": 10}
+SEEDS = 10
 FIRST_SEED = 11
 RUN_TIMEOUT_S = 1800
 
@@ -140,7 +139,7 @@ def main(argv=None) -> int:
                          "seed": seed, "trace": trace, "result": result})
 
         for workload in workloads:
-            n = 1 if args.tiny else SEEDS[workload]
+            n = 1 if args.tiny else SEEDS
             for i in range(n):
                 for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                     run(side, workload, FIRST_SEED + i, 0)
