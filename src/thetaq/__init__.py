@@ -59,7 +59,6 @@ from .theta import (
     qpochhammer,
     reduce_argument,
     theta_eval,
-    theta_null,
     theta_pair,
     theta_sum,
 )

@@ -306,9 +306,6 @@ class GradedSeries:
             for mono in sorted(poly.terms):
                 yield self.quarter_prefactor + 4 * n, mono, poly.terms[mono]
 
-    def table(self):
-        return list(self.terms_abs())
-
     # -- arithmetic -----------------------------------------------------
 
     def _combine(self, other: "GradedSeries", negate: bool) -> "GradedSeries":

@@ -783,7 +783,7 @@ def certificate_text(identity: str, order: Optional[int] = None) -> tuple:
         for side_name, side in (("lhs", lhs), ("rhs", rhs)):
             lines.append("  %s (prefactor %s):" % (side_name,
                                                    grade_str(side.quarter_prefactor)))
-            for grade, mono, coeff in side.table():
+            for grade, mono, coeff in side.terms_abs():
                 if grade > match.boundary:
                     continue
                 lines.append("    %-10s %-10s %s"

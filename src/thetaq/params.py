@@ -145,7 +145,10 @@ def _make_param(tau: complex, _re_sign: float) -> ModularParam:
 
 
 def param_from_nome(q: complex) -> ModularParam:
-    """Parameter whose nome is q (0 < |q| < 1), via tau = Log(q)/(i*pi)."""
+    """Parameter whose nome is q (0 < |q| < 1), via tau = Log(q)/(i*pi).
+
+    Public as the only constructor that starts from the nome, not from tau.
+    """
     q = complex(q)
     if q == 0 or abs(q) >= 1:
         raise DomainError("nome must satisfy 0 < |q| < 1, got %r" % (q,))

@@ -101,13 +101,18 @@ def _nome_power(p: ModularParam, a: complex) -> complex:
 def _sin_q_factors(w: complex, p: ModularParam) -> complex:
     """(q^(2-2w);q^2) (q^(2w);q^2), the w-dependent factors of sin_q(pi w).
 
-    Raises DomainError unless 0 < |q| < 1.
+    Raises DomainError unless 0 < |q| < 1, and RangeError when the product
+    leaves double range (a quotient of such products would be nan).
     """
     if p.q == 0 or abs(p.q) >= 1:
         raise DomainError("product form needs 0 < |q| < 1, got |q| = %g" % abs(p.q))
     q2 = p.q * p.q
-    return (qpochhammer(_nome_power(p, 2 - 2 * w), q2, p.q2_logs)
-            * qpochhammer(_nome_power(p, 2 * w), q2, p.q2_logs))
+    value = (qpochhammer(_nome_power(p, 2 - 2 * w), q2, p.q2_logs)
+             * qpochhammer(_nome_power(p, 2 * w), q2, p.q2_logs))
+    if not cmath.isfinite(value):
+        raise RangeError("sin_q(pi*w) factors overflowed double range at w = %r, "
+                         "tau = %r" % (w, p.tau))
+    return value
 
 
 def _sin_q(w: complex, p: ModularParam) -> complex:
@@ -127,7 +132,8 @@ def qtrig_product_any(kind: str, z_over_pi: complex, p: ModularParam) -> complex
     come from one builder; tan_q and cot_q are its quotient with (q;q^2)^2
     cancelled, and ssn_q = sin_{q^2} / sin_q, ccs_q = cos_{q^2} / cos_q take
     the q^2 side at qsquared_param(p).  Raises PoleError when a denominator
-    vanishes and DomainError when the nome underflows to 0.
+    vanishes, DomainError when the nome underflows to 0 and RangeError when
+    a factor product overflows.
     """
     check_qtrig_kind(kind)
     w = complex(z_over_pi)

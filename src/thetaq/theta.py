@@ -267,17 +267,13 @@ def theta_eval(kind: int, z: complex, p: ModularParam, *,
                method: str = "series") -> complex:
     """Evaluate theta_kind(z|tau) by the series or the product path.
 
-    The series path is theta_sum times the prefactor of theta_pair.  The
-    product path forms head * (q^2;q^2) (a e^(2iz);q^2) (a e^(-2iz);q^2)
-    with a = s q^c from PRODUCT_FACTOR and head as documented there; the
-    z-free factor (q^2;q^2) is computed once per nome, in p.products.
+    The series path is the first half of theta_pair.  The product path
+    forms head * (q^2;q^2) (a e^(2iz);q^2) (a e^(-2iz);q^2) with a = s q^c
+    from PRODUCT_FACTOR and head as documented there; the z-free factor
+    (q^2;q^2) is computed once per nome, in p.products.
     """
     if method == "series":
-        s = theta_sum(kind, complex(z), p)[0]
-        if kind > 2:
-            return s
-        c = p.q_quarter
-        return -1j * c * s if kind == 1 else c * s
+        return theta_pair(kind, z, p)[0]
     check_kind(kind)
     z = complex(z)
     if method != "product":
@@ -316,22 +312,18 @@ def theta_eval(kind: int, z: complex, p: ModularParam, *,
 def theta_pair(kind: int, z: complex, p: ModularParam) -> tuple:
     """(theta_kind(z|tau), theta_PARTNER[kind](z|tau)) from one theta_sum: the
     sums times -i*q^(1/4) for kind 1, q^(1/4) for kind 2 and 1 for kinds 3, 4."""
-    s, t = theta_sum(kind, complex(z), p)
+    pair = theta_sum(kind, complex(z), p)
     if kind > 2:
-        return s, t
+        return pair
+    s, t = pair
     c = p.q_quarter
     return (-1j * c * s, c * t) if kind == 1 else (c * s, -1j * c * t)
 
 
-def theta_null(j: int, p: ModularParam, *, method: str = "series") -> complex:
-    """Theta constant: theta_j(0|tau) for j in {2, 3, 4}."""
-    if j not in (2, 3, 4):
-        raise DomainError("theta null is used for j in {2,3,4}, got %r" % (j,))
-    return theta_eval(j, 0.0, p, method=method)
-
-
 def reduce_argument(kind: int, z: complex, p: ModularParam) -> ShiftResult:
     """Pull z into the fundamental box by full-period shifts.
+
+    Public as the remedy the series errors advise ("reduce the argument").
 
     Returns (kind, z_red, m) with z = z_red + a*pi + b*pi*tau for integers
     a, b chosen so |Re z_red| <= pi/2 and |Im z_red| <= pi*Im(tau)/2, and

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from thetaq import cli, make_param, qtrig_product_any
-from thetaq.cli import format_value, main, parse_complex
+from thetaq import cli, formal_certify, make_param, qtrig_product_any
+from thetaq.cli import format_value, main, parse_complex, render_reports
 from thetaq.errors import DomainError, GradeMismatch
 
 
@@ -113,6 +113,13 @@ def test_eval_huge_real_argument(capsys):
                                  "--tau", "0,1.1", "--method", method)
         assert (code, out) == (3, ""), (fn, z, method)
         assert "overflowed double range" in err
+
+
+def test_eval_overflowed_product_exits_3(capsys):
+    code, out, err = run_cli(capsys, "eval", "--fn", "tan_q", "--z", "9,0",
+                             "--tau", "0,30", "--method", "product")
+    assert (code, out) == (3, "")
+    assert "factors overflowed double range" in err
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("boom"), GradeMismatch("boom")])
@@ -226,6 +233,11 @@ def test_certify_unsupported(capsys):
     code, _, err = run_cli(capsys, "certify", "--id", "thm1_tan")
     assert code == 4
     assert "formal" in err
+
+
+def test_text_report_of_a_formal_check():
+    text = render_reports([formal_certify("duplication_12", 4)], "text")
+    assert text == "duplication_12       formal   pass\n  certified_order=q^4\n"
 
 
 def test_suite_small(capsys):

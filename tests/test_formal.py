@@ -127,6 +127,20 @@ def test_add_negate_cancels():
     assert zero.boundary == s.boundary
 
 
+def test_add_zero_truncates_to_the_lower_boundary():
+    s = theta_series(2, 1, (1, 0), 8)            # prefactor q^(1/4), exact through q^(33/4)
+    low = {k: v for k, v in table(s).items() if k[0] <= 13}
+    zero = GradedSeries.zero(13)
+    for total, want in ((s + zero, low), (zero + s, low), (s - zero, low),
+                        (zero - s, {k: (-re, -im) for k, (re, im) in low.items()})):
+        assert (total.quarter_prefactor, total.boundary) == (1, 13)
+        assert table(total) == want
+    # a zero exact below the prefactor leaves no coefficient, nor do two zeros
+    for total, bound in ((s + GradedSeries.zero(0), 0),
+                         (GradedSeries.zero(5) - GradedSeries.zero(9), 5)):
+        assert total.is_zero() and total.boundary == bound
+
+
 def test_mul_by_one_is_identity():
     s = theta_series(3, 1, (1, 0), 8)
     one = GradedSeries.one(8)

@@ -108,6 +108,9 @@ def test_probe_examples():
     a = constancy_probe(x, 0.7, 1.2j)
     b = constancy_probe(x + math.pi, 0.7, 1.2j)
     assert abs(a - b) <= 1e-11
+    # theta1(0) = 0 zeroes the denominator
+    with pytest.raises(PoleError, match="probe denominator ~ 0 at x = 0.0"):
+        constancy_probe(0.0, 0.7, 1.2j)
 
 
 def test_verify_numeric_passes_registry():
@@ -337,6 +340,11 @@ def test_probe_convergence_failure_is_recorded(monkeypatch):
     assert not report.passed and report.samples == 2
     assert [sorted(f) for f in report.failures] == [["error", "x"]]
     assert report.failures[0]["error"] == "starved"
+
+
+def test_probe_with_one_sample_has_zero_spread():
+    report = verify_numeric("f_constancy", SamplePlan(seed=5, count=1))
+    assert (report.status, report.samples, report.params["std"]) == ("pass", 1, 0.0)
 
 
 def test_sampler_shift_overflow_names_the_shift_and_tau():
@@ -611,6 +619,27 @@ def test_run_suite_all_pass():
             assert (name, mode) in modes
     bad = [(r.id, r.mode, r.failures[:1]) for r in reports if not r.passed]
     assert not bad, bad
+
+
+def test_classical_residuals_that_grow_fail(monkeypatch):
+    grown = [mp.mpf("1e-3"), mp.mpf("1e-2"), mp.mpf("1e-5")]
+    monkeypatch.setattr(identities, "classical_residuals", lambda which: grown)
+    report = verify_numeric("classical_limit_tan")
+    assert report.status == "fail"
+    assert report.failures == [{"error": "residuals not strictly decreasing",
+                                "residuals": ["0.001", "0.01", "1.0e-5"]}]
+
+
+def test_run_suite_records_an_error_and_goes_on(monkeypatch):
+    def starved(which):
+        raise ConvergenceError("starved")
+
+    monkeypatch.setattr(identities, "classical_residuals", starved)
+    reports = run_suite(SamplePlan(seed=7, count=2))
+    failed = {r.id: r.failures for r in reports if not r.passed}
+    assert failed == {"classical_limit_tan": [{"error": "starved"}],
+                      "classical_limit_cot": [{"error": "starved"}]}
+    assert len(reports) == sum(len(identity_info(n).modes) for n in IDENTITY_IDS)
 
 
 def test_numeric_residual_validation():

@@ -18,7 +18,7 @@ from thetaq import (
     qtrig_theta,
     tau_prime,
     qpochhammer,
-    theta_null,
+    theta_eval,
     theta_sum,
 )
 from thetaq import qtrig as qtrig_module
@@ -50,7 +50,7 @@ def test_ssn_at_zero_is_theta_constant_ratio():
     p = make_param(1j)
     got = qtrig_theta("ssn_q", 0.0, p)
     pp = tau_prime(p)
-    want = theta_null(4, pp) / theta_null(3, pp)
+    want = theta_eval(4, 0.0, pp) / theta_eval(3, 0.0, pp)
     assert abs(got - want) < 1e-14
     assert abs(got - 0.9135791381561168 / 1.086434811213308) < 1e-13
 
@@ -264,3 +264,11 @@ def test_huge_real_argument_raises_range_error():
     for kind in ("ssn_q", "ccs_q"):
         with pytest.raises(RangeError, match="overflowed double range"):
             qtrig_theta(kind, 1e308, p)
+
+
+def test_overflowed_factor_product_raises_range_error():
+    # at Im tau = 30, w = 9/pi, (q^(2-2w);q^2) overflows; a quotient of it would be nan
+    p = make_param(30j)
+    for kind in ("ssn_q", "tan_q"):
+        with pytest.raises(RangeError, match=r"sin_q\(pi\*w\) factors overflowed"):
+            qtrig_product_any(kind, 9 / math.pi, p)

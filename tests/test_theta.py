@@ -18,7 +18,6 @@ from thetaq import (
     qpochhammer,
     reduce_argument,
     theta_eval,
-    theta_null,
     theta_sum,
 )
 from thetaq import theta as theta_module
@@ -61,13 +60,13 @@ def test_frozen_values_match_oracle():
 
 def test_theta_null_values():
     p = make_param(1j)
-    assert abs(theta_null(3, p) - THETA3_NULL_I) < 1e-13
-    assert abs(theta_null(2, p) - THETA2_NULL_I) < 1e-13
-    # tau = i is the self-dual point where the second and fourth constants agree
-    assert abs(theta_null(4, p) - THETA2_NULL_I) < 1e-13
-    assert abs(theta_null(2, p) - theta_null(4, p)) < 1e-14
-    with pytest.raises(DomainError):
-        theta_null(1, p)
+    for method in ("series", "product"):
+        null = {j: theta_eval(j, 0.0, p, method=method) for j in (2, 3, 4)}
+        assert abs(null[3] - THETA3_NULL_I) < 1e-13
+        assert abs(null[2] - THETA2_NULL_I) < 1e-13
+        # tau = i is the self-dual point where the second and fourth constants agree
+        assert abs(null[4] - THETA2_NULL_I) < 1e-13
+        assert abs(null[2] - null[4]) < 1e-14
 
 
 def test_theta1_vanishes_at_zero():
@@ -525,9 +524,6 @@ def test_method_is_keyword_only():
     p = make_param(1j)
     with pytest.raises(TypeError):
         theta_eval(3, 0.3, p, "product")
-    with pytest.raises(TypeError):
-        theta_null(3, p, "product")
-    assert theta_null(3, p, method="product") == theta_eval(3, 0.0, p, method="product")
 
 
 def test_shift_multiplier_out_of_range_raises_convergence_error():
