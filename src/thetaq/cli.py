@@ -61,8 +61,8 @@ def parse_complex(text: str) -> complex:
 
 
 def format_value(value: complex) -> str:
-    """15 significant digits; drop a numerically zero imaginary part."""
-    if abs(value.imag) <= 1e-13 * max(1.0, abs(value.real)):
+    """15 significant digits; drop an imaginary part below 1e-13 of |value|."""
+    if abs(value.imag) <= 1e-13 * abs(value):
         return "%.15g" % value.real
     return "%.15g%+.15gj" % (value.real, value.imag)
 

@@ -126,6 +126,13 @@ class LaurentPoly:
     def constant(cls, coeff) -> "LaurentPoly":
         return cls({(0, 0): coeff})
 
+    @classmethod
+    def _clean(cls, terms: dict) -> "LaurentPoly":
+        """Wrap terms already keyed by int pairs with nonzero Gaussians."""
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -137,14 +144,10 @@ class LaurentPoly:
                 out[mono] = s
             else:
                 out.pop(mono, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+        return LaurentPoly._clean(out)
 
     def __neg__(self) -> "LaurentPoly":
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return LaurentPoly._clean({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -158,16 +161,7 @@ class LaurentPoly:
         c0 = _as_gaussian(coeff)
         if not c0:
             return LaurentPoly()
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {m: c * c0 for m, c in self.terms.items()}
-        return res
-
-    def flip_var_sign(self, var: str) -> "LaurentPoly":
-        """Substitute u -> -u (var='u') or v -> -v (var='v')."""
-        idx = 0 if var == "u" else 1
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {m: (-c if m[idx] % 2 else c) for m, c in self.terms.items()}
-        return res
+        return LaurentPoly._clean({m: c * c0 for m, c in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
@@ -205,9 +199,8 @@ def _mul_into(acc: dict, p1: LaurentPoly, p2: LaurentPoly) -> None:
 
 def _poly_from(acc: dict) -> LaurentPoly:
     """The LaurentPoly of a _mul_into accumulator, zero terms dropped."""
-    res = LaurentPoly.__new__(LaurentPoly)
-    res.terms = {m: Gaussian(re, im) for m, (re, im) in acc.items() if re or im}
-    return res
+    return LaurentPoly._clean(
+        {m: Gaussian(re, im) for m, (re, im) in acc.items() if re or im})
 
 
 def monomial_str(mono: tuple) -> str:
@@ -309,33 +302,23 @@ class GradedSeries:
     # -- arithmetic -----------------------------------------------------
 
     def _combine(self, other: "GradedSeries", negate: bool) -> "GradedSeries":
-        if self.is_zero() or other.is_zero():
-            bound = min(self.boundary, other.boundary)
-            src = other if self.is_zero() else self
-            flip = negate and src is other
-            if src.is_zero():
-                return GradedSeries.zero(bound)
-            order = (bound - src.quarter_prefactor) // 4
-            if order < 0:
-                return GradedSeries.zero(bound)
-            out = {n: (-p if flip else p)
-                   for n, p in src.coeffs.items() if n <= order}
-            return GradedSeries(src.quarter_prefactor, out, order)
-        if self.quarter_prefactor != other.quarter_prefactor:
+        # A zero operand stores no grade, so it only lowers the boundary.
+        bound = min(self.boundary, other.boundary)
+        prefactors = {s.quarter_prefactor for s in (self, other) if not s.is_zero()}
+        if len(prefactors) > 1:
             raise GradeMismatch(
                 "cannot add series with quarter prefactors %d and %d"
                 % (self.quarter_prefactor, other.quarter_prefactor))
-        order = min(self.order, other.order)
+        prefactor = prefactors.pop() if prefactors else bound
+        order = (bound - prefactor) // 4
+        if order < 0:
+            return GradedSeries.zero(bound)
         out = {n: p for n, p in self.coeffs.items() if n <= order}
         for n, p in other.coeffs.items():
-            if n > order:
-                continue
-            s = out.get(n, LaurentPoly()) + ((-p) if negate else p)
-            if s.is_zero():
-                out.pop(n, None)
-            else:
-                out[n] = s
-        return GradedSeries(self.quarter_prefactor, out, order)
+            if n <= order:
+                p = -p if negate else p
+                out[n] = out[n] + p if n in out else p
+        return GradedSeries(prefactor, out, order)
 
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
         return self._combine(other, negate=False)
@@ -370,8 +353,8 @@ class GradedSeries:
             for n2, p2 in other.coeffs.items():
                 if n1 + n2 <= order:
                     _mul_into(acc.setdefault(n1 + n2, {}), p1, p2)
-        return GradedSeries(self.quarter_prefactor + other.quarter_prefactor,
-                            {n: _poly_from(t) for n, t in acc.items()}, order)
+        return _series_from(self.quarter_prefactor + other.quarter_prefactor,
+                            acc, order)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -386,6 +369,11 @@ class GradedSeries:
 
 
 # -- constructors --------------------------------------------------------
+
+def _series_from(prefactor: int, acc: dict, order: int) -> GradedSeries:
+    """The GradedSeries of an accumulator grade -> monomial -> [re, im]."""
+    return GradedSeries(prefactor, {n: _poly_from(t) for n, t in acc.items()}, order)
+
 
 THETA_SCALES = (1, 2)
 
@@ -406,25 +394,20 @@ def theta_series(kind: int, nome_scale: int, monomial: tuple,
         raise OrderUnderflow("order must be >= 0")
     a, b = int(monomial[0]), int(monomial[1])
     s = nome_scale
-    coeffs: dict = {}
-
-    def put(n: int, mono: tuple, c: Gaussian):
-        poly = coeffs.get(n)
-        add = LaurentPoly({mono: c})
-        coeffs[n] = add if poly is None else poly + add
-
+    acc: dict = {}
     # the index form of theta.theta_sum: exponent k(k+odd), unit power
     # 2k+odd, sign (-1)^k for kinds 1 and 4, kind 1 also carries -i
     odd = 1 if kind in (1, 2) else 0
+    part, unit = (1, -1) if kind == 1 else (0, 1)    # slot of [re, im], sign
     kmax = math.isqrt(order // s) + 2
     for k in range(-kmax - odd, kmax + 1):
         g = s * k * (k + odd)
         if g > order:
             continue
         sign = -1 if kind in (1, 4) and k % 2 else 1
-        c = Gaussian(0, -sign) if kind == 1 else Gaussian(sign)
-        put(g, ((2 * k + odd) * a, (2 * k + odd) * b), c)
-    return GradedSeries(s * odd, coeffs, order)
+        mono = ((2 * k + odd) * a, (2 * k + odd) * b)
+        acc.setdefault(g, {}).setdefault(mono, [0, 0])[part] += unit * sign
+    return _series_from(s * odd, acc, order)
 
 
 def pochhammer_product(factors: Iterable[tuple], order: int) -> GradedSeries:
@@ -477,15 +460,20 @@ def geometric_factors(sign: int, first: int, step: int, monomial,
     return [(sign, c, monomial) for c in range(first, order + 1, step)]
 
 
-SHIFTS = ("plus_pi", "plus_pi_tau", "plus_half_pi_tau")
-_SHIFT_QUARTERS = {"plus_pi_tau": 4, "plus_half_pi_tau": 2}
+# shift -> (factor, quarters): e^(iz) -> factor * q^(quarters/4) * e^(iz), so
+# each unit of the shifted exponent brings factor and quarters quarter grades.
+# Every factor is a unit, so factor^e = factor^(e mod 4).
+SHIFTS = {"plus_pi": (Gaussian(-1), 0), "plus_pi_tau": (Gaussian(1), 4),
+          "plus_half_pi_tau": (Gaussian(1), 2)}
 
 
 def shift_argument(series: GradedSeries, shift: str, var: str) -> GradedSeries:
     """Apply a period shift to the variable var ('u' or 'v').
 
-    plus_pi substitutes e^(iz) -> -e^(iz); plus_pi_tau multiplies each
-    monomial u^e by q^e; plus_half_pi_tau by q^(e/2) (2e quarter units).
+    Each SHIFTS row gives the factor and the quarter grades that one unit
+    of the shifted exponent brings: plus_pi maps u^e to (-1)^e u^e,
+    plus_pi_tau to q^e u^e and plus_half_pi_tau to q^(e/2) u^e.  The result's
+    prefactor is the lowest grade a stored term lands on.
     Terms pushed past the order are dropped, and the exactness boundary is
     lowered by twice the largest downward grade move among stored terms:
     dropped tail terms of theta-type series carry exponents growing like
@@ -498,21 +486,18 @@ def shift_argument(series: GradedSeries, shift: str, var: str) -> GradedSeries:
         raise DomainError("unknown shift %r" % (shift,))
     if var not in ("u", "v"):
         raise DomainError("shift variable must be 'u' or 'v', got %r" % (var,))
-    if shift == "plus_pi":
-        out = {n: p.flip_var_sign(var) for n, p in series.coeffs.items()}
-        return GradedSeries(series.quarter_prefactor, out, series.order)
-
     if series.is_zero():
         return series
     idx = 0 if var == "u" else 1
-    per_exp = _SHIFT_QUARTERS[shift]
+    factor, per_exp = SHIFTS[shift]
+    units = [Gaussian(1), factor, factor * factor, factor * factor * factor]
     moved = []          # (new absolute quarter grade, monomial, coeff)
     worst_drop = 0
     for n, poly in series.coeffs.items():
         base = series.quarter_prefactor + 4 * n
         for mono, c in poly.terms.items():
             delta = per_exp * mono[idx]
-            moved.append((base + delta, mono, c))
+            moved.append((base + delta, mono, c * units[mono[idx] % 4]))
             if -delta > worst_drop:
                 worst_drop = -delta
 
@@ -528,14 +513,12 @@ def shift_argument(series: GradedSeries, shift: str, var: str) -> GradedSeries:
         raise OrderUnderflow(
             "shift %s leaves no certified grades (boundary %d < prefactor %d)"
             % (shift, new_boundary, new_prefactor))
-    coeffs: dict = {}
+    acc: dict = {}      # the move depends on the monomial only: no collisions
     for t, mono, c in moved:
         n = (t - new_prefactor) // 4
-        if n > new_order:
-            continue
-        add = LaurentPoly({mono: c})
-        coeffs[n] = add if n not in coeffs else coeffs[n] + add
-    return GradedSeries(new_prefactor, coeffs, new_order)
+        if n <= new_order:
+            acc.setdefault(n, {})[mono] = [c.re, c.im]
+    return _series_from(new_prefactor, acc, new_order)
 
 
 def shift_margin(order: int) -> int:

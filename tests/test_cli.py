@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from thetaq import cli, formal_certify, make_param, qtrig_product_any
+from thetaq import (cli, formal_certify, make_param, qtrig_product_any,
+                    qtrig_theta, theta_eval)
 from thetaq.cli import format_value, main, parse_complex, render_reports
 from thetaq.errors import DomainError, GradeMismatch
 
@@ -30,6 +31,18 @@ def test_format_value():
     assert format_value(complex(1.086434811213308, 0)) == "1.08643481121331"
     assert format_value(0j) == "0"
     assert "j" in format_value(1 + 2j)
+
+
+def test_eval_keeps_the_imaginary_part_of_a_small_value(capsys):
+    # both parts are far below 1e-13, and neither is negligible against |value|
+    p = make_param(1j)
+    for fn, z, value in (
+            ("theta1", "1e-14,2e-14", theta_eval(1, complex(1e-14, 2e-14), p)),
+            ("sin_q", "1e-15,1e-15", qtrig_theta("sin_q", complex(1e-15, 1e-15), p))):
+        code, out, _ = run_cli(capsys, "eval", "--fn", fn, "--z", z, "--tau", "0,1")
+        assert code == 0
+        assert "j" in out, fn
+        assert abs(complex(out) - value) <= 1e-14 * abs(value), (fn, out)
 
 
 def test_eval_theta3(capsys):

@@ -67,11 +67,11 @@ def test_laurent_poly_matches_dict_convolution_oracle():
 
 
 def test_laurent_poly_flip():
-    poly = LaurentPoly({(1, 0): 1, (-2, 1): 3, (0, 3): -2})
-    flipped = poly.flip_var_sign("u")
+    series = GradedSeries.from_poly(LaurentPoly({(1, 0): 1, (-2, 1): 3, (0, 3): -2}))
+    flipped = shift_argument(series, "plus_pi", "u").coeffs[0]
     assert flipped.terms[(1, 0)] == Gaussian(-1)
     assert flipped.terms[(-2, 1)] == Gaussian(3)
-    flipped_v = poly.flip_var_sign("v")
+    flipped_v = shift_argument(series, "plus_pi", "v").coeffs[0]
     assert flipped_v.terms[(0, 3)] == Gaussian(2)
 
 

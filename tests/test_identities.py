@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -473,6 +474,21 @@ def test_certificates_at_orders_48_and_96_are_pinned():
             assert report.params["requested_order"] == order, name
             assert report.passed, (name, order, report.failures)
             assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, order)
+
+
+def test_certificate_pins_agree_with_the_benchmark_pins():
+    # perfbench/expected.json pins the exact_certify digests at q^12, q^48 and
+    # q^96; one re-pinned without the other would pass here and fail there
+    bench_pins = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+    bench = json.loads(bench_pins.read_text())["certificate_sha256"]
+    shared = [(name, 12, digest) for name, digest in CERTIFICATE_SHA256.items()
+              if identity_info(name).formal_order == 12]
+    shared += [(name, order, digest)
+               for name, digests in HIGH_ORDER_CERTIFICATE_SHA256.items()
+               for order, digest in zip((48, 96), digests)]
+    assert len(shared) == 43
+    for name, order, digest in shared:
+        assert bench[name][str(order)] == digest, (name, order)
 
 
 def test_classical_residuals_strictly_decreasing():
