@@ -17,6 +17,8 @@ truncation contract at that precision: each stops once the next term is
 below the working precision relative to the first, which near q = 1 is after
 one term and at small q after a few dozen, and raises ConvergenceError after
 MAX_TERMS.  One mp.cos_sin per point gives every sine and cosine they use.
+mpmath is imported by these checks alone, on their first call: importing
+thetaq and every other check run without it.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from operator import itemgetter
 from typing import Callable, Optional
-
-import mpmath as mp
 
 from .errors import (
     ConvergenceError,
@@ -124,8 +124,7 @@ class SamplePlan:
         if not self.tau_set:
             raise DomainError("tau_set must hold at least one tau")
         for tau in self.tau_set:
-            if not complex(tau).imag > 0:
-                raise DomainError("all tau must lie in the upper half-plane")
+            make_param(tau)     # a tau the sampling loop would reject fails here
 
 
 DEFAULT_PLAN = SamplePlan()
@@ -495,6 +494,7 @@ def _mp_tan_eps(z, qprime) -> tuple:
     tails stop before the first weight below 2^-(prec + _TAIL_GUARD_BITS)
     times w_1, or raise ConvergenceError after MAX_TERMS terms.
     """
+    import mpmath as mp
     c, s = mp.cos_sin(z)
     c2, s2 = c * c - s * s, 2 * s * c
     q2 = qprime * qprime
@@ -538,6 +538,7 @@ def classical_residuals(which: str, qs=CLASSICAL_Q) -> list:
     the work runs at the caller's precision plus 25 digits and each residual
     is returned rounded to the caller's precision.
     """
+    import mpmath as mp
     if which not in ("tan", "cot"):
         raise DomainError("which must be 'tan' or 'cot'")
     for qv in qs:
@@ -588,6 +589,7 @@ def _sampler(rng: random.Random, box) -> Callable:
 
 
 def _verify_classical(identity: str, tolerance: float) -> IdentityReport:
+    import mpmath as mp
     which = "tan" if identity.endswith("tan") else "cot"
     residuals = classical_residuals(which)
     decreasing = all(residuals[i] > residuals[i + 1]

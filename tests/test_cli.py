@@ -278,6 +278,15 @@ def test_suite_custom_tau(capsys):
     assert code == 0
 
 
+def test_plan_tau_whose_nome_rounds_to_1_is_a_domain_error(capsys):
+    # make_param rejects this tau; the plan must too, before any sampling,
+    # so it is not reported as failed identities
+    for argv in (("verify", "--id", "thm2"), ("suite", "--count", "2")):
+        code, out, err = run_cli(capsys, *argv, "--tau", "0,1e-300")
+        assert code == 2 and out == "", argv
+        assert "|q| rounds to 1 in double precision" in err, argv
+
+
 def test_suite_json_reports_classical_exponents(capsys):
     code, out, _ = run_cli(capsys, "suite", "--seed", "7", "--count", "12",
                            "--format", "json")

@@ -3,7 +3,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath as mp
@@ -158,10 +161,37 @@ def test_sample_plan_validation():
     # a float seed would be keyed as "%d", drawing the samples of int(seed)
     for bad in ({"count": 0}, {"count": 2.5}, {"count": True}, {"count": "5"},
                 {"seed": 2.7}, {"seed": True}, {"seed": "7"},
-                {"tau_set": ()}, {"tau_set": (1.1j, -1j)}):
+                {"tau_set": ()}, {"tau_set": (1.1j, -1j)},
+                # |q| rounds to 1: make_param would reject it inside the loop
+                {"tau_set": (1e-300j,)}):
         with pytest.raises(DomainError):
             SamplePlan(**bad)
     assert SamplePlan(count=3, tau_set=(1j,)).count == 3
+
+
+IMPORT_PROBE = """
+import sys
+from thetaq import (SamplePlan, certificate_text, classical_residuals, cli,
+                    make_param, qtrig_crosscheck, verify_numeric)
+light = ["mpmath" not in sys.modules]
+verify_numeric("thm2", SamplePlan(seed=1, count=3))
+certificate_text("thm2", 12)
+qtrig_crosscheck("tan_q", 0.7, make_param(1.1j))
+codes = [cli.main(["eval", "--fn", "theta3", "--z", "0.3,0", "--tau", "0,1"]),
+         cli.main(["certify", "--id", "thm2", "--output", sys.argv[1]])]
+light.append("mpmath" not in sys.modules)
+classical_residuals("tan", (0.9,))
+print(light, codes, "mpmath" in sys.modules)
+"""
+
+
+def test_only_the_classical_limits_load_mpmath(tmp_path):
+    # a fresh interpreter: this test process has mpmath loaded already
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "cert")],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.splitlines()[-1] == "[True, True] [0, 0] True"
 
 
 def test_report_dict_is_exactly_the_report_fields():

@@ -9,7 +9,9 @@ trees.  For every workload of BENCHMARK.json, at each of SEEDS seeds (below),
 run_seconds, parent and change alternating, and which side goes first
 alternating with the seed; then each workload runs once per side with
 `--trace 1` at the first seed.  Every run must exit 0 and print its result
-line, or the driver stops.  --host records the machine in the output.
+line, or the driver stops.  --host records the machine in the output; its
+default notes when the bytecode cache is off (PYTHONDONTWRITEBYTECODE), as
+every set-up then compiles src/ from source.
 
 The output has the schema of BENCH_7.json (see README, "Performance
 trajectory"): `runs` holds each run's last output line verbatim, `summary`
@@ -114,9 +116,12 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     ap.add_argument("--tiny", action="store_true",
                     help="perfbench's smallest inputs, one seed, --seconds 0")
-    ap.add_argument("--host", default="%s, Python %s" % (platform.machine(),
-                                                        platform.python_version()),
-                    help="the machine, as recorded in the file")
+    # without the bytecode cache every set-up compiles src/ from source,
+    # which setup_s then includes
+    host = "%s, Python %s%s" % (platform.machine(), platform.python_version(),
+                                ", bytecode cache off" if sys.flags.dont_write_bytecode
+                                else "")
+    ap.add_argument("--host", default=host, help="the machine, as recorded in the file")
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
