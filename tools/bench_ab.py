@@ -116,8 +116,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     ap.add_argument("--tiny", action="store_true",
                     help="perfbench's smallest inputs, one seed, --seconds 0")
-    # without the bytecode cache every set-up compiles src/ from source,
-    # which setup_s then includes
     host = "%s, Python %s%s" % (platform.machine(), platform.python_version(),
                                 ", bytecode cache off" if sys.flags.dont_write_bytecode
                                 else "")
