@@ -120,8 +120,9 @@ def check_kind(kind: int) -> int:
 def make_param(tau: complex) -> ModularParam:
     """Validate tau and derive q = exp(i*pi*tau), q^{1/4} = exp(i*pi*tau/4).
 
-    Raises DomainError unless tau is finite with Im(tau) > 0 and |q| < 1
-    holds in double precision (below Im(tau) ~ 1.8e-17, |q| rounds to 1).
+    Raises DomainError unless tau is finite with Im(tau) > 0, q and q^{1/4}
+    are finite (pi*Re(tau) must not overflow) and |q| < 1 holds in double
+    precision (below Im(tau) ~ 1.8e-17, |q| rounds to 1).
     Memoised: the same tau gives the same ModularParam, and an invalid tau
     raises on every call.
     """
@@ -136,11 +137,20 @@ def _make_param(tau: complex, _re_sign: float) -> ModularParam:
         raise DomainError("tau must satisfy Im(tau) > 0, got %r" % (tau,))
     if not cmath.isfinite(tau):
         raise DomainError("tau must be finite, got %r" % (tau,))
-    q = cmath.exp(1j * cmath.pi * tau)
+    # pi * Re tau past double range makes exp raise, or, where q underflows
+    # to 0, the quarter of the infinite exponent nan
+    try:
+        q = cmath.exp(1j * cmath.pi * tau)
+        q_quarter = cmath.exp(1j * cmath.pi * tau / 4)
+        finite = cmath.isfinite(q) and cmath.isfinite(q_quarter)
+    except (ValueError, OverflowError):
+        finite = False
+    if not finite:
+        raise DomainError("tau = %r is too large: q or q^(1/4) is not finite "
+                          "in double precision" % (tau,))
     if not abs(q) < 1:
         raise DomainError("tau = %r is too close to the real axis: |q| rounds "
                           "to 1 in double precision" % (tau,))
-    q_quarter = cmath.exp(1j * cmath.pi * tau / 4)
     return ModularParam(tau=tau, q=q, q_quarter=q_quarter)
 
 

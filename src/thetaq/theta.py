@@ -91,8 +91,8 @@ def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
     quotients (q-trigonometric functions) cancel the prefactors exactly,
     which matters when q^(1/4) underflows.
 
-    One call sums both of a pair, in one loop per parity.  With odd = 1 for
-    kinds 1, 2 and 0 for kinds 3, 4, index k >= 1 - odd contributes
+    One call sums both of a pair, in one loop for all four kinds.  With
+    odd = 1 for kinds 1, 2 and 0 for kinds 3, 4, index k >= 1 - odd contributes
 
         q^(k(k+odd)) (e^((2k+odd)iz) +- e^(-(2k+odd)iz)),
 
@@ -139,62 +139,36 @@ def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
     # is overwritten with the same entry
     table = p.terms[odd]
     n = len(table)
-    if odd:
-        # a = theta1's sum, with (-1)^k, b = theta2's; e^((2k+1)iz) steps by e^(2iz)
-        a = b = 0j
-        step, step_inv = up * up, um * um
-        for k in range(MAX_TERMS + 1):
-            if k == n:
-                table[k:k + 1] = (theta_term(q, p.ln_abs_q, k, 1),)
-                n = len(table)
-            qk, lnr, lnb, half = table[k]
-            if k & 1:
-                a -= qk * (up - um)
-            else:
-                a += qk * (up - um)
-            b += qk * (up + um)
-            ln_ratio = lnr + imz2
-            if ln_ratio < 0.0:
-                head = lnb + half * imz2 + ln_ratio
-                if head < LN_EPS and head - math.log1p(-math.exp(ln_ratio)) < LN_EPS:
-                    return _finished(kind, z, a, b)
-            up *= step
-            um *= step_inv
-    else:
-        # a = theta3's sum, b = theta4's, with (-1)^k; e^(2kiz) steps by e^(2iz)
-        a = b = 1 + 0j
-        step, step_inv = up, um
-        for k in range(1, MAX_TERMS + 1):
-            if k == n:
-                table[k:k + 1] = (theta_term(q, p.ln_abs_q, k, 0),)
-                n = len(table)
-            qk, lnr, lnb, half = table[k]
-            plus = qk * (up + um)
-            a += plus
-            if k & 1:
-                b -= plus
-            else:
-                b += plus
-            ln_ratio = lnr + imz2
-            if ln_ratio < 0.0:
-                head = lnb + half * imz2 + ln_ratio
-                if head < LN_EPS and head - math.log1p(-math.exp(ln_ratio)) < LN_EPS:
-                    return _finished(kind, z, a, b)
-            up *= step
-            um *= step_inv
+    # alt = the sum with (-1)^k (theta1's or theta4's), same = its partner's;
+    # e^((2k+odd)iz) steps by e^(2iz), which is up squared when odd
+    alt = same = 0j if odd else 1 + 0j
+    step, step_inv = (up * up, um * um) if odd else (up, um)
+    for k in range(1 - odd, MAX_TERMS + 1):
+        if k == n:
+            table[k:k + 1] = (theta_term(q, p.ln_abs_q, k, odd),)
+            n = len(table)
+        qk, lnr, lnb, half = table[k]
+        plus = qk * (up + um)
+        same += plus
+        term = qk * (up - um) if odd else plus
+        if k & 1:
+            alt -= term
+        else:
+            alt += term
+        ln_ratio = lnr + imz2
+        if ln_ratio < 0.0:
+            head = lnb + half * imz2 + ln_ratio
+            if head < LN_EPS and head - math.log1p(-math.exp(ln_ratio)) < LN_EPS:
+                pair = (alt, same) if kind in (1, 4) else (same, alt)
+                if not (cmath.isfinite(alt) and cmath.isfinite(same)):
+                    bad = kind if not cmath.isfinite(pair[0]) else PARTNER[kind]
+                    raise _overflow(bad, z, "series")
+                return pair
+        up *= step
+        um *= step_inv
     raise ConvergenceError(
         "theta%d series did not meet eps=%g in %d terms (reduce the argument?)"
         % (kind, EPS, MAX_TERMS))
-
-
-def _finished(kind: int, z: complex, a: complex, b: complex) -> tuple:
-    """theta_sum's result from the sums a of kind 1 or 3 and b of kind 2 or 4:
-    kind's sum first, or RangeError naming the first sum that is not finite."""
-    pair = (a, b) if kind % 2 else (b, a)
-    if not (cmath.isfinite(a) and cmath.isfinite(b)):
-        bad = kind if not cmath.isfinite(pair[0]) else PARTNER[kind]
-        raise _overflow(bad, z, "series")
-    return pair
 
 
 def theta_sum_null(kind: int, p: ModularParam) -> complex:

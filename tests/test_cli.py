@@ -287,6 +287,18 @@ def test_plan_tau_whose_nome_rounds_to_1_is_a_domain_error(capsys):
         assert "|q| rounds to 1 in double precision" in err, argv
 
 
+def test_tau_whose_nome_is_not_finite_is_a_domain_error(capsys):
+    # exp(i*pi*tau) raised (an internal error), q^(1/4) came out nan (a
+    # silent nan value), or the plan passed tau and the identity took the
+    # blame for 2*tau
+    for argv in (("eval", "--fn", "theta3", "--z", "0,0", "--tau", "6e307,1"),
+                 ("eval", "--fn", "theta1", "--z", "0.5,0", "--tau", "1e308,1e308"),
+                 ("verify", "--id", "thm2", "--count", "3", "--tau", "1e308,1e308")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "is too large: q or q^(1/4) is not finite" in err, argv
+
+
 def test_suite_json_reports_classical_exponents(capsys):
     code, out, _ = run_cli(capsys, "suite", "--seed", "7", "--count", "12",
                            "--format", "json")

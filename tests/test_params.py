@@ -40,6 +40,18 @@ def test_make_param_rejects_lower_half_plane():
             make_param(tau)
 
 
+def test_make_param_rejects_a_tau_whose_nome_is_not_finite():
+    # pi * Re tau overflows, so exp raises; or, at 1e308+1e308j, q underflows
+    # to 0 but the quarter of the infinite exponent is nan
+    for tau in (6e307 + 1j, -6e307 + 2j, 6e307 + 1e-3j, 1e308 + 1e308j):
+        with pytest.raises(DomainError, match=r"is too large: q or q\^\(1/4\) "
+                                              "is not finite"):
+            make_param(tau)
+    # a huge Im tau alone underflows both to 0 and still builds
+    p = make_param(1e308j)
+    assert p.q == 0 and p.q_quarter == 0
+
+
 def test_quarter_nome_fourth_power_matches_nome():
     rng = random.Random(11)
     for _ in range(50):

@@ -327,7 +327,7 @@ def pair_outcome(f, kind, z, p):
 
 def test_theta_sum_keeps_the_bits_of_the_table_free_sum():
     # every kind and |q| regime, cold and warm params, tables grown past
-    # their length, signed zeros, the q = 0 branch, and every error
+    # their length, signed zeros, q tiny and q = 0, and every error
     rng = random.Random(14)
     cases = []
     for _ in range(600):
@@ -348,6 +348,15 @@ def test_theta_sum_keeps_the_bits_of_the_table_free_sum():
                   for z in (0.5 - 0.2j, complex(-0.0, 0.0), 300j, 600j, 1e308)]
     capped = make_param(3e-5j)                 # |q| = 0.9999: 256 terms fall short
     cases += [(kind, 0.2 + 0.01j, capped) for kind in (1, 2, 3, 4)]
+    for _ in range(150):
+        # q tiny but not 0, and |Im z| far enough that the stepped factors
+        # overflow; one odd and one even kind per point
+        im_tau = 10 ** rng.uniform(math.log10(30.0), math.log10(237.0))
+        p = make_param(complex(rng.uniform(-2, 2), im_tau))
+        assert p.q != 0
+        z = complex(rng.uniform(-3, 3), rng.uniform(-260, 260))
+        for kind in (rng.choice([1, 2]), rng.choice([3, 4])):
+            cases += [(kind, z, p), (kind, z, cold_copy(p))]
     outcomes = collections.Counter()
     for kind, z, p in cases:
         want = pair_outcome(pair_oracle, kind, z, p)

@@ -17,7 +17,11 @@ The output has the schema of BENCH_7.json (see README, "Performance
 trajectory"): `runs` holds each run's last output line verbatim, `summary`
 the per-workload medians, ratios, wins and the parent's interquartile range
 of every end-to-end metric in BENCHMARK.json plus the failed-op counts per
-seed, and `trace_layers` the per-layer metrics as [parent, change].
+seed, and `trace_layers` the per-layer metrics as [parent, change].  Each
+metric's `worse_beyond_bound` is true when the change's median is worse
+than the parent's, in the metric's `better` direction, by more than its
+`bound` (a fraction of the parent's median): the test of a change that
+claims no gain.
 
     python3 tools/bench_ab.py --parent HEAD --tiny --out /tmp/ab.json
 
@@ -85,7 +89,8 @@ def iqr(values) -> float:
 
 
 def summarize(runs, workload, metrics) -> dict:
-    """Medians, ratio, wins and the parent's IQR per end-to-end metric."""
+    """Medians, ratio, wins, the parent's IQR and worse_beyond_bound per
+    end-to-end metric."""
     sides = {"parent": {}, "change": {}}
     for run in runs:
         if run["workload"] == workload and not run["trace"]:
@@ -98,10 +103,13 @@ def summarize(runs, workload, metrics) -> dict:
         cv = [sides["change"][s]["metrics"][name]["value"] for s in seeds]
         wins = sum((c > p) if higher else (c < p) for p, c in zip(pv, cv))
         pm, cm = statistics.median(pv), statistics.median(cv)
+        bound = spec["bound"]
         out[name] = {"parent_median": round(pm, 4), "change_median": round(cm, 4),
                      "change_over_parent": round(cm / pm, 4) if pm else None,
                      "change_wins": "%d of %d" % (wins, len(seeds)),
-                     "parent_iqr": round(iqr(pv), 4)}
+                     "parent_iqr": round(iqr(pv), 4),
+                     "worse_beyond_bound": (cm < pm * (1 - bound)) if higher
+                     else (cm > pm * (1 + bound))}
     out["failed_ops_per_seed"] = {side: {str(s): res[s]["failed"] for s in seeds}
                                   for side, res in sides.items()}
     out["all_correct"] = all(res[s]["correct"] for res in sides.values() for s in seeds)
@@ -177,8 +185,10 @@ def main(argv=None) -> int:
     for w in workloads:
         line = report["summary"][w]
         print("%-18s correct=%s  %s" % (w, line["all_correct"], "  ".join(
-            "%s %s (%s)" % (m["name"], line[m["name"]]["change_over_parent"],
-                            line[m["name"]]["change_wins"]) for m in spec["end_to_end"])))
+            "%s %s (%s, worse_beyond_bound=%s)" % (
+                m["name"], line[m["name"]]["change_over_parent"],
+                line[m["name"]]["change_wins"], line[m["name"]]["worse_beyond_bound"])
+            for m in spec["end_to_end"])))
     return 0
 
 
