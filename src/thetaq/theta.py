@@ -91,8 +91,8 @@ def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
     quotients (q-trigonometric functions) cancel the prefactors exactly,
     which matters when q^(1/4) underflows.
 
-    One call sums both of a pair, in one loop for all four kinds.  With
-    odd = 1 for kinds 1, 2 and 0 for kinds 3, 4, index k >= 1 - odd contributes
+    One call sums both of a pair, in one loop for every kind.  With odd = 1
+    for kinds 1, 2 and 0 for kinds 3, 4, index k >= 1 - odd contributes
 
         q^(k(k+odd)) (e^((2k+odd)iz) +- e^(-(2k+odd)iz)),
 
