@@ -28,7 +28,6 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from operator import itemgetter
 from typing import Callable, Optional
 
 from .errors import (
@@ -52,7 +51,7 @@ from .formal import (
     shift_margin,
     theta_series,
 )
-from .params import MAX_TERMS, ModularParam, check_integer, make_param
+from .params import MAX_TERMS, THETA_KINDS, ModularParam, check_integer, make_param
 from .qtrig import (
     POLE_RATIO,
     QTRIG_KINDS,
@@ -221,36 +220,24 @@ def _pairs_triple(kind: int, z: complex, _y, p: ModularParam) -> list:
              theta_eval(kind, z, p, method="product"))]
 
 
-# thm2's eight distinct thetas, (kind, scale, (a, b)) for theta_kind(a*x + b*y |
-# scale*tau) (u^a v^b in exact series), in the order its left side first uses them.
-THM2_THETAS = ((2, 2, (1, 1)), (3, 2, (1, -1)), (1, 1, (1, 0)), (2, 1, (0, 1)),
-               (1, 1, (0, 1)), (2, 1, (1, 0)), (1, 2, (1, 1)), (4, 2, (1, -1)))
+# thm2's eight thetas as four partner pairs: row (kind, scale, (a, b)) names
+# theta_kind and theta_PARTNER[kind] at a*x + b*y | scale*tau (u^a v^b in exact
+# series), the pair one theta_pair call returns.
+THM2_PAIRS = ((2, 2, (1, 1)), (3, 2, (1, -1)), (1, 1, (1, 0)), (2, 1, (0, 1)))
 
 
-def thm2_sides(s2, d3, x1, y2, y1, x2, s1, d4) -> tuple:
-    """Both sides of thm2 from the THM2_THETAS values, complex or GradedSeries."""
+def thm2_sides(s2, s1, d3, d4, x1, x2, y2, y1) -> tuple:
+    """Both sides of thm2 from the THM2_PAIRS values, complex or GradedSeries."""
     return s2 * d3 * (x1 * y2 + y1 * x2), s1 * d4 * (x2 * y2 - x1 * y1)
 
 
-# the first-listed entry of each of THM2_THETAS' four partner pairs, and an
-# itemgetter that takes the table's values from the leads' theta_pair results
-_THM2_LEADS = tuple(e for i, e in enumerate(THM2_THETAS)
-                    if (PARTNER[e[0]], *e[1:]) not in THM2_THETAS[:i])
-_THM2_PICK = itemgetter(*(2 * _THM2_LEADS.index(e) if e in _THM2_LEADS else
-                          2 * _THM2_LEADS.index((PARTNER[e[0]], *e[1:])) + 1
-                          for e in THM2_THETAS))
-
-
 def _thm2_thetas(x: complex, y: complex, p: ModularParam) -> tuple:
-    """The values of THM2_THETAS at x, y and tau, in the table's order; its
-    four partner pairs take one theta_pair each, led by the first-listed kind."""
+    """The values of THM2_PAIRS at x, y and tau, each row's kind then its partner."""
     p2 = qsquared_param(p)
     # a*x + b*y as the plain x + y, x - y, x or y: 1*x + 0*y can flip a zero's sign
     args = {(1, 1): x + y, (1, -1): x - y, (1, 0): x, (0, 1): y}
-    values = []
-    for kind, scale, ab in _THM2_LEADS:
-        values += theta_pair(kind, args[ab], p2 if scale == 2 else p)
-    return _THM2_PICK(values)
+    return tuple(value for kind, scale, ab in THM2_PAIRS
+                 for value in theta_pair(kind, args[ab], p2 if scale == 2 else p))
 
 
 def _pairs_thm2(x: complex, y: complex, p: ModularParam) -> list:
@@ -297,7 +284,7 @@ def constancy_probe(x: complex, y: complex, tau: complex) -> complex:
     identity; x must stay away from the zeros of the denominator.
     """
     thetas = _thm2_thetas(x, y, make_param(tau))
-    _, _, x1, y2, y1, x2, s1, d4 = thetas
+    _, s1, _, d4, x1, x2, y2, y1 = thetas
     num = s1 * d4 * x2 * y2 - thm2_sides(*thetas)[0]
     den = s1 * d4 * x1 * y1
     if abs(den) < POLE_RATIO * max(1.0, abs(num)):
@@ -365,7 +352,8 @@ def _relations_triple(kind: int, order: int) -> list:
 
 
 def _relations_thm2(order: int) -> list:
-    thetas = (theta_series(kind, scale, ab, order) for kind, scale, ab in THM2_THETAS)
+    thetas = (theta_series(k, scale, ab, order) for kind, scale, ab in THM2_PAIRS
+              for k in (kind, PARTNER[kind]))
     return [("thm2", *thm2_sides(*thetas))]
 
 
@@ -373,17 +361,15 @@ def _relations_thm2(order: int) -> list:
 # registry
 # ---------------------------------------------------------------------------
 
-_KINDS = (1, 2, 3, 4)
-
 REGISTRY: dict = {info.name: info for info in [
     *(IdentityInfo("quasi_period_%d" % k, 1, 1e-10,
                    "theta%d shift laws for z+pi and z+pi*tau" % k,
                    partial(_pairs_quasi, k), partial(_relations_quasi, k))
-      for k in _KINDS),
+      for k in THETA_KINDS),
     *(IdentityInfo("half_period_%d" % k, 1, 1e-10,
                    "theta%d(z+pi*tau/2) = mult * theta%d(z)" % (k, HALF_PERIOD_MAP[k]),
                    partial(_pairs_half, k), partial(_relations_half, k))
-      for k in _KINDS),
+      for k in THETA_KINDS),
     *(IdentityInfo("duplication_%s" % row, 1, 1e-10,
                    "2 theta%d(z|2tau) theta%d(z|2tau) = theta2(0|tau) theta%d(z|tau)"
                    % (a, b, a),
@@ -393,7 +379,7 @@ REGISTRY: dict = {info.name: info for info in [
     *(IdentityInfo("triple_product_%d" % k, 1, 1e-10,
                    "theta%d series form equals its infinite product form" % k,
                    partial(_pairs_triple, k), partial(_relations_triple, k))
-      for k in _KINDS),
+      for k in THETA_KINDS),
     IdentityInfo("thm2", 2, 1e-10,
                  "four-factor theta identity linking nome q and q^2 in x, y",
                  _pairs_thm2, _relations_thm2),

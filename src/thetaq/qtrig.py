@@ -137,25 +137,21 @@ def qtrig_product_any(kind: str, z_over_pi: complex, p: ModularParam) -> complex
     """
     check_qtrig_kind(kind)
     w = complex(z_over_pi)
-    if kind in ("tan_q", "cot_q"):
-        tan_num = _sin_q_factors(w, p)
-        tan_den = _sin_q_factors(w + 0.5, p)
-        if kind == "tan_q":
-            if abs(tan_den) < POLE_RATIO * max(1.0, abs(tan_num)):
-                raise PoleError("tan_q pole at pi*%r" % (w,))
-            return tan_num / tan_den * _nome_power(p, 0.25 - w)
-        if abs(tan_num) < POLE_RATIO * max(1.0, abs(tan_den)):
-            raise PoleError("cot_q pole at pi*%r" % (w,))
-        return tan_den / tan_num * _nome_power(p, w - 0.25)
-
     v = w + 0.5 if kind in ("cos_q", "ccs_q") else w
     if kind in ("sin_q", "cos_q"):
         return _sin_q(v, p)
-    den = _sin_q(v, p)
-    num = _sin_q(v, qsquared_param(p))
+    power = None
+    if kind in ("ssn_q", "ccs_q"):
+        den = _sin_q(v, p)
+        num = _sin_q(v, qsquared_param(p))
+    else:
+        num, den, power = _sin_q_factors(w, p), _sin_q_factors(w + 0.5, p), 0.25 - w
+        if kind == "cot_q":
+            num, den, power = den, num, w - 0.25
     if abs(den) < POLE_RATIO * max(1.0, abs(num)):
         raise PoleError("%s pole at pi*%r" % (kind, w))
-    return num / den
+    value = num / den
+    return value if power is None else value * _nome_power(p, power)
 
 
 def qtrig_crosscheck(kind: str, z: complex, p: ModularParam) -> float:

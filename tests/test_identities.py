@@ -263,8 +263,10 @@ def test_thm2_table_means_the_same_thetas_in_both_modes():
     # sampler evaluates for that entry
     x, y, tau = 0.4 + 0.1j, 0.9 - 0.2j, 0.3 + 1.1j
     values = identities._thm2_thetas(x, y, make_param(tau))
-    assert len(values) == len(identities.THM2_THETAS) == 8
-    for (kind, scale, (a, b)), value in zip(identities.THM2_THETAS, values):
+    entries = [(k, scale, ab) for kind, scale, ab in identities.THM2_PAIRS
+               for k in (kind, theta.PARTNER[kind])]
+    assert len(values) == len(entries) == 8
+    for (kind, scale, (a, b)), value in zip(entries, values):
         series = theta_series(kind, scale, (a, b), 24)
         total = sum(complex(c) * cmath.exp(1j * math.pi * tau * grade / 4)
                     * cmath.exp(1j * (m * x + n * y))
@@ -281,7 +283,8 @@ def test_relations_thm2_builds_each_theta_once(monkeypatch):
 
     monkeypatch.setattr(identities, "theta_series", counting)
     formal_relations("thm2", 6)
-    assert calls == [(kind, scale, ab, 6) for kind, scale, ab in identities.THM2_THETAS]
+    assert calls == [(k, scale, ab, 6) for kind, scale, ab in identities.THM2_PAIRS
+                     for k in (kind, theta.PARTNER[kind])]
 
 
 def _count_calls(monkeypatch, name, owners):
