@@ -101,8 +101,12 @@ def render_reports(reports: list, fmt: str) -> str:
 
 def _emit(text: str, path) -> None:
     if path:
-        with open(path, "w") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DomainError("cannot write %s: %s"
+                              % (path, exc.strerror or exc)) from None
     sys.stdout.write(text)
 
 
@@ -124,7 +128,14 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     plan = _plan_from(args)
-    if args.x is not None:
+    if args.x is None:
+        if args.y is not None:
+            raise DomainError("--y pins a sample point only together with --x")
+        report = verify_numeric(args.id, plan, args.tol)
+    else:
+        if args.tau is not None and len(args.tau) > 1:
+            raise DomainError("a pinned sample point takes one --tau, got %d"
+                              % len(args.tau))
         tol = tolerance_for(args.id, args.tol)
         x = parse_complex(args.x)
         y = parse_complex(args.y) if args.y is not None else None
@@ -135,8 +146,6 @@ def cmd_verify(args) -> int:
             status="pass" if res <= tol else "fail",
             samples=1, max_abs_residual=res,
             params={"pinned": True, **sample_point(x, y, tau), "tolerance": tol})
-    else:
-        report = verify_numeric(args.id, plan, args.tol)
     _emit(render_reports([report], args.format), args.output)
     return 0 if report.passed else 1
 

@@ -600,6 +600,12 @@ def _verify_classical(identity: str, tolerance: float) -> IdentityReport:
     return report
 
 
+def _short_of(done: int, count: int, attempts: int) -> dict:
+    """The failure of a driver whose 10 * count draws ran out first."""
+    return {"error": "only %d of %d samples in %d draws; the rest hit poles"
+                     % (done, count, attempts)}
+
+
 def _verify_probe(plan: SamplePlan, tolerance: float) -> IdentityReport:
     draw = _sampler(random.Random("%d:f_constancy" % plan.seed), PROBE_BOX)
     count = min(plan.count, PROBE_COUNT)
@@ -616,6 +622,9 @@ def _verify_probe(plan: SamplePlan, tolerance: float) -> IdentityReport:
         except ConvergenceError as exc:
             failures.append({"x": [x.real, x.imag], "error": str(exc)})
             break
+    else:
+        if 0 < len(values) < count:
+            failures.append(_short_of(len(values), count, attempts))
     n = len(values)
     if n == 0:
         return IdentityReport(id="f_constancy", mode="numeric", status="fail",
@@ -643,9 +652,9 @@ def verify_numeric(identity: str, plan: SamplePlan = DEFAULT_PLAN,
     """Run the numeric check of one identity over a sampling plan.
 
     Deterministic for a given plan seed.  Samples that land on a pole are
-    resampled (up to ten times the requested count); convergence failures
-    and residuals that are not finite are recorded and fail the identity
-    without raising.
+    resampled (up to ten times the requested count, then the shortfall is a
+    failure); convergence failures and residuals that are not finite are
+    recorded and fail the identity without raising.
     """
     info = identity_info(identity)
     tolerance = tolerance_for(identity, tolerance)
@@ -687,6 +696,9 @@ def verify_numeric(identity: str, plan: SamplePlan = DEFAULT_PLAN,
             worst = (x, y, tau)
         if res > tolerance:
             failures.append({**sample_point(x, y, tau), "residual": res})
+    else:
+        if done < plan.count:
+            failures.append(_short_of(done, plan.count, attempts))
     status = "pass" if (done == plan.count and not failures) else "fail"
     params = {"seed": plan.seed, "tolerance": tolerance,
               "tau_set": [[t.real, t.imag] for t in taus]}

@@ -98,6 +98,14 @@ def _nome_power(p: ModularParam, a: complex) -> complex:
                          % (a, p.tau)) from None
 
 
+def _finite(value: complex, what: str, w: complex, p: ModularParam) -> complex:
+    """value, or RangeError when it left double range (inf, or nan from inf * 0)."""
+    if not cmath.isfinite(value):
+        raise RangeError("%s overflowed double range at w = %r, tau = %r"
+                         % (what, w, p.tau))
+    return value
+
+
 def _sin_q_factors(w: complex, p: ModularParam) -> complex:
     """(q^(2-2w);q^2) (q^(2w);q^2), the w-dependent factors of sin_q(pi w).
 
@@ -109,19 +117,18 @@ def _sin_q_factors(w: complex, p: ModularParam) -> complex:
     q2 = p.q * p.q
     value = (qpochhammer(_nome_power(p, 2 - 2 * w), q2, p.q2_logs)
              * qpochhammer(_nome_power(p, 2 * w), q2, p.q2_logs))
-    if not cmath.isfinite(value):
-        raise RangeError("sin_q(pi*w) factors overflowed double range at w = %r, "
-                         "tau = %r" % (w, p.tau))
-    return value
+    return _finite(value, "sin_q(pi*w) factors", w, p)
 
 
 def _sin_q(w: complex, p: ModularParam) -> complex:
-    """sin_q(pi w); the z-free (q;q^2)^2 is computed once per nome, in p.products."""
+    """sin_q(pi w); the z-free (q;q^2)^2 is computed once per nome, in p.products.
+
+    Raises RangeError when the value leaves double range."""
     num = _sin_q_factors(w, p)
     den = p.products.get("sin_q")
     if den is None:
         den = p.products["sin_q"] = qpochhammer(p.q, p.q * p.q, p.q2_logs) ** 2
-    return num / den * _nome_power(p, (w - 0.5) ** 2)
+    return _finite(num / den * _nome_power(p, (w - 0.5) ** 2), "sin_q(pi*w)", w, p)
 
 
 def qtrig_product_any(kind: str, z_over_pi: complex, p: ModularParam) -> complex:
@@ -133,7 +140,7 @@ def qtrig_product_any(kind: str, z_over_pi: complex, p: ModularParam) -> complex
     cancelled, and ssn_q = sin_{q^2} / sin_q, ccs_q = cos_{q^2} / cos_q take
     the q^2 side at qsquared_param(p).  Raises PoleError when a denominator
     vanishes, DomainError when the nome underflows to 0 and RangeError when
-    a factor product overflows.
+    a factor product or a value leaves double range.
     """
     check_qtrig_kind(kind)
     w = complex(z_over_pi)
@@ -151,7 +158,9 @@ def qtrig_product_any(kind: str, z_over_pi: complex, p: ModularParam) -> complex
     if abs(den) < POLE_RATIO * max(1.0, abs(num)):
         raise PoleError("%s pole at pi*%r" % (kind, w))
     value = num / den
-    return value if power is None else value * _nome_power(p, power)
+    if power is None:
+        return value    # the pole test bounds the quotient by 1/POLE_RATIO
+    return _finite(value * _nome_power(p, power), kind, w, p)
 
 
 def qtrig_crosscheck(kind: str, z: complex, p: ModularParam) -> float:

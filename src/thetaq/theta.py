@@ -186,7 +186,8 @@ def qpochhammer(a: complex, q: complex, logs: tuple | None = None) -> complex:
     """The q-shifted factorial (a;q)_inf = prod_{n>=0} (1 - a q^n).
 
     Truncated once the remaining logarithmic tail |a| |q|^n / (1 - |q|)
-    drops below EPS, or ConvergenceError after MAX_TERMS factors.
+    drops below EPS, or ConvergenceError after MAX_TERMS factors; RangeError
+    when |a| itself overflows though its parts are finite.
 
     The first n factors skip that test, where n (at most MAX_TERMS) is the
     largest count with ln|a| + j ln|q| >= ln(EPS (1 - |q|)) + PREFIX_MARGIN
@@ -215,7 +216,11 @@ def qpochhammer(a: complex, q: complex, logs: tuple | None = None) -> complex:
     prod = 1 + 0j
     term = a
     n = 0
-    abs_a = abs(a)
+    try:
+        abs_a = abs(a)
+    except OverflowError:
+        raise RangeError("q-Pochhammer argument |a| overflowed double range at "
+                         "a = %r" % (a,)) from None
     if abs_a > 0.0:
         ln_floor, ln_step = logs or pochhammer_logs(aq)
         slack = math.log(abs_a) - ln_floor - PREFIX_MARGIN

@@ -135,6 +135,48 @@ def test_eval_overflowed_product_exits_3(capsys):
     assert "factors overflowed double range" in err
 
 
+def test_eval_product_value_out_of_double_range_exits_3(capsys):
+    # sin_q's nome power overflows (once a silent nan); cos_q's q-Pochhammer
+    # argument has finite parts whose modulus overflows (once an internal error)
+    for fn, z, tau, what in (
+            ("sin_q", "pi*-1.078733358996308,pi*1.9180127898351902",
+             "2.613700830316138,0.10671726809833318", "sin_q(pi*w) overflowed"),
+            ("cos_q", "pi*1.4981853132870695,pi*-0.20854892118746562",
+             "-0.4616097580120826,113.07552540918324", "|a| overflowed")):
+        code, out, err = run_cli(capsys, "eval", "--fn", fn, "--z=" + z,
+                                 "--tau=" + tau, "--method", "product")
+        assert (code, out) == (3, ""), fn
+        assert what in err, fn
+
+
+@pytest.mark.parametrize("argv", [
+    ("suite", "--count", "2"),
+    ("verify", "--id", "thm2", "--count", "2"),
+    ("certify", "--id", "thm2", "--order", "2"),
+])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "r.txt"
+    code, out, err = run_cli(capsys, *argv, "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write %s: No such file or directory\n" % path
+
+
+def test_misplaced_pin_flags_exit_2(capsys):
+    for argv, what in (
+            (("--y", "1,0", "--count", "2"), "--y pins a sample point only"),
+            (("--x", "1,0", "--y", "1,0", "--tau", "0,1", "--tau", "0,2"),
+             "takes one --tau, got 2")):
+        code, out, err = run_cli(capsys, "verify", "--id", "thm2", *argv)
+        assert (code, out) == (2, ""), argv
+        assert what in err, argv
+    # one --tau pins tau; without one the default plan's first tau is used
+    for argv, tau in ((("--tau", "0,2"), [0.0, 2.0]), ((), [0.0, 1.1])):
+        code, out, _ = run_cli(capsys, "verify", "--id", "thm2", "--x", "1,0",
+                               "--y", "0.5,0", "--format", "json", *argv)
+        assert code == 0
+        assert json.loads(out)[0]["params"]["tau"] == tau
+
+
 @pytest.mark.parametrize("exc", [RuntimeError("boom"), GradeMismatch("boom")])
 def test_internal_error_exit_code(capsys, monkeypatch, exc):
     def crash(args):

@@ -762,7 +762,9 @@ def test_all_pole_draws_stop_at_ten_times_count(monkeypatch):
     calls = _poles_on(monkeypatch, "numeric_residual", lambda i: True)
     report = verify_numeric("thm2", SamplePlan(seed=5, count=4))
     assert len(calls) == 40
-    assert (report.status, report.samples, report.failures) == ("fail", 0, [])
+    assert (report.status, report.samples) == ("fail", 0)
+    assert report.failures == [
+        {"error": "only 0 of 4 samples in 40 draws; the rest hit poles"}]
 
 
 def test_probe_pole_draws(monkeypatch):
@@ -776,6 +778,16 @@ def test_probe_pole_draws(monkeypatch):
     assert len(calls) == 100
     assert (report.status, report.samples) == ("fail", 0)
     assert report.failures == [{"error": "no valid samples"}]
+
+
+def test_probe_short_of_its_count_fails(monkeypatch):
+    # 19 of every 20 draws hit a pole: 100 draws give 5 of the 10 samples
+    calls = _poles_on(monkeypatch, "constancy_probe", lambda i: i % 20 != 0)
+    report = verify_numeric("f_constancy", SamplePlan(seed=5, count=10))
+    assert len(calls) == 100
+    assert (report.status, report.samples) == ("fail", 5)
+    assert report.failures == [
+        {"error": "only 5 of 10 samples in 100 draws; the rest hit poles"}]
 
 
 def reference_draw(rng, box):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -10,6 +11,7 @@ from thetaq import (
     ModularParam,
     PoleError,
     RangeError,
+    ThetaQError,
     make_param,
     param_from_nome,
     qsquared_param,
@@ -272,3 +274,20 @@ def test_overflowed_factor_product_raises_range_error():
     for kind in ("ssn_q", "tan_q"):
         with pytest.raises(RangeError, match=r"sin_q\(pi\*w\) factors overflowed"):
             qtrig_product_any(kind, 9 / math.pi, p)
+
+
+def test_product_path_values_are_finite_or_typed_errors():
+    # |Im w| up to 130 and Im tau up to 400: (q;q^2)^2 and q^((w-1/2)^2) can
+    # each leave double range, and an inf sin_q once read as a ssn_q pole
+    rng = random.Random(2019)
+    for _ in range(2000):
+        w = complex(rng.uniform(-4, 4),
+                    rng.choice((-1, 1)) * math.exp(rng.uniform(-3, math.log(130))))
+        p = make_param(complex(rng.uniform(-3, 3),
+                               math.exp(rng.uniform(math.log(0.03), math.log(400)))))
+        for kind in QTRIG_KINDS:
+            try:
+                value = qtrig_product_any(kind, w, p)
+            except ThetaQError:
+                continue
+            assert cmath.isfinite(value), (kind, w, p.tau)

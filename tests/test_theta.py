@@ -91,6 +91,12 @@ def test_qpochhammer_examples():
         qpochhammer(0.5, 0.99)    # needs more than MAX_TERMS factors
 
 
+def test_qpochhammer_argument_whose_modulus_overflows():
+    # both parts are finite, but |a| is above the largest double
+    with pytest.raises(RangeError, match=r"\|a\| overflowed double range"):
+        qpochhammer(complex(1.5e308, -1.5e308), 0.5)
+
+
 def test_series_matches_brute_oracle():
     rng = random.Random(31)
     for _ in range(40):
