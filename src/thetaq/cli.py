@@ -133,6 +133,8 @@ def cmd_verify(args) -> int:
             raise DomainError("--y pins a sample point only together with --x")
         report = verify_numeric(args.id, plan, args.tol)
     else:
+        if args.seed is not None or args.count is not None:
+            raise DomainError("a pinned sample point takes no --seed or --count")
         if args.tau is not None and len(args.tau) > 1:
             raise DomainError("a pinned sample point takes one --tau, got %d"
                               % len(args.tau))

@@ -600,51 +600,66 @@ def _verify_classical(identity: str, tolerance: float) -> IdentityReport:
     return report
 
 
-def _short_of(done: int, count: int, attempts: int) -> dict:
-    """The failure of a driver whose 10 * count draws ran out first."""
-    return {"error": "only %d of %d samples in %d draws; the rest hit poles"
-                     % (done, count, attempts)}
+def _draw_samples(name: str, plan: SamplePlan, count: int, box, taus: list,
+                  nvars: int, evaluate: Callable) -> tuple:
+    """The sampling loop of every sampled check: (samples, failure).
+
+    Draws x, and y when nvars is 2, from box on the stream "<seed>:<name>".
+    evaluate has numeric_residual's signature (name, x, y, tau); each finite
+    value it returns is kept as a sample (value, x, y, tau).  tau cycles
+    through taus, advancing only with a kept sample.  A PoleError draws
+    again, up to 10 * count draws.  failure is None or the one that ended
+    the run: a ConvergenceError, a DomainError or a value that is not
+    finite, at its sample point, or the draws running out.
+    """
+    draw = _sampler(random.Random("%d:%s" % (plan.seed, name)), box)
+    samples = []
+    done = attempts = 0
+    two = nvars == 2
+    while done < count and attempts < 10 * count:
+        attempts += 1
+        tau = taus[done % len(taus)]
+        x = draw()
+        y = draw() if two else None
+        try:
+            value = evaluate(name, x, y, tau)
+        except PoleError:
+            continue
+        except (ConvergenceError, DomainError) as exc:
+            return samples, {**sample_point(x, y, tau), "error": str(exc)}
+        if value - value:           # nan or inf: x - x is 0 for every finite x
+            return samples, {**sample_point(x, y, tau),
+                             "error": "residual is %r" % value}
+        done += 1
+        samples.append((value, x, y, tau))
+    if done < count:
+        return samples, {"error": "only %d of %d samples in %d draws; the rest "
+                                  "hit poles" % (done, count, attempts)}
+    return samples, None
 
 
 def _verify_probe(plan: SamplePlan, tolerance: float) -> IdentityReport:
-    draw = _sampler(random.Random("%d:f_constancy" % plan.seed), PROBE_BOX)
-    count = min(plan.count, PROBE_COUNT)
-    values = []
-    failures = []
-    attempts = 0
-    while len(values) < count and attempts < 10 * count:
-        attempts += 1
-        x = draw()
-        try:
-            values.append(constancy_probe(x, PROBE_Y, PROBE_TAU))
-        except PoleError:
-            continue
-        except ConvergenceError as exc:
-            failures.append({"x": [x.real, x.imag], "error": str(exc)})
-            break
-    else:
-        if 0 < len(values) < count:
-            failures.append(_short_of(len(values), count, attempts))
-    n = len(values)
-    if n == 0:
+    samples, failure = _draw_samples(
+        "f_constancy", plan, min(plan.count, PROBE_COUNT), PROBE_BOX, [PROBE_TAU], 1,
+        lambda _name, x, _y, tau: constancy_probe(x, PROBE_Y, tau))
+    if not samples:
         return IdentityReport(id="f_constancy", mode="numeric", status="fail",
-                              failures=failures or [{"error": "no valid samples"}])
+                              failures=[failure])
+    values = [sample[0] for sample in samples]
+    n = len(values)
     mean = sum(values) / n
-    if n > 1:
-        var = sum(abs(v - mean) ** 2 for v in values) / (n - 1)
-    else:
-        var = 0.0
+    var = sum(abs(v - mean) ** 2 for v in values) / (n - 1) if n > 1 else 0.0
     std = math.sqrt(var)
-    max_dev = max(abs(v - 1) for v in values)
-    status = "pass" if (abs(mean - 1) <= tolerance and std <= tolerance
-                        and not failures) else "fail"
+    offset = abs(mean - 1)
     return IdentityReport(
-        id="f_constancy", mode="numeric", status=status, samples=n,
-        max_abs_residual=max_dev,
-        params={"mean_offset": abs(mean - 1), "std": std,
+        id="f_constancy", mode="numeric", samples=n,
+        status="pass" if (offset <= tolerance and std <= tolerance
+                          and not failure) else "fail",
+        max_abs_residual=max(abs(v - 1) for v in values),
+        params={"mean_offset": offset, "std": std,
                 "y": PROBE_Y, "tau": [PROBE_TAU.real, PROBE_TAU.imag],
                 "tolerance": tolerance},
-        failures=failures)
+        failures=[failure] if failure else [])
 
 
 def verify_numeric(identity: str, plan: SamplePlan = DEFAULT_PLAN,
@@ -654,7 +669,7 @@ def verify_numeric(identity: str, plan: SamplePlan = DEFAULT_PLAN,
     Deterministic for a given plan seed.  Samples that land on a pole are
     resampled (up to ten times the requested count, then the shortfall is a
     failure); convergence failures and residuals that are not finite are
-    recorded and fail the identity without raising.
+    recorded at their sample point and fail the identity without raising.
     """
     info = identity_info(identity)
     tolerance = tolerance_for(identity, tolerance)
@@ -665,47 +680,25 @@ def verify_numeric(identity: str, plan: SamplePlan = DEFAULT_PLAN,
         # its own fixed box and tau, not by per-sample residuals
         return _verify_probe(plan, tolerance)
 
-    draw = _sampler(random.Random("%d:%s" % (plan.seed, identity)), SAMPLE_BOX)
     taus = [complex(t) for t in plan.tau_set]
-    max_res = 0.0
-    worst = None
-    failures = []
-    done = 0
-    attempts = 0
-    two = info.nvars == 2
-    while done < plan.count and attempts < 10 * plan.count:
-        attempts += 1
-        tau = taus[done % len(taus)]
-        x = draw()
-        y = draw() if two else None
-        try:
-            res = numeric_residual(identity, x, y, tau)
-        except PoleError:
-            continue
-        except (ConvergenceError, DomainError) as exc:
-            failures.append({"tau": [tau.real, tau.imag], "error": str(exc)})
-            break
-        if not math.isfinite(res):
-            # a nan or inf residual is no sample; it fails like a ConvergenceError
-            failures.append({**sample_point(x, y, tau),
-                             "error": "residual is %r" % res})
-            break
-        done += 1
+    samples, failure = _draw_samples(identity, plan, plan.count, SAMPLE_BOX, taus,
+                                     info.nvars, numeric_residual)
+    max_res, worst, failures = 0.0, None, []
+    for res, x, y, tau in samples:
         if res > max_res:
             max_res = res
             worst = (x, y, tau)
         if res > tolerance:
             failures.append({**sample_point(x, y, tau), "residual": res})
-    else:
-        if done < plan.count:
-            failures.append(_short_of(done, plan.count, attempts))
-    status = "pass" if (done == plan.count and not failures) else "fail"
+    if failure:
+        failures.append(failure)
     params = {"seed": plan.seed, "tolerance": tolerance,
               "tau_set": [[t.real, t.imag] for t in taus]}
     if worst is not None:
         params["worst_sample"] = sample_point(*worst)
-    return IdentityReport(id=identity, mode="numeric", status=status,
-                          samples=done, max_abs_residual=max_res,
+    return IdentityReport(id=identity, mode="numeric",
+                          status="fail" if failures else "pass",
+                          samples=len(samples), max_abs_residual=max_res,
                           params=params, failures=failures)
 
 

@@ -61,7 +61,7 @@ def qtrig_theta(kind: str, z: complex, p: ModularParam) -> complex:
         check_qtrig_kind(kind)
     z = complex(z)
     if kind in ("ssn_q", "ccs_q"):
-        return ssn_ccs(z, p, kind)[0]
+        return ssn_ccs(z, p)[kind == "ccs_q"]
     pp = tau_prime(p)
     null2 = theta_sum_null(2, pp)  # prefactor-free theta2 null
     if kind == "sin_q":
@@ -76,11 +76,11 @@ def qtrig_theta(kind: str, z: complex, p: ModularParam) -> complex:
     return (-1j if den_kind == 2 else 1j) * num / den
 
 
-def ssn_ccs(z: complex, p: ModularParam, lead: str = "ssn_q") -> tuple:
-    """(lead, partner) of ssn_q = theta4(z|tau')/theta3(0|tau') and ccs_q =
-    theta3(z|tau')/theta3(0|tau'), from one theta_sum led by lead's theta."""
+def ssn_ccs(z: complex, p: ModularParam) -> tuple:
+    """(ssn_q, ccs_q) = (theta4(z|tau'), theta3(z|tau')) / theta3(0|tau'),
+    from one theta_sum."""
     pp = tau_prime(p)
-    s, t = theta_sum(4 if lead == "ssn_q" else 3, z, pp)
+    s, t = theta_sum(4, z, pp)
     null3 = theta_sum_null(3, pp)
     return s / null3, t / null3
 
@@ -150,7 +150,11 @@ def qtrig_product_any(kind: str, z_over_pi: complex, p: ModularParam) -> complex
     power = None
     if kind in ("ssn_q", "ccs_q"):
         den = _sin_q(v, p)
-        num = _sin_q(v, qsquared_param(p))
+        try:
+            num = _sin_q(v, qsquared_param(p))
+        except RangeError as exc:     # its message ends with the doubled tau
+            raise RangeError("%s, on the nome-q^2 side of tau = %r"
+                             % (str(exc).rsplit(", tau = ", 1)[0], p.tau)) from None
     else:
         num, den, power = _sin_q_factors(w, p), _sin_q_factors(w + 0.5, p), 0.25 - w
         if kind == "cot_q":

@@ -165,7 +165,9 @@ def test_misplaced_pin_flags_exit_2(capsys):
     for argv, what in (
             (("--y", "1,0", "--count", "2"), "--y pins a sample point only"),
             (("--x", "1,0", "--y", "1,0", "--tau", "0,1", "--tau", "0,2"),
-             "takes one --tau, got 2")):
+             "takes one --tau, got 2"),
+            (("--x", "1,0", "--y", "1,0", "--count", "1"), "takes no --seed or --count"),
+            (("--x", "1,0", "--y", "1,0", "--seed", "3"), "takes no --seed or --count")):
         code, out, err = run_cli(capsys, "verify", "--id", "thm2", *argv)
         assert (code, out) == (2, ""), argv
         assert what in err, argv
@@ -197,7 +199,7 @@ def test_eval_unknown_function(capsys):
 
 
 def test_verify_pinned_thm2(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--id", "thm2", "--count", "1",
+    code, out, _ = run_cli(capsys, "verify", "--id", "thm2",
                            "--x", "pi*0.25,0", "--y", "pi*0.25,0")
     assert code == 0
     assert "pass" in out

@@ -355,6 +355,7 @@ def test_capped_series_reports_the_first_failing_theta():
         assert first["error"] == ("%s series did not meet eps=1e-16 in 256 terms "
                                   "(reduce the argument?)" % kind)
         assert first["tau"] == [0.0, tau.imag], (tau, ident)
+        assert sorted(first) == ["error", "tau", "x", "y"], (tau, ident)
 
 
 def test_probe_convergence_failure_is_recorded(monkeypatch):
@@ -372,8 +373,10 @@ def test_probe_convergence_failure_is_recorded(monkeypatch):
     monkeypatch.setattr(identities, "theta_pair", failing)
     report = verify_numeric("f_constancy", SamplePlan(seed=5, count=10))
     assert not report.passed and report.samples == 2
-    assert [sorted(f) for f in report.failures] == [["error", "x"]]
+    # the probe's failures have the shape of every sampled check's
+    assert [sorted(f) for f in report.failures] == [["error", "tau", "x", "y"]]
     assert report.failures[0]["error"] == "starved"
+    assert (report.failures[0]["y"], report.failures[0]["tau"]) == (None, [0.0, 1.2])
 
 
 def test_probe_with_one_sample_has_zero_spread():
@@ -777,7 +780,8 @@ def test_probe_pole_draws(monkeypatch):
     report = verify_numeric("f_constancy", SamplePlan(seed=5, count=10))
     assert len(calls) == 100
     assert (report.status, report.samples) == ("fail", 0)
-    assert report.failures == [{"error": "no valid samples"}]
+    assert report.failures == [
+        {"error": "only 0 of 10 samples in 100 draws; the rest hit poles"}]
 
 
 def test_probe_short_of_its_count_fails(monkeypatch):
@@ -843,27 +847,39 @@ def test_sampler_keeps_the_random_uniform_stream(monkeypatch):
 
 
 @pytest.mark.parametrize("pairs", [[(1, 1), (math.nan, 1)], [(math.nan, 1), (1, 1)],
-                                   [(math.nan, 1)], [(1e308, -1e308)]])
+                                   [(math.nan, 1)], [(1e308, -1e308)], "f_constancy"])
 def test_non_finite_residual_fails_the_identity(monkeypatch, pairs):
     # |lhs - rhs| / max(1, |lhs|, |rhs|) is nan when a side is nan, and inf
-    # when the difference overflows; max() and "res > tolerance" let both pass
+    # when the difference overflows; max() and "res > tolerance" let both pass.
+    # The constancy probe's quotient fails the same way, at its own tau.
     calls = []
+    if pairs == "f_constancy":
+        real = identities.constancy_probe
 
-    def builder(x, y, p):
-        calls.append(x)
-        return [(1, 1)] if len(calls) < 3 else pairs
+        def probe(x, y, tau):
+            calls.append(x)
+            return real(x, y, tau) if len(calls) < 3 else math.nan
 
-    info = dataclasses.replace(identities.REGISTRY["cosq_shift"], pairs=builder)
-    monkeypatch.setitem(identities.REGISTRY, "cosq_shift", info)
-    report = verify_numeric("cosq_shift", SamplePlan(seed=7, count=5))
-    bad = numeric_residual("cosq_shift", 0.5, None, 1.1j)
+        monkeypatch.setattr(identities, "constancy_probe", probe)
+        report = verify_numeric("f_constancy", SamplePlan(seed=7, count=5))
+        bad, tau = math.nan, [0.0, 1.2]
+        worst = max(abs(real(x, identities.PROBE_Y, 1.2j) - 1) for x in calls[:2])
+    else:
+        def builder(x, y, p):
+            calls.append(x)
+            return [(1, 1)] if len(calls) < 3 else pairs
+
+        info = dataclasses.replace(identities.REGISTRY["cosq_shift"], pairs=builder)
+        monkeypatch.setitem(identities.REGISTRY, "cosq_shift", info)
+        report = verify_numeric("cosq_shift", SamplePlan(seed=7, count=5))
+        bad = numeric_residual("cosq_shift", 0.5, None, 1.1j)
+        tau, worst = [0.5, 0.9], 0.0         # tau_set[2], after two samples
     assert math.isnan(bad) or bad == math.inf
-    assert (report.status, report.samples, report.max_abs_residual) == ("fail", 2, 0.0)
+    assert (report.status, report.samples, report.max_abs_residual) == ("fail", 2, worst)
     [failure] = report.failures
     assert failure["error"] == "residual is %r" % bad
     x = calls[2]
-    assert (failure["x"], failure["y"]) == ([x.real, x.imag], None)
-    assert failure["tau"] == [0.5, 0.9]      # tau_set[2], after two samples
+    assert (failure["x"], failure["y"], failure["tau"]) == ([x.real, x.imag], None, tau)
     json.dumps(report_as_dict(report), allow_nan=False)
 
 
@@ -929,5 +945,6 @@ def test_qtrig_bridge_rejects_an_underflowed_nome():
     # underflows to 0 and the product path has no nome to work with
     report = verify_numeric("qtrig_bridge", SamplePlan(seed=7, count=3, tau_set=(1000j,)))
     assert not report.passed and report.samples == 0
-    assert report.failures == [{"tau": [0.0, 1000.0],
+    x = reference_draw(random.Random("7:qtrig_bridge"), identities.SAMPLE_BOX)
+    assert report.failures == [{"x": [x.real, x.imag], "y": None, "tau": [0.0, 1000.0],
                                 "error": "product form needs 0 < |q| < 1, got |q| = 0"}]

@@ -263,8 +263,9 @@ def test_huge_real_argument_raises_range_error():
     for kind in QTRIG_KINDS:
         with pytest.raises(RangeError, match="overflowed double range"):
             qtrig_product_any(kind, 1e17 / math.pi, p)
+    # both come from one theta_sum led by theta4, and its error names theta4
     for kind in ("ssn_q", "ccs_q"):
-        with pytest.raises(RangeError, match="overflowed double range"):
+        with pytest.raises(RangeError, match="theta4 series overflowed double range"):
             qtrig_theta(kind, 1e308, p)
 
 
@@ -274,6 +275,14 @@ def test_overflowed_factor_product_raises_range_error():
     for kind in ("ssn_q", "tan_q"):
         with pytest.raises(RangeError, match=r"sin_q\(pi\*w\) factors overflowed"):
             qtrig_product_any(kind, 9 / math.pi, p)
+    # on the nome-q^2 side of ssn_q and ccs_q the message names the caller's
+    # tau, not the doubled 0.38+40j
+    for kind, v in (("ssn_q", "(-2.5+0j)"), ("ccs_q", "(-2+0j)")):
+        with pytest.raises(RangeError) as caught:
+            qtrig_product_any(kind, -2.5, make_param(0.19 + 20j))
+        assert str(caught.value) == (
+            "sin_q(pi*w) factors overflowed double range at w = %s, on the nome-q^2 "
+            "side of tau = (0.19+20j)" % v)
 
 
 def test_product_path_values_are_finite_or_typed_errors():
