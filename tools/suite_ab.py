@@ -5,10 +5,10 @@
 Each side is a committed revision (the change defaults to HEAD), unpacked
 with `git archive` into a temporary directory as by tools/bench_ab.py.  On
 both trees `python -m thetaq suite` runs with each flag set of RUNS (below),
-in json, csv and text, and each run's stdout and exit code must be the same
-on both sides.  Prints one line per run and, for a run that differs, the
-first line that differs; exits 1 if any run differs.  A refactor must leave
-every run identical.  Standard library only.
+in json, csv and text, and each run's stdout, byte for byte, and exit code
+must be the same on both sides.  Prints one line per run and, for a run
+that differs, the first line that differs; exits 1 if any run differs.  A
+refactor must leave every run identical.  Standard library only.
 """
 
 from __future__ import annotations
@@ -27,25 +27,28 @@ RUN_TIMEOUT_S = 600
 
 
 def suite(tree, flags) -> tuple:
-    """(exit code, stdout) of `thetaq suite` with flags, from tree's src/."""
+    """(exit code, stdout bytes) of `thetaq suite` with flags, from tree's src/."""
     cmd = [sys.executable, "-m", "thetaq", "suite", *flags]
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+    done = subprocess.run(cmd, cwd=tree, capture_output=True,
                           env=dict(os.environ, PYTHONPATH=os.path.join(tree, "src")),
                           timeout=RUN_TIMEOUT_S)
     if done.returncode not in (0, 1):       # 1 is a failed identity, still a report
         raise SystemExit("suite_ab: %s in %s failed (exit %d):\n%s"
-                         % (" ".join(cmd[1:]), tree, done.returncode, done.stderr))
+                         % (" ".join(cmd[1:]), tree, done.returncode,
+                            done.stderr.decode(errors="replace")))
     return done.returncode, done.stdout
 
 
-def first_difference(parent: str, change: str) -> str:
-    """The first line at which two outputs differ, as three report lines."""
-    old, new = parent.splitlines(), change.splitlines()
+def first_difference(parent: bytes, change: bytes) -> str:
+    """The first line at which two different outputs differ, as three report
+    lines; each line is shown as a repr, so a stray \\r or space shows."""
+    # backslashreplace maps distinct bytes to distinct text, so some line differs
+    old, new = (out.decode(errors="backslashreplace").split("\n")
+                for out in (parent, change))
     n = next((i for i, pair in enumerate(zip(old, new)) if pair[0] != pair[1]),
              min(len(old), len(new)))
-    if n == len(old) == len(new):
-        return "  same lines; they differ in line endings"
-    shown = [side[n] if n < len(side) else "<end of output>" for side in (old, new)]
+    shown = [repr(side[n]) if n < len(side) else "<end of output>"
+             for side in (old, new)]
     return "  line %d\n  parent: %s\n  change: %s" % (n + 1, *shown)
 
 
