@@ -533,13 +533,24 @@ def shift_margin(order: int) -> int:
     return 3 * math.isqrt(4 * order + 16) + 8
 
 
+def _grades_through(s: GradedSeries, bound: int) -> dict:
+    """Absolute quarter grade -> monomial -> coefficient of s, through bound."""
+    p = s.quarter_prefactor
+    return {p + 4 * n: poly.terms for n, poly in s.coeffs.items()
+            if p + 4 * n <= bound}
+
+
 def series_equal(a: GradedSeries, b: GradedSeries) -> SeriesMatch:
     """Exact comparison through the smaller exactness boundary.
 
     Reports the lowest-grade discrepancy (ties broken by monomial order)
-    when the two series differ.
+    when the two series differ.  Stored polynomials and terms are never
+    zero, so equal sides have equal per-grade term dicts, and the sorted
+    table that locates the discrepancy is built only when they differ.
     """
     bound = min(a.boundary, b.boundary)
+    if _grades_through(a, bound) == _grades_through(b, bound):
+        return SeriesMatch(True, bound, None)
     table_a = {(g, mono): c for g, mono, c in a.terms_abs() if g <= bound}
     table_b = {(g, mono): c for g, mono, c in b.terms_abs() if g <= bound}
     for key in sorted(set(table_a) | set(table_b)):

@@ -770,17 +770,27 @@ def certificate_text(identity: str, order: Optional[int] = None) -> tuple:
              "requested order: q^%d" % report.params["requested_order"],
              "status: %s" % report.status,
              ""]
+    # each line is "    %-10s %-10s %s" % (grade, monomial, coefficient);
+    # the grade column is formed once per grade, the monomial one once per call
+    columns: dict = {}
     for label, lhs, rhs, match in checked:
         lines.append("relation: %s" % label)
         lines.append("compared through: %s" % grade_str(match.boundary))
         for side_name, side in (("lhs", lhs), ("rhs", rhs)):
             lines.append("  %s (prefactor %s):" % (side_name,
                                                    grade_str(side.quarter_prefactor)))
-            for grade, mono, coeff in side.terms_abs():
+            for n in sorted(side.coeffs):
+                grade = side.quarter_prefactor + 4 * n
                 if grade > match.boundary:
-                    continue
-                lines.append("    %-10s %-10s %s"
-                             % (grade_str(grade), monomial_str(mono), coeff))
+                    break
+                head = "    %-10s " % grade_str(grade)
+                terms = side.coeffs[n].terms
+                for mono in sorted(terms):
+                    col = columns.get(mono)
+                    if col is None:
+                        col = columns[mono] = "%-10s " % monomial_str(mono)
+                    c = terms[mono]
+                    lines.append(head + col + (str(c) if c.im else str(c.re)))
         if match.mismatch is not None:
             lines.append("  FIRST MISMATCH: %s" % match.mismatch)
         lines.append("")

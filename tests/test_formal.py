@@ -463,16 +463,30 @@ def test_shift_and_add_pochhammer_matches_factor_by_factor_oracle():
 # ---------------------------------------------------------------------------
 
 
+P = LaurentPoly.monomial(1, 0)
+
+
 def test_series_equal_self():
     s = theta_series(2, 2, (1, 1), 8)
-    assert series_equal(s, s).equal
+    # the same q^1 term stored at n = 1 over prefactor 0 and at n = 0 over
+    # prefactor 4: grades are compared absolutely, not by stored index
+    for a, b in [(s, s), (GradedSeries(0, {1: P}, 5), GradedSeries(4, {0: P}, 4))]:
+        match = series_equal(a, b)
+        assert match.equal and match.mismatch is None
 
 
 def test_series_equal_reports_lowest_mismatch():
-    t3 = theta_series(3, 1, (1, 0), 8)
-    t4 = theta_series(4, 1, (1, 0), 8)
-    match = series_equal(t3, t4)
-    assert not match.equal
-    assert match.mismatch.quarter_grade == 4         # the q^1 coefficient
-    assert match.mismatch.monomial in ((2, 0), (-2, 0))
-    assert (match.mismatch.lhs, match.mismatch.rhs) == (Gaussian(1), Gaussian(-1))
+    cases = [
+        # the q^1 coefficient
+        (theta_series(3, 1, (1, 0), 8), theta_series(4, 1, (1, 0), 8),
+         4, ((2, 0), (-2, 0)), Gaussian(1), Gaussian(-1)),
+        # equal stored dicts {0: P} at prefactors 0 and 4 are different series
+        (GradedSeries(0, {0: P}, 5), GradedSeries(4, {0: P}, 5),
+         0, ((1, 0),), Gaussian(1), Gaussian(0)),
+    ]
+    for a, b, grade, monomials, lhs, rhs in cases:
+        match = series_equal(a, b)
+        assert not match.equal
+        assert match.mismatch.quarter_grade == grade
+        assert match.mismatch.monomial in monomials
+        assert (match.mismatch.lhs, match.mismatch.rhs) == (lhs, rhs)
