@@ -154,7 +154,7 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         acc: dict = {}
-        _mul_into(acc, self, other)
+        _mul_into(acc, _rows(self), _rows(other))
         return _poly_from(acc)
 
     def scale(self, coeff) -> "LaurentPoly":
@@ -182,12 +182,16 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-def _mul_into(acc: dict, p1: LaurentPoly, p2: LaurentPoly) -> None:
-    """Add p1 * p2 into acc, a map monomial -> [re, im] of plain ints."""
-    for (a1, b1), c1 in p1.terms.items():
-        r1, i1 = c1.re, c1.im
-        for (a2, b2), c2 in p2.terms.items():
-            r2, i2 = c2.re, c2.im
+def _rows(p: LaurentPoly) -> list:
+    """The terms of p as flat (a, b, re, im) rows, for _mul_into."""
+    return [(a, b, c.re, c.im) for (a, b), c in p.terms.items()]
+
+
+def _mul_into(acc: dict, rows1: list, rows2: list) -> None:
+    """Add the product of two _rows lists into acc, a map monomial ->
+    [re, im] of plain ints."""
+    for a1, b1, r1, i1 in rows1:
+        for a2, b2, r2, i2 in rows2:
             mono = (a1 + a2, b1 + b2)
             cur = acc.get(mono)
             if cur is None:
@@ -347,12 +351,15 @@ class GradedSeries:
                     other.boundary + self.quarter_prefactor))
         # Every pair n1 + n2 = n adds straight into one accumulator per
         # grade; each grade's LaurentPoly is built once, after the sums.
+        # Each operand is flattened to _rows once, not once per pair.
         order = min(self.order, other.order)
+        rows2 = [(n2, _rows(p2)) for n2, p2 in other.coeffs.items()]
         acc: dict = {}
         for n1, p1 in self.coeffs.items():
-            for n2, p2 in other.coeffs.items():
+            rows1 = _rows(p1)
+            for n2, r2 in rows2:
                 if n1 + n2 <= order:
-                    _mul_into(acc.setdefault(n1 + n2, {}), p1, p2)
+                    _mul_into(acc.setdefault(n1 + n2, {}), rows1, r2)
         return _series_from(self.quarter_prefactor + other.quarter_prefactor,
                             acc, order)
 
