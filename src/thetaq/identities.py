@@ -123,7 +123,8 @@ class SamplePlan:
         if not self.tau_set:
             raise DomainError("tau_set must hold at least one tau")
         for tau in self.tau_set:
-            make_param(tau)     # a tau the sampling loop would reject fails here
+            # a tau, or a 2*tau, that the sampling loop would reject fails here
+            qsquared_param(make_param(tau))
 
 
 DEFAULT_PLAN = SamplePlan()

@@ -120,9 +120,12 @@ def check_kind(kind: int) -> int:
 def make_param(tau: complex) -> ModularParam:
     """Validate tau and derive q = exp(i*pi*tau), q^{1/4} = exp(i*pi*tau/4).
 
-    Raises DomainError unless tau is finite with Im(tau) > 0, q and q^{1/4}
-    are finite (pi*Re(tau) must not overflow) and |q| < 1 holds in double
-    precision (below Im(tau) ~ 1.8e-17, |q| rounds to 1).
+    q has period 2 in tau and q^{1/4} period 8, so both are formed at
+    fmod(Re tau, 8) + i*Im tau: fmod is exact, and it leaves |Re tau| < 8
+    unchanged, so no digits are lost to a large Re tau.  The param keeps
+    the caller's tau, since -1/tau and 2*tau are not 8-periodic in tau.
+    Raises DomainError unless tau is finite with Im(tau) > 0 and |q| < 1
+    holds in double precision (below Im(tau) ~ 1.8e-17, |q| rounds to 1).
     Memoised: the same tau gives the same ModularParam, and an invalid tau
     raises on every call.
     """
@@ -137,17 +140,10 @@ def _make_param(tau: complex, _re_sign: float) -> ModularParam:
         raise DomainError("tau must satisfy Im(tau) > 0, got %r" % (tau,))
     if not cmath.isfinite(tau):
         raise DomainError("tau must be finite, got %r" % (tau,))
-    # pi * Re tau past double range makes exp raise, or, where q underflows
-    # to 0, the quarter of the infinite exponent nan
-    try:
-        q = cmath.exp(1j * cmath.pi * tau)
-        q_quarter = cmath.exp(1j * cmath.pi * tau / 4)
-        finite = cmath.isfinite(q) and cmath.isfinite(q_quarter)
-    except (ValueError, OverflowError):
-        finite = False
-    if not finite:
-        raise DomainError("tau = %r is too large: q or q^(1/4) is not finite "
-                          "in double precision" % (tau,))
+    # |Re| < 8 and Im > 0 keep both finite: a huge Im tau underflows them to 0
+    reduced = complex(math.fmod(tau.real, 8.0), tau.imag)
+    q = cmath.exp(1j * cmath.pi * reduced)
+    q_quarter = cmath.exp(1j * cmath.pi * reduced / 4)
     if not abs(q) < 1:
         raise DomainError("tau = %r is too close to the real axis: |q| rounds "
                           "to 1 in double precision" % (tau,))
@@ -178,6 +174,9 @@ def qsquared_param(p: ModularParam) -> ModularParam:
     ref = p.companions.get("double")
     if ref is not None and (c := ref()) is not None:
         return c
+    if not cmath.isfinite(2 * p.tau):
+        raise DomainError("tau = %r is too large: 2*tau is not finite in double "
+                          "precision" % (p.tau,))
     return _link(p, "double", 2 * p.tau)
 
 

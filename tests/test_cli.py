@@ -331,16 +331,20 @@ def test_plan_tau_whose_nome_rounds_to_1_is_a_domain_error(capsys):
         assert "|q| rounds to 1 in double precision" in err, argv
 
 
-def test_tau_whose_nome_is_not_finite_is_a_domain_error(capsys):
-    # exp(i*pi*tau) raised (an internal error), q^(1/4) came out nan (a
-    # silent nan value), or the plan passed tau and the identity took the
-    # blame for 2*tau
-    for argv in (("eval", "--fn", "theta3", "--z", "0,0", "--tau", "6e307,1"),
-                 ("eval", "--fn", "theta1", "--z", "0.5,0", "--tau", "1e308,1e308"),
-                 ("verify", "--id", "thm2", "--count", "3", "--tau", "1e308,1e308")):
+def test_tau_whose_double_is_not_finite_is_a_domain_error(capsys):
+    # the plan checks 2*tau as well as tau, so the identity does not take
+    # the blame for 2*tau
+    for argv in (("verify", "--id", "thm2", "--count", "3", "--tau", "1e308,1e308"),
+                 ("verify", "--id", "thm2", "--count", "3", "--tau", "0,1e308"),
+                 ("verify", "--id", "thm2", "--x", "0.5,0", "--tau", "1e308,1")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
-        assert "is too large: q or q^(1/4) is not finite" in err, argv
+        assert "is too large: 2*tau is not finite in double precision" in err, argv
+    # tau itself only needs Re tau mod 8, so a huge Re tau evaluates
+    reduced = "%r,1" % math.fmod(6e307, 8.0)
+    outs = [run_cli(capsys, "eval", "--fn", "theta3", "--z", "0.3,0", "--tau", tau)
+            for tau in ("6e307,1", reduced)]
+    assert outs[0] == outs[1] and outs[0][0] == 0
 
 
 def test_suite_json_reports_classical_exponents(capsys):

@@ -1,3 +1,4 @@
+import cmath
 import gc
 import math
 import random
@@ -40,16 +41,27 @@ def test_make_param_rejects_lower_half_plane():
             make_param(tau)
 
 
-def test_make_param_rejects_a_tau_whose_nome_is_not_finite():
-    # pi * Re tau overflows, so exp raises; or, at 1e308+1e308j, q underflows
-    # to 0 but the quarter of the infinite exponent is nan
-    for tau in (6e307 + 1j, -6e307 + 2j, 6e307 + 1e-3j, 1e308 + 1e308j):
-        with pytest.raises(DomainError, match=r"is too large: q or q\^\(1/4\) "
-                                              "is not finite"):
-            make_param(tau)
-    # a huge Im tau alone underflows both to 0 and still builds
-    p = make_param(1e308j)
-    assert p.q == 0 and p.q_quarter == 0
+def test_make_param_forms_the_nome_at_re_tau_mod_8():
+    # q and q^(1/4) have periods 2 and 8 in tau, and fmod is exact: a huge
+    # Re tau, where pi * Re tau once overflowed or lost digits, costs none
+    for tau in (6e307 + 1j, -6e307 + 2j, 6e307 + 1e-3j, 1e300 + 0.5j, 8.5 + 1j,
+                -8.0 + 1j, 1e16 + 0.25j):
+        p = make_param(tau)
+        reduced = make_param(complex(math.fmod(tau.real, 8.0), tau.imag))
+        assert p.tau == tau
+        assert (p.q, p.q_quarter) == (reduced.q, reduced.q_quarter), tau
+    # |Re tau| < 8 is left as it is, so the bits are those of the plain formula
+    for tau in (0.3 + 1.1j, -7.99 + 0.5j, complex(-0.0, 2.0), 7.5 + 1e-3j):
+        p = make_param(tau)
+        assert p.q == cmath.exp(1j * cmath.pi * tau)
+        assert p.q_quarter == cmath.exp(1j * cmath.pi * tau / 4)
+    # a huge Im tau underflows both to 0 and still builds, whatever Re tau is;
+    # only its double 2*tau leaves double range
+    for tau in (1e308j, 1e308 + 1e308j):
+        p = make_param(tau)
+        assert p.q == 0 and p.q_quarter == 0
+        with pytest.raises(DomainError, match=r"is too large: 2\*tau is not finite"):
+            qsquared_param(p)
 
 
 def test_quarter_nome_fourth_power_matches_nome():

@@ -1,5 +1,6 @@
 import cmath
 import collections
+import fractions
 import math
 import random
 import sys
@@ -124,6 +125,26 @@ def test_series_matches_mpmath():
         got = theta_eval(kind, z, p)
         want = complex(mp.jtheta(kind, z, mp.mpc(p.q)))
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_huge_re_tau_matches_mpmath_at_the_exact_tau():
+    # mpmath forms q = exp(i*pi*tau) at the exact tau in 1100 bits, enough
+    # for pi*Re tau at 1e300; its q^(1/4) is the principal root, which
+    # differs from exp(i*pi*tau/4) by i^k, with 2k = Re tau minus its
+    # representative in (-1, 1]
+    for x in (1e3, 1e8, 1e8 + 5.5, 1e16, 1e300):
+        p = make_param(complex(x, 1.0))
+        with mp.workprec(1100):
+            q = mp.exp(1j * mp.pi * mp.mpc(x, 1))
+        k = math.ceil((fractions.Fraction(x) - 1) / 2)
+        for kind in (1, 2, 3, 4):
+            with mp.workprec(80):
+                want = complex(mp.jtheta(kind, 0.3, q))
+            if kind < 3:
+                want *= (1, 1j, -1, -1j)[k % 4]
+            for method in ("series", "product"):
+                got = theta_eval(kind, 0.3, p, method=method)
+                assert abs(got - want) <= 1e-13 * abs(want), (x, kind, method)
 
 
 def test_path_agreement_series_vs_product():
