@@ -94,15 +94,13 @@ def _nome_power(p: ModularParam, a: complex) -> complex:
     try:
         return cmath.exp(1j * cmath.pi * p.tau * a)
     except (ValueError, OverflowError):
-        raise RangeError("q^a overflowed double range at a = %r, tau = %r"
-                         % (a, p.tau)) from None
+        raise RangeError("q^a overflowed double range for a = %r" % (a,)) from None
 
 
-def _finite(value: complex, what: str, w: complex, p: ModularParam) -> complex:
+def _finite(value: complex, what: str) -> complex:
     """value, or RangeError when it left double range (inf, or nan from inf * 0)."""
     if not cmath.isfinite(value):
-        raise RangeError("%s overflowed double range at w = %r, tau = %r"
-                         % (what, w, p.tau))
+        raise RangeError("%s overflowed double range" % what)
     return value
 
 
@@ -117,7 +115,7 @@ def _sin_q_factors(w: complex, p: ModularParam) -> complex:
     q2 = p.q * p.q
     value = (qpochhammer(_nome_power(p, 2 - 2 * w), q2, p.q2_logs)
              * qpochhammer(_nome_power(p, 2 * w), q2, p.q2_logs))
-    return _finite(value, "sin_q(pi*w) factors", w, p)
+    return _finite(value, "sin_q(pi*w) factors")
 
 
 def _sin_q(w: complex, p: ModularParam) -> complex:
@@ -128,7 +126,7 @@ def _sin_q(w: complex, p: ModularParam) -> complex:
     den = p.products.get("sin_q")
     if den is None:
         den = p.products["sin_q"] = qpochhammer(p.q, p.q * p.q, p.q2_logs) ** 2
-    return _finite(num / den * _nome_power(p, (w - 0.5) ** 2), "sin_q(pi*w)", w, p)
+    return _finite(num / den * _nome_power(p, (w - 0.5) ** 2), "sin_q(pi*w)")
 
 
 def qtrig_product_any(kind: str, z_over_pi: complex, p: ModularParam) -> complex:
@@ -140,31 +138,34 @@ def qtrig_product_any(kind: str, z_over_pi: complex, p: ModularParam) -> complex
     cancelled, and ssn_q = sin_{q^2} / sin_q, ccs_q = cos_{q^2} / cos_q take
     the q^2 side at qsquared_param(p).  Raises PoleError when a denominator
     vanishes, DomainError when the nome underflows to 0 and RangeError when
-    a factor product or a value leaves double range.
+    a factor product or a value leaves double range; a RangeError names
+    z_over_pi as w and the caller's tau, whichever shifted argument or
+    doubled tau overflowed.
     """
     check_qtrig_kind(kind)
     w = complex(z_over_pi)
-    v = w + 0.5 if kind in ("cos_q", "ccs_q") else w
-    if kind in ("sin_q", "cos_q"):
-        return _sin_q(v, p)
-    power = None
-    if kind in ("ssn_q", "ccs_q"):
-        den = _sin_q(v, p)
-        try:
+    side = ""
+    try:
+        v = w + 0.5 if kind in ("cos_q", "ccs_q") else w
+        if kind in ("sin_q", "cos_q"):
+            return _sin_q(v, p)
+        power = None
+        if kind in ("ssn_q", "ccs_q"):
+            den = _sin_q(v, p)
+            side = "on the nome-q^2 side of "
             num = _sin_q(v, qsquared_param(p))
-        except RangeError as exc:     # its message ends with the doubled tau
-            raise RangeError("%s, on the nome-q^2 side of tau = %r"
-                             % (str(exc).rsplit(", tau = ", 1)[0], p.tau)) from None
-    else:
-        num, den, power = _sin_q_factors(w, p), _sin_q_factors(w + 0.5, p), 0.25 - w
-        if kind == "cot_q":
-            num, den, power = den, num, w - 0.25
-    if abs(den) < POLE_RATIO * max(1.0, abs(num)):
-        raise PoleError("%s pole at pi*%r" % (kind, w))
-    value = num / den
-    if power is None:
-        return value    # the pole test bounds the quotient by 1/POLE_RATIO
-    return _finite(value * _nome_power(p, power), kind, w, p)
+        else:
+            num, den, power = _sin_q_factors(w, p), _sin_q_factors(w + 0.5, p), 0.25 - w
+            if kind == "cot_q":
+                num, den, power = den, num, w - 0.25
+        if abs(den) < POLE_RATIO * max(1.0, abs(num)):
+            raise PoleError("%s pole at pi*%r" % (kind, w))
+        value = num / den
+        if power is None:
+            return value    # the pole test bounds the quotient by 1/POLE_RATIO
+        return _finite(value * _nome_power(p, power), kind)
+    except RangeError as exc:   # the helpers say what overflowed, this says where
+        raise RangeError("%s at w = %r, %stau = %r" % (exc, w, side, p.tau)) from None
 
 
 def qtrig_crosscheck(kind: str, z: complex, p: ModularParam) -> float:

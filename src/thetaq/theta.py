@@ -219,7 +219,7 @@ def qpochhammer(a: complex, q: complex, logs: tuple | None = None) -> complex:
     try:
         abs_a = abs(a)
     except OverflowError:
-        raise RangeError("q-Pochhammer argument |a| overflowed double range at "
+        raise RangeError("q-Pochhammer argument |a| overflowed double range for "
                          "a = %r" % (a,)) from None
     if abs_a > 0.0:
         ln_floor, ln_step = logs or pochhammer_logs(aq)

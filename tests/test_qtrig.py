@@ -275,14 +275,23 @@ def test_overflowed_factor_product_raises_range_error():
     for kind in ("ssn_q", "tan_q"):
         with pytest.raises(RangeError, match=r"sin_q\(pi\*w\) factors overflowed"):
             qtrig_product_any(kind, 9 / math.pi, p)
-    # on the nome-q^2 side of ssn_q and ccs_q the message names the caller's
-    # tau, not the doubled 0.38+40j
-    for kind, v in (("ssn_q", "(-2.5+0j)"), ("ccs_q", "(-2+0j)")):
+    # every message names the caller's w and tau: not the w + 1/2 of cos_q,
+    # tan_q and ccs_q, nor the doubled tau 0.38+40j of the nome-q^2 side
+    for kind, w, tau, where in (
+            ("ssn_q", -2.5, 0.19 + 20j, "on the nome-q^2 side of tau = (0.19+20j)"),
+            ("ccs_q", -2.5, 0.19 + 20j, "on the nome-q^2 side of tau = (0.19+20j)"),
+            ("cos_q", 3 + 0.5j, 30j, "tau = 30j"),
+            ("tan_q", 3 + 0.5j, 30j, "tau = 30j")):
         with pytest.raises(RangeError) as caught:
-            qtrig_product_any(kind, -2.5, make_param(0.19 + 20j))
+            qtrig_product_any(kind, w, make_param(tau))
         assert str(caught.value) == (
-            "sin_q(pi*w) factors overflowed double range at w = %s, on the nome-q^2 "
-            "side of tau = (0.19+20j)" % v)
+            "sin_q(pi*w) factors overflowed double range at w = %r, %s"
+            % (complex(w), where)), kind
+    # so does an overflowed nome power, beside its internal exponent
+    with pytest.raises(RangeError) as caught:
+        qtrig_product_any("ssn_q", 3 + 0.5j, make_param(30j))
+    assert str(caught.value) == ("q^a overflowed double range for a = (-4-1j) at "
+                                 "w = (3+0.5j), on the nome-q^2 side of tau = 30j")
 
 
 def test_product_path_values_are_finite_or_typed_errors():
