@@ -108,9 +108,10 @@ def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
     with ln r = (2k+1+odd) ln|q| + 2|Im z| and ln_bound = ln 2 +
     k(k+odd) ln|q| + (k + odd/2) 2|Im z|.  The power and the k-only parts of
     both logarithms are read from the term table p.terms[odd] (see
-    params.theta_term), which this call extends when it needs an entry the
-    table lacks, so every call at one nome shares them; the loop adds only
-    the z terms.  As -log1p(-r) > 0 for r < 1, the test cannot pass before
+    params.theta_term), so every call at one nome shares them; the loop
+    adds only the z terms.  Each term reads table[k] directly, and the
+    table grows by one entry only when that read runs past its end; past
+    MAX_TERMS the read ends the loop with ConvergenceError.  As -log1p(-r) > 0 for r < 1, the test cannot pass before
     ln_bound + ln r < ln eps does, so log1p and exp run only once that
     cheaper pre-test passes.
     """
@@ -135,19 +136,27 @@ def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
         return pair if kind % 2 else pair[::-1]
     # tail bounds live in log space so huge |Im z| cannot overflow a float
     imz2 = 2.0 * imz   # log of the growth factor |e^(2zi)|^(+-1)
-    # the term table grows by slice stores: a thread that extended it first
-    # is overwritten with the same entry
-    table = p.terms[odd]
-    n = len(table)
     # alt = the sum with (-1)^k (theta1's or theta4's), same = its partner's;
     # e^((2k+odd)iz) steps by e^(2iz), which is up squared when odd
-    alt = same = 0j if odd else 1 + 0j
-    step, step_inv = (up * up, um * um) if odd else (up, um)
-    for k in range(1 - odd, MAX_TERMS + 1):
-        if k == n:
+    if odd:
+        alt = same = 0j
+        step, step_inv = up * up, um * um
+        k = 0
+    else:
+        alt = same = 1 + 0j
+        step, step_inv = up, um
+        k = 1
+    table = p.terms[odd]
+    while True:
+        try:
+            qk, lnr, lnb, half = table[k]
+        except IndexError:
+            if k > MAX_TERMS:
+                break
+            # a slice store: a thread that extended the table first is
+            # overwritten with the same entry
             table[k:k + 1] = (theta_term(q, p.ln_abs_q, k, odd),)
-            n = len(table)
-        qk, lnr, lnb, half = table[k]
+            qk, lnr, lnb, half = table[k]
         plus = qk * (up + um)
         same += plus
         term = qk * (up - um) if odd else plus
@@ -159,13 +168,14 @@ def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
         if ln_ratio < 0.0:
             head = lnb + half * imz2 + ln_ratio
             if head < LN_EPS and head - math.log1p(-math.exp(ln_ratio)) < LN_EPS:
-                pair = (alt, same) if kind in (1, 4) else (same, alt)
-                if not (cmath.isfinite(alt) and cmath.isfinite(same)):
-                    bad = kind if not cmath.isfinite(pair[0]) else PARTNER[kind]
-                    raise _overflow(bad, z, "series")
-                return pair
+                if cmath.isfinite(alt) and cmath.isfinite(same):
+                    return (alt, same) if kind in (1, 4) else (same, alt)
+                first = alt if kind in (1, 4) else same
+                raise _overflow(kind if not cmath.isfinite(first) else PARTNER[kind],
+                                z, "series")
         up *= step
         um *= step_inv
+        k += 1
     raise ConvergenceError(
         "theta%d series did not meet eps=%g in %d terms (reduce the argument?)"
         % (kind, EPS, MAX_TERMS))
