@@ -137,10 +137,10 @@ def qtrig_product_any(kind: str, z_over_pi: complex, p: ModularParam) -> complex
     come from one builder; tan_q and cot_q are its quotient with (q;q^2)^2
     cancelled, and ssn_q = sin_{q^2} / sin_q, ccs_q = cos_{q^2} / cos_q take
     the q^2 side at qsquared_param(p).  Raises PoleError when a denominator
-    vanishes, DomainError when the nome underflows to 0 and RangeError when
-    a factor product or a value leaves double range; a RangeError names
-    z_over_pi as w and the caller's tau, whichever shifted argument or
-    doubled tau overflowed.
+    vanishes, DomainError when the nome q underflows to 0 and RangeError
+    when only q^2 does or a factor product or a value leaves double range;
+    a RangeError names z_over_pi as w and the caller's tau, whichever
+    shifted argument or doubled tau overflowed.
     """
     check_qtrig_kind(kind)
     w = complex(z_over_pi)
@@ -153,7 +153,11 @@ def qtrig_product_any(kind: str, z_over_pi: complex, p: ModularParam) -> complex
         if kind in ("ssn_q", "ccs_q"):
             den = _sin_q(v, p)
             side = "on the nome-q^2 side of "
-            num = _sin_q(v, qsquared_param(p))
+            double = qsquared_param(p)
+            if not double.q:
+                # Im tau above about 118.5: q is in range, q^2 is not
+                raise RangeError("nome q^2 underflowed to 0")
+            num = _sin_q(v, double)
         else:
             num, den, power = _sin_q_factors(w, p), _sin_q_factors(w + 0.5, p), 0.25 - w
             if kind == "cot_q":

@@ -135,6 +135,14 @@ def test_eval_overflowed_product_exits_3(capsys):
     assert "factors overflowed double range" in err
 
 
+def test_eval_product_with_underflowed_q_squared_exits_3(capsys):
+    # the caller's tau is valid; only the doubled tau's nome underflows
+    code, out, err = run_cli(capsys, "eval", "--fn", "ssn_q", "--z", "pi*0.3,0",
+                             "--tau", "0,130", "--method", "product")
+    assert (code, out) == (3, "")
+    assert "nome q^2 underflowed to 0" in err and "tau = 130j" in err
+
+
 def test_eval_product_value_out_of_double_range_exits_3(capsys):
     # sin_q's nome power overflows (once a silent nan); cos_q's q-Pochhammer
     # argument has finite parts whose modulus overflows (once an internal error)

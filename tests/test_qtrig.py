@@ -135,6 +135,19 @@ def test_product_path_rejects_underflowed_nome():
             qtrig_product_any(kind, 0.3, p)
 
 
+def test_product_path_names_an_underflowed_q_squared():
+    # above Im tau of about 118.5, q is in range but q^2 underflows to 0:
+    # ssn_q and ccs_q fail on their nome-q^2 side, naming the caller's tau
+    for tau in (130j, 200j):
+        p = make_param(tau)
+        assert p.q != 0 and p.q * p.q == 0
+        for kind in ("ssn_q", "ccs_q"):
+            with pytest.raises(RangeError) as caught:
+                qtrig_product_any(kind, 0.3, p)
+            assert str(caught.value) == ("nome q^2 underflowed to 0 at w = (0.3+0j), "
+                                         "on the nome-q^2 side of tau = %r" % tau)
+
+
 def test_crosscheck_every_kind():
     rng = random.Random(21)
     kinds = ("sin_q", "cos_q", "tan_q", "cot_q", "ssn_q", "ccs_q")
