@@ -1,0 +1,77 @@
+"""tools/bench_ab.py's per-metric verdicts, on synthetic runs."""
+
+import importlib.util
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture(scope="module")
+def bench_ab():
+    spec = importlib.util.spec_from_file_location(
+        "bench_ab", os.path.join(ROOT, "tools", "bench_ab.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+OPS = {"name": "ops_per_s", "better": "higher", "bound": 0.25}
+P50 = {"name": "op_p50_ms", "better": "lower", "bound": 0.25}
+PARENT = [100.0, 104.0, 98.0, 101.0, 103.0, 99.0, 102.0, 97.0, 105.0, 100.5]
+
+
+def verdict(bench_ab, parent, change, spec=OPS):
+    """summarize's entry for spec, one untraced run per side and seed, plus a
+    traced run that must be ignored."""
+    runs = []
+    for side, values in (("parent", parent), ("change", change)):
+        for seed, value in enumerate(values, start=11):
+            result = {"metrics": {spec["name"]: {"value": value}},
+                      "failed": 0, "correct": True}
+            runs.append({"side": side, "workload": "w", "seed": seed, "trace": 0,
+                         "result": result})
+        runs.append({"side": side, "workload": "w", "seed": 11, "trace": 1,
+                     "result": {"metrics": {spec["name"]: {"value": 0.0}}}})
+    return bench_ab.summarize(runs, "w", [spec])[spec["name"]]
+
+
+def test_clear_gain_is_shown(bench_ab):
+    line = verdict(bench_ab, PARENT, [v * 1.2 for v in PARENT])
+    assert line["change_wins"] == "10 of 10"
+    assert line["gain_shown"] and not line["unresolved"]
+    assert not line["worse_beyond_bound"]
+    # the same gain in a lower-is-better metric
+    line = verdict(bench_ab, PARENT, [v / 1.2 for v in PARENT], P50)
+    assert line["gain_shown"] and not line["unresolved"]
+
+
+def test_tie_shows_no_gain(bench_ab):
+    line = verdict(bench_ab, PARENT, PARENT[::-1])
+    assert line["change_over_parent"] == 1.0
+    assert not line["gain_shown"] and not line["unresolved"]
+
+
+def test_nine_of_ten_wins_need_a_gap_beyond_the_parent_iqr(bench_ab):
+    # nine wins by 1 and one loss: the medians differ by less than the IQR
+    inside = [v + 1.0 for v in PARENT[:9]] + [PARENT[9] - 1.0]
+    line = verdict(bench_ab, PARENT, inside)
+    assert line["change_wins"] == "9 of 10"
+    assert 0 < line["change_median"] - line["parent_median"] < line["parent_iqr"]
+    assert not line["gain_shown"]
+    # nine wins by 10 clear it; the same gain over nine pairs does not
+    outside = [v + 10.0 for v in PARENT[:9]] + [PARENT[9] - 1.0]
+    assert verdict(bench_ab, PARENT, outside)["gain_shown"]
+    assert not verdict(bench_ab, PARENT[:9], outside[:9])["gain_shown"]
+
+
+def test_noisy_metric_is_unresolved(bench_ab):
+    # the parent's IQR is far beyond the bound of 25% of its median
+    noisy = [40.0, 160.0, 70.0, 130.0, 55.0, 145.0, 90.0, 110.0, 60.0, 150.0]
+    line = verdict(bench_ab, noisy, [v + 5.0 for v in noisy])
+    assert line["parent_iqr"] > 0.25 * line["parent_median"]
+    assert line["unresolved"] and not line["gain_shown"]
+    # unless every change run beats every parent run
+    line = verdict(bench_ab, noisy, [v + 200.0 for v in noisy])
+    assert not line["unresolved"] and line["gain_shown"]

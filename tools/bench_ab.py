@@ -21,7 +21,10 @@ seed, and `trace_layers` the per-layer metrics as [parent, change].  Each
 metric's `worse_beyond_bound` is true when the change's median is worse
 than the parent's, in the metric's `better` direction, by more than its
 `bound` (a fraction of the parent's median): the test of a change that
-claims no gain.
+claims no gain.  `gain_shown` is the test of a claimed gain: at least ten
+pairs, the change better in nine of ten, and its median better by more
+than the parent's IQR.  `unresolved` marks a metric whose parent IQR
+exceeds its bound while the two sides' runs overlap: it can show neither.
 
     python3 tools/bench_ab.py --parent HEAD --tiny --out /tmp/ab.json
 
@@ -34,6 +37,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import operator
 import os
 import platform
 import statistics
@@ -47,6 +51,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # ten pairs, and nine wins of ten can be shown
 SEEDS = 10
 FIRST_SEED = 11
+# pairs a gain needs before gain_shown can be true
+MIN_PAIRS = 10
 RUN_TIMEOUT_S = 1800
 
 
@@ -89,8 +95,15 @@ def iqr(values) -> float:
 
 
 def summarize(runs, workload, metrics) -> dict:
-    """Medians, ratio, wins, the parent's IQR and worse_beyond_bound per
-    end-to-end metric."""
+    """Medians, ratio, wins, the parent's IQR, worse_beyond_bound,
+    gain_shown and unresolved per end-to-end metric.
+
+    gain_shown: at least MIN_PAIRS pairs, the change better in at least 9
+    of 10 of them, and its median better than the parent's by more than
+    the parent's IQR.  unresolved: the parent's IQR exceeds the metric's
+    bound (times the parent's median), and not every change run is better
+    than every parent run; such a metric can show neither a gain nor a loss.
+    """
     sides = {"parent": {}, "change": {}}
     for run in runs:
         if run["workload"] == workload and not run["trace"]:
@@ -101,15 +114,20 @@ def summarize(runs, workload, metrics) -> dict:
         name, higher = spec["name"], spec["better"] == "higher"
         pv = [sides["parent"][s]["metrics"][name]["value"] for s in seeds]
         cv = [sides["change"][s]["metrics"][name]["value"] for s in seeds]
-        wins = sum((c > p) if higher else (c < p) for p, c in zip(pv, cv))
+        better = operator.gt if higher else operator.lt
+        wins = sum(better(c, p) for p, c in zip(pv, cv))
         pm, cm = statistics.median(pv), statistics.median(cv)
-        bound = spec["bound"]
+        bound, spread = spec["bound"], iqr(pv)
         out[name] = {"parent_median": round(pm, 4), "change_median": round(cm, 4),
                      "change_over_parent": round(cm / pm, 4) if pm else None,
                      "change_wins": "%d of %d" % (wins, len(seeds)),
-                     "parent_iqr": round(iqr(pv), 4),
+                     "parent_iqr": round(spread, 4),
                      "worse_beyond_bound": (cm < pm * (1 - bound)) if higher
-                     else (cm > pm * (1 + bound))}
+                     else (cm > pm * (1 + bound)),
+                     "gain_shown": len(seeds) >= MIN_PAIRS and 10 * wins >= 9 * len(seeds)
+                     and abs(cm - pm) > spread and better(cm, pm),
+                     "unresolved": spread > bound * abs(pm)
+                     and not all(better(c, p) for c in cv for p in pv)}
     out["failed_ops_per_seed"] = {side: {str(s): res[s]["failed"] for s in seeds}
                                   for side, res in sides.items()}
     out["all_correct"] = all(res[s]["correct"] for res in sides.values() for s in seeds)
@@ -185,9 +203,10 @@ def main(argv=None) -> int:
     for w in workloads:
         line = report["summary"][w]
         print("%-18s correct=%s  %s" % (w, line["all_correct"], "  ".join(
-            "%s %s (%s, worse_beyond_bound=%s)" % (
+            "%s %s (%s, worse_beyond_bound=%s, gain_shown=%s, unresolved=%s)" % (
                 m["name"], line[m["name"]]["change_over_parent"],
-                line[m["name"]]["change_wins"], line[m["name"]]["worse_beyond_bound"])
+                line[m["name"]]["change_wins"], line[m["name"]]["worse_beyond_bound"],
+                line[m["name"]]["gain_shown"], line[m["name"]]["unresolved"])
             for m in spec["end_to_end"])))
     return 0
 
