@@ -948,3 +948,48 @@ def test_qtrig_bridge_rejects_an_underflowed_nome():
     x = reference_draw(random.Random("7:qtrig_bridge"), identities.SAMPLE_BOX)
     assert report.failures == [{"x": [x.real, x.imag], "y": None, "tau": [0.0, 1000.0],
                                 "error": "product form needs 0 < |q| < 1, got |q| = 0"}]
+
+
+# theta_sum and qpochhammer calls per kept sample at warm params (nulls and
+# term tables filled), per sampled identity
+KERNEL_CALLS_PER_SAMPLE = {
+    **{"quasi_period_%d" % k: (3, 0) for k in (1, 2, 3, 4)},
+    **{"half_period_%d" % k: (2, 0) for k in (1, 2, 3, 4)},
+    "duplication_12": (3, 0), "duplication_23": (3, 0),
+    **{"triple_product_%d" % k: (1, 2) for k in (1, 2, 3, 4)},
+    "thm2": (4, 0),
+    "thm1_tan": (4, 0), "thm1_cot": (4, 0), "cor_cot": (4, 0), "cor_tan": (4, 0),
+    "cosq_shift": (3, 0),
+    "f_constancy": (4, 0),
+}
+
+
+def test_kernel_calls_per_sample_are_pinned(monkeypatch):
+    # a dropped call weakens a check and an added one slows it; either fails
+    # here.  A round of perfbench's sampled_residuals (count 500, the probe
+    # capped at 50) makes 26,700 theta_sum and 4,000 qpochhammer calls.
+    sampled = [i for i in IDENTITY_IDS if not i.startswith("classical_limit")
+               and i != "qtrig_bridge"]
+    assert sorted(KERNEL_CALLS_PER_SAMPLE) == sorted(sampled)
+    assert [sum(calls[j] * (50 if i == "f_constancy" else 500)
+                for i, calls in KERNEL_CALLS_PER_SAMPLE.items())
+            for j in (0, 1)] == [26700, 4000]
+    plan = SamplePlan(seed=3, count=30)
+    counts = dict(theta_sum=0, qpochhammer=0)
+    for name in ("theta_sum", "qpochhammer"):
+        real = getattr(theta, name)
+
+        def counted(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        for module in (theta, qtrig, identities):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    for ident, want in KERNEL_CALLS_PER_SAMPLE.items():
+        verify_numeric(ident, plan)             # warms the params
+        counts.update(theta_sum=0, qpochhammer=0)
+        report = verify_numeric(ident, plan)
+        assert report.status == "pass" and report.samples == 30, ident
+        assert (counts["theta_sum"], counts["qpochhammer"]) == (
+            want[0] * 30, want[1] * 30), ident
