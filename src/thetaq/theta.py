@@ -111,9 +111,10 @@ def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
     params.theta_term), so every call at one nome shares them; the loop
     adds only the z terms.  Each term reads table[k] directly, and the
     table grows by one entry only when that read runs past its end; past
-    MAX_TERMS the read ends the loop with ConvergenceError.  As -log1p(-r) > 0 for r < 1, the test cannot pass before
-    ln_bound + ln r < ln eps does, so log1p and exp run only once that
-    cheaper pre-test passes.
+    MAX_TERMS the read ends the loop with ConvergenceError.  As
+    -log1p(-r) > 0 for r < 1, the test cannot pass before ln_bound + ln r
+    < ln eps does, so log1p and exp run only once that cheaper pre-test
+    passes.
     """
     if kind not in THETA_KINDS:
         check_kind(kind)

@@ -51,8 +51,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # ten pairs, and nine wins of ten can be shown
 SEEDS = 10
 FIRST_SEED = 11
-# pairs a gain needs before gain_shown can be true
-MIN_PAIRS = 10
 RUN_TIMEOUT_S = 1800
 
 
@@ -98,7 +96,7 @@ def summarize(runs, workload, metrics) -> dict:
     """Medians, ratio, wins, the parent's IQR, worse_beyond_bound,
     gain_shown and unresolved per end-to-end metric.
 
-    gain_shown: at least MIN_PAIRS pairs, the change better in at least 9
+    gain_shown: at least SEEDS pairs, the change better in at least 9
     of 10 of them, and its median better than the parent's by more than
     the parent's IQR.  unresolved: the parent's IQR exceeds the metric's
     bound (times the parent's median), and not every change run is better
@@ -124,7 +122,7 @@ def summarize(runs, workload, metrics) -> dict:
                      "parent_iqr": round(spread, 4),
                      "worse_beyond_bound": (cm < pm * (1 - bound)) if higher
                      else (cm > pm * (1 + bound)),
-                     "gain_shown": len(seeds) >= MIN_PAIRS and 10 * wins >= 9 * len(seeds)
+                     "gain_shown": len(seeds) >= SEEDS and 10 * wins >= 9 * len(seeds)
                      and abs(cm - pm) > spread and better(cm, pm),
                      "unresolved": spread > bound * abs(pm)
                      and not all(better(c, p) for c in cv for p in pv)}
