@@ -228,8 +228,13 @@ THM2_PAIRS = ((2, 2, (1, 1)), (3, 2, (1, -1)), (1, 1, (1, 0)), (2, 1, (0, 1)))
 
 
 def thm2_sides(s2, s1, d3, d4, x1, x2, y2, y1) -> tuple:
-    """Both sides of thm2 from the THM2_PAIRS values, complex or GradedSeries."""
-    return s2 * d3 * (x1 * y2 + y1 * x2), s1 * d4 * (x2 * y2 - x1 * y1)
+    """Both sides of thm2 from the THM2_PAIRS values, complex or GradedSeries.
+
+    A series product costs about |A|*|B| term products, so each small theta
+    is folded into the two-by-two sum in turn: s2 * (d3 * sum), never the
+    dense s2 * d3 first.
+    """
+    return s2 * (d3 * (x1 * y2 + y1 * x2)), s1 * (d4 * (x2 * y2 - x1 * y1))
 
 
 def _thm2_thetas(x: complex, y: complex, p: ModularParam) -> tuple:
@@ -343,11 +348,14 @@ def _relations_triple(kind: int, order: int) -> list:
         head = GradedSeries.from_poly(
             LaurentPoly({(1, 0): lead, (-1, 0): -lead if kind == 1 else lead}),
             1, order)
-    # (a;q^2) = prod (1 - a q^2n), so the factor sign is -s
+    # (a;q^2) = prod (1 - a q^2n), so the factor sign is -s.  The order is
+    # the cheap one measured for pochhammer_product: the pure-nome factors
+    # first, then the u^2 and u^-2 factors paired by c, largest c first.
     sign, power = PRODUCT_FACTOR[kind]
+    up, down = (geometric_factors(-sign, power, 2, mono, order)[::-1]
+                for mono in ((2, 0), (-2, 0)))
     factors = (geometric_factors(-1, 2, 2, None, order)
-               + geometric_factors(-sign, power, 2, (2, 0), order)
-               + geometric_factors(-sign, power, 2, (-2, 0), order))
+               + [factor for pair in zip(up, down) for factor in pair])
     product = head * pochhammer_product(factors, order)
     return [("theta%d series vs product" % kind, series, product)]
 

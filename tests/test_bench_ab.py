@@ -75,3 +75,24 @@ def test_noisy_metric_is_unresolved(bench_ab):
     # unless every change run beats every parent run
     line = verdict(bench_ab, noisy, [v + 200.0 for v in noisy])
     assert not line["unresolved"] and line["gain_shown"]
+
+
+def test_traced_layers_are_medians_per_side(bench_ab):
+    # three traced runs per side, one an outlier, plus untraced runs that
+    # must be ignored; the parent's runs come first in `correct`
+    runs = []
+    for side, values, correct in (("parent", [1.29, 1.78, 1.31], [True, True, True]),
+                                  ("change", [1.25, 1.30, 0.90], [True, False, True])):
+        for seed, (value, ok) in enumerate(zip(values, correct), start=11):
+            for trace in (0, 1):
+                metrics = {"layer.us": {"value": value + 10 * (1 - trace)},
+                           "layer.calls": {"value": 4000}}
+                runs.append({"side": side, "workload": "w", "seed": seed, "trace": trace,
+                             "result": {"metrics": metrics, "correct": ok}})
+    runs.append({"side": "parent", "workload": "other", "seed": 11, "trace": 1,
+                 "result": {"metrics": {"layer.us": {"value": 99.0}}, "correct": False}})
+    traced = bench_ab.summarize_traced(runs, "w")
+    assert traced["correct"] == [True, True, True, True, False, True]
+    assert traced["metrics"] == {"layer.us": [1.31, 1.25], "layer.calls": [4000, 4000]}
+    assert bench_ab.TRACED_PAIRS == 3
+

@@ -993,3 +993,42 @@ def test_kernel_calls_per_sample_are_pinned(monkeypatch):
         assert report.status == "pass" and report.samples == 30, ident
         assert (counts["theta_sum"], counts["qpochhammer"]) == (
             want[0] * 30, want[1] * 30), ident
+
+
+def test_thm2_term_products_are_pinned(monkeypatch):
+    # thm2_sides folds each 13-14-term scale-2 theta into the 154-term sum;
+    # the dense s2 * d3 first made 6,924 term products at q^48, not 3,636.
+    from thetaq import formal
+    count = [0]
+    real = formal._mul_into
+
+    def counted(acc, rows1, rows2):
+        count[0] += len(rows1) * len(rows2)
+        return real(acc, rows1, rows2)
+
+    monkeypatch.setattr(formal, "_mul_into", counted)
+    formal_relations("thm2", 48)
+    assert count[0] == 3636
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, 4])
+def test_triple_product_factor_order_is_pinned(kind, monkeypatch):
+    # the cheap order for pochhammer_product: the pure-nome factors first,
+    # then the u^2 and u^-2 factors by non-increasing c, u^2 first at each c
+    # (5,808 or 5,832 shift-add steps at q^96, against 8,300 or 8,986 for
+    # the nome, u^2 and u^-2 families each rising in turn)
+    seen = []
+    real = identities.pochhammer_product
+
+    def recorded(factors, order):
+        seen.append(list(factors))
+        return real(factors, order)
+
+    monkeypatch.setattr(identities, "pochhammer_product", recorded)
+    assert formal_certify("triple_product_%d" % kind, 48).passed
+    [factors] = seen
+    nome = [f for f in factors if f[2] is None]
+    units = factors[len(nome):]
+    assert nome == [(-1, c, None) for c in range(2, 49, 2)]
+    assert len(units) == 48 and all(f[2] in ((2, 0), (-2, 0)) for f in units)
+    assert units == sorted(units, key=lambda f: (-f[1], -f[2][0]))

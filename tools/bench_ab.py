@@ -7,8 +7,9 @@ with `git archive` into a temporary directory, so both sides run from clean
 trees.  For every workload of BENCHMARK.json, at each of SEEDS seeds (below),
 `perfbench/run.py` runs once per side untraced for BENCHMARK.json's
 run_seconds, parent and change alternating, and which side goes first
-alternating with the seed; then each workload runs once per side with
-`--trace 1` at the first seed.  Every run must exit 0 and print its result
+alternating with the seed; then each workload runs TRACED_PAIRS times per
+side with `--trace 1`, at the first seeds, which side goes first again
+alternating.  Every run must exit 0 and print its result
 line, or the driver stops.  --host records the machine in the output; its
 default notes when the bytecode cache is off (PYTHONDONTWRITEBYTECODE), as
 every set-up then compiles src/ from source.
@@ -17,7 +18,8 @@ The output has the schema of BENCH_7.json (see README, "Performance
 trajectory"): `runs` holds each run's last output line verbatim, `summary`
 the per-workload medians, ratios, wins and the parent's interquartile range
 of every end-to-end metric in BENCHMARK.json plus the failed-op counts per
-seed, and `trace_layers` the per-layer metrics as [parent, change].  Each
+seed, and `trace_layers` the per-layer metrics as [parent median, change
+median] over the traced runs, with `correct` for every traced run.  Each
 metric's `worse_beyond_bound` is true when the change's median is worse
 than the parent's, in the metric's `better` direction, by more than its
 `bound` (a fraction of the parent's median): the test of a change that
@@ -28,7 +30,8 @@ exceeds its bound while the two sides' runs overlap: it can show neither.
 
     python3 tools/bench_ab.py --parent HEAD --tiny --out /tmp/ab.json
 
-is the quick self-check: one seed per workload at the smallest inputs.
+is the quick self-check: one seed and one traced pair per workload at the
+smallest inputs.
 Standard library only.
 """
 
@@ -51,6 +54,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # ten pairs, and nine wins of ten can be shown
 SEEDS = 10
 FIRST_SEED = 11
+# traced runs per side and workload: one traced run's per-layer figures are
+# single noisy samples, so each is read as the median of three
+TRACED_PAIRS = 3
 RUN_TIMEOUT_S = 1800
 
 
@@ -132,6 +138,19 @@ def summarize(runs, workload, metrics) -> dict:
     return out
 
 
+def summarize_traced(runs, workload) -> dict:
+    """The traced runs of workload: `correct` of each, the parent's runs
+    first, and every per-layer metric as [parent median, change median]."""
+    sides = {side: [r["result"] for r in runs if r["trace"]
+                    and r["workload"] == workload and r["side"] == side]
+             for side in ("parent", "change")}
+    names = sides["parent"][0]["metrics"]
+    return {"correct": [res["correct"] for side in sides.values() for res in side],
+            "metrics": {name: [round(statistics.median(
+                res["metrics"][name]["value"] for res in side), 4)
+                for side in sides.values()] for name in names}}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -139,7 +158,8 @@ def main(argv=None) -> int:
                     help="git revision of the change side (default: HEAD)")
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     ap.add_argument("--tiny", action="store_true",
-                    help="perfbench's smallest inputs, one seed, --seconds 0")
+                    help="perfbench's smallest inputs, one seed and one traced "
+                         "pair, --seconds 0")
     host = "%s, Python %s%s" % (platform.machine(), platform.python_version(),
                                 ", bytecode cache off" if sys.flags.dont_write_bytecode
                                 else "")
@@ -165,23 +185,14 @@ def main(argv=None) -> int:
             runs.append({"order": len(runs), "side": side, "workload": workload,
                          "seed": seed, "trace": trace, "result": result})
 
-        for workload in workloads:
-            n = 1 if args.tiny else SEEDS
-            for i in range(n):
-                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                    run(side, workload, FIRST_SEED + i, 0)
-        for workload in workloads:
-            for side in ("parent", "change"):
-                run(side, workload, FIRST_SEED, 1)
+        for trace, pairs in ((0, SEEDS), (1, TRACED_PAIRS)):
+            for workload in workloads:
+                for i in range(1 if args.tiny else pairs):
+                    for side in (("parent", "change") if i % 2 == 0
+                                 else ("change", "parent")):
+                        run(side, workload, FIRST_SEED + i, trace)
 
-    traced = {}
-    for workload in workloads:
-        pair = [r["result"] for side in ("parent", "change") for r in runs
-                if r["trace"] and r["workload"] == workload and r["side"] == side]
-        traced[workload] = {
-            "correct": [res["correct"] for res in pair],
-            "metrics": {name: [round(res["metrics"][name]["value"], 4) for res in pair]
-                        for name in pair[0]["metrics"]}}
+    traced = {workload: summarize_traced(runs, workload) for workload in workloads}
     report = {
         "about": "perfbench runs of the parent commit %s and of commit %s, alternating "
                  "parent/change per seed; see README, 'Performance trajectory'"

@@ -7,13 +7,15 @@ with `git archive` into a temporary directory as by tools/bench_ab.py.  On
 both trees `python -m thetaq suite` runs with each flag set of RUNS (below),
 in json, csv and text, and each run's stdout, byte for byte, and exit code
 must be the same on both sides.  Prints one line per run and, for a run
-that differs, the first line that differs; exits 1 if any run differs.  A
+that differs, the first line that differs; for a json run it also names the
+(id, mode) of every report that differs.  Exits 1 if any run differs.  A
 refactor must leave every run identical.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -52,6 +54,20 @@ def first_difference(parent: bytes, change: bytes) -> str:
     return "  line %d\n  parent: %s\n  change: %s" % (n + 1, *shown)
 
 
+def moved_reports(parent: bytes, change: bytes) -> list:
+    """The (id, mode) of every report that differs between two json suite
+    outputs, in the parent's order, then any the parent lacks.  The report
+    array is decoded from the start of each output, the summary line after
+    it ignored, and each report compared re-encoded, so NaN equals NaN and
+    -0.0 differs from 0.0."""
+    parent_reports, change_reports = (
+        {(r["id"], r["mode"]): json.dumps(r, sort_keys=True)
+         for r in json.JSONDecoder().raw_decode(out.decode())[0]}
+        for out in (parent, change))
+    keys = [*parent_reports, *(k for k in change_reports if k not in parent_reports)]
+    return [k for k in keys if parent_reports.get(k) != change_reports.get(k)]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -74,6 +90,9 @@ def main(argv=None) -> int:
                     print("  exit code: parent %d, change %d" % (old_code, new_code))
                 elif not same:
                     print(first_difference(old, new))
+                if not same and fmt == "json":
+                    moved = ["%s (%s)" % key for key in moved_reports(old, new)]
+                    print("  reports that differ: %s" % (", ".join(moved) or "none"))
                 differ += not same
     print("%s: %d of %d runs differ" % (
         " against ".join(git("rev-parse", "--short", rev).decode().strip()
