@@ -430,6 +430,13 @@ def pochhammer_product(factors: Iterable[tuple], order: int) -> GradedSeries:
     coefficient is a real integer, since each sign is.  The accumulator
     (grade -> monomial -> int) is private to this call; the result's
     LaurentPolys are built from it once, after the last factor.
+
+    The result does not depend on the factor order, but the cost does: each
+    factor touches every term stored below its grade shift.  For Jacobi's
+    triple product the cheapest order measured is the pure-nome factors
+    first, then the u^2 and u^-2 factors paired by c, largest c first
+    (5,808 shift-add steps at q^96 against 8,300 with each family rising
+    in turn).  Factors are taken as given, so the caller chooses the order.
     """
     acc = {0: {(0, 0): 1}}
     for sign, c, mono in factors:

@@ -33,7 +33,7 @@ from thetaq import (
     theta_series,
     verify_numeric,
 )
-from thetaq import ConvergenceError, PoleError, identities, params, qtrig, theta
+from thetaq import ConvergenceError, PoleError, formal, identities, params, qtrig, theta
 
 PLAN = SamplePlan(seed=42, count=60)
 
@@ -998,7 +998,6 @@ def test_kernel_calls_per_sample_are_pinned(monkeypatch):
 def test_thm2_term_products_are_pinned(monkeypatch):
     # thm2_sides folds each 13-14-term scale-2 theta into the 154-term sum;
     # the dense s2 * d3 first made 6,924 term products at q^48, not 3,636.
-    from thetaq import formal
     count = [0]
     real = formal._mul_into
 
