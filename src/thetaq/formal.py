@@ -296,12 +296,13 @@ class GradedSeries:
         """A single Laurent coefficient at grade q^(quarter_prefactor/4)."""
         return GradedSeries(quarter_prefactor, {0: poly}, order)
 
-    def terms_abs(self):
-        """Iterate (absolute_quarter_grade, monomial, coefficient)."""
-        for n in sorted(self.coeffs):
-            poly = self.coeffs[n]
-            for mono in sorted(poly.terms):
-                yield self.quarter_prefactor + 4 * n, mono, poly.terms[mono]
+    def grades(self, bound: Optional[int] = None) -> dict:
+        """Absolute quarter grade -> {monomial: coefficient}, through bound
+        (the boundary by default).  The inner dicts are the stored terms."""
+        p = self.quarter_prefactor
+        bound = self.boundary if bound is None else bound
+        return {p + 4 * n: poly.terms for n, poly in self.coeffs.items()
+                if p + 4 * n <= bound}
 
     # -- arithmetic -----------------------------------------------------
 
@@ -507,9 +508,8 @@ def shift_argument(series: GradedSeries, shift: str, var: str) -> GradedSeries:
     units = [Gaussian(1), factor, factor * factor, factor * factor * factor]
     moved = []          # (new absolute quarter grade, monomial, coeff)
     worst_drop = 0
-    for n, poly in series.coeffs.items():
-        base = series.quarter_prefactor + 4 * n
-        for mono, c in poly.terms.items():
+    for base, terms in series.grades().items():
+        for mono, c in terms.items():
             delta = per_exp * mono[idx]
             moved.append((base + delta, mono, c * units[mono[idx] % 4]))
             if -delta > worst_drop:
@@ -547,31 +547,20 @@ def shift_margin(order: int) -> int:
     return 3 * math.isqrt(4 * order + 16) + 8
 
 
-def _grades_through(s: GradedSeries, bound: int) -> dict:
-    """Absolute quarter grade -> monomial -> coefficient of s, through bound."""
-    p = s.quarter_prefactor
-    return {p + 4 * n: poly.terms for n, poly in s.coeffs.items()
-            if p + 4 * n <= bound}
-
-
 def series_equal(a: GradedSeries, b: GradedSeries) -> SeriesMatch:
     """Exact comparison through the smaller exactness boundary.
 
     Reports the lowest-grade discrepancy (ties broken by monomial order)
     when the two series differ.  Stored polynomials and terms are never
-    zero, so equal sides have equal per-grade term dicts, and the sorted
-    table that locates the discrepancy is built only when they differ.
+    zero, so grade dicts that differ hold a differing coefficient at the
+    lowest grade where they differ.
     """
     bound = min(a.boundary, b.boundary)
-    if _grades_through(a, bound) == _grades_through(b, bound):
+    ga, gb = a.grades(bound), b.grades(bound)
+    if ga == gb:
         return SeriesMatch(True, bound, None)
-    table_a = {(g, mono): c for g, mono, c in a.terms_abs() if g <= bound}
-    table_b = {(g, mono): c for g, mono, c in b.terms_abs() if g <= bound}
-    for key in sorted(set(table_a) | set(table_b)):
-        ca = table_a.get(key, G_ZERO)
-        cb = table_b.get(key, G_ZERO)
-        if ca != cb:
-            g, mono = key
-            return SeriesMatch(False, bound,
-                               SeriesMismatch(g, mono, ca, cb))
-    return SeriesMatch(True, bound, None)
+    g = min(k for k in ga.keys() | gb.keys() if ga.get(k) != gb.get(k))
+    ta, tb = ga.get(g, {}), gb.get(g, {})
+    mono = min(m for m in ta.keys() | tb.keys() if ta.get(m) != tb.get(m))
+    return SeriesMatch(False, bound, SeriesMismatch(
+        g, mono, ta.get(mono, G_ZERO), tb.get(mono, G_ZERO)))

@@ -523,11 +523,12 @@ def classical_residuals(which: str, qs=CLASSICAL_Q) -> list:
     1e-8569 at q = 0.999.  Rather than subtract O(1) quantities at that many
     digits, each tan_q is written as T (1 + eps) with T the classical value,
     and the exact classical terms are dropped algebraically (x + y + z = pi
-    gives sum T = prod T and sum of cot pairs = 1):
+    gives sum T = prod T):
 
-      tan: sum T_i eps_i - prod T (e1 + e2 + e3), e_k elementary symmetric
-           in the eps_i;
-      cot: sum over pairs C_i C_j (d_i + d_j + d_i d_j), d = -eps/(1 + eps).
+      diff = sum t - prod t = sum T_i eps_i - prod T (e1 + e2 + e3),
+
+    e_k elementary symmetric in the eps_i.  The cot-pair sum is sum t / prod t,
+    so the cot residual is diff / prod t against 1, with no second expansion.
 
     The mpf exponent is unbounded, so only relative precision is needed:
     the work runs at the caller's precision plus 25 digits and each residual
@@ -548,21 +549,16 @@ def classical_residuals(which: str, qs=CLASSICAL_Q) -> list:
             z = mp.pi - x - y
             (tx, ex), (ty, ey), (tz, ez) = (_mp_tan_eps(v, qprime)
                                             for v in (x, y, z))
-            if which == "tan":
-                e1 = ex + ey + ez
-                e2 = ex * ey + ey * ez + ez * ex
-                e3 = ex * ey * ez
-                prod = tx * ty * tz
-                diff = tx * ex + ty * ey + tz * ez - prod * (e1 + e2 + e3)
-                lhs = tx * (1 + ex) + ty * (1 + ey) + tz * (1 + ez)
-                rhs = prod * (1 + ex) * (1 + ey) * (1 + ez)
-            else:
-                cx, cy, cz = 1 / tx, 1 / ty, 1 / tz
-                dx, dy, dz = (-e / (1 + e) for e in (ex, ey, ez))
-                diff = (cx * cy * (dx + dy + dx * dy) + cy * cz * (dy + dz + dy * dz)
-                        + cz * cx * (dz + dx + dz * dx))
-                lhs = 1 + diff
-                rhs = mp.mpf(1)
+            e1 = ex + ey + ez
+            e2 = ex * ey + ey * ez + ez * ex
+            e3 = ex * ey * ez
+            prod = tx * ty * tz
+            diff = tx * ex + ty * ey + tz * ez - prod * (e1 + e2 + e3)
+            lhs = tx * (1 + ex) + ty * (1 + ey) + tz * (1 + ez)
+            rhs = prod * (1 + ex) * (1 + ey) * (1 + ez)
+            if which == "cot":
+                diff = diff / rhs
+                lhs, rhs = 1 + diff, mp.mpf(1)
             res = abs(diff) / max(mp.mpf(1), abs(lhs), abs(rhs))
         out.append(+res)
     return out

@@ -16,9 +16,10 @@ qtrig_bridge identity).
 The theta-quotient path cancels the q^(1/4) prefactors analytically, so it
 stays well conditioned even when tau' has a huge imaginary part (nome q
 close to 1).  The product path writes every fractional nome power as
-q^a = exp(i*pi*tau*a), taking tau from the ModularParam, so it holds on the
-whole upper half-plane: the principal Log q equals i*pi*tau only while
-|Re tau| < 1.
+q^a = exp(i*pi*tau*a) from the ModularParam's tau, never from Log q (which
+is i*pi*tau only while |Re tau| < 1), so its branch is right for any Re tau.
+Its digits are not: q^a loses them silently as |Re tau| grows (sin_q at
+w = 0.3 is off by 2.1e-13 relative at tau = 1e4 + i; see ROADMAP item 5).
 
 ssn_q and ccs_q are the quotients sin_{q^2}/sin_q and cos_{q^2}/cos_q; the
 nome-q^2 functions correspond to doubling tau.

@@ -1,6 +1,7 @@
 """tools/bench_ab.py's per-metric verdicts, on synthetic runs."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -94,5 +95,30 @@ def test_traced_layers_are_medians_per_side(bench_ab):
     traced = bench_ab.summarize_traced(runs, "w")
     assert traced["correct"] == [True, True, True, True, False, True]
     assert traced["metrics"] == {"layer.us": [1.31, 1.25], "layer.calls": [4000, 4000]}
-    assert bench_ab.TRACED_PAIRS == 3
+    assert bench_ab.TRACED_PAIRS == 4
+
+
+def test_traced_pairs_lead_with_each_side_equally(bench_ab, monkeypatch, tmp_path):
+    # the second run of a pair can read a layer higher, so over a workload's
+    # traced pairs the parent must go first as often as the change
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+
+    def fake_run(tree, workload, seed, seconds, trace, tiny):
+        metrics = {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
+        return {"metrics": metrics, "failed": 0, "correct": True}
+
+    monkeypatch.setattr(bench_ab, "run_bench", fake_run)
+    monkeypatch.setattr(bench_ab, "unpack", lambda rev, dest: dest)
+    monkeypatch.setattr(bench_ab, "git", lambda *args: b"abc1234\n")
+    out = tmp_path / "ab.json"
+    assert bench_ab.main(["--parent", "p", "--out", str(out)]) == 0
+    runs = json.loads(out.read_text())["runs"]
+    for w in spec["workloads"]:
+        traced = [r for r in runs if r["trace"] and r["workload"] == w["name"]]
+        assert len(traced) == 2 * bench_ab.TRACED_PAIRS
+        leads = [a["side"] for a, b in zip(traced[::2], traced[1::2])]
+        assert all(a["seed"] == b["seed"] and a["side"] != b["side"]
+                   for a, b in zip(traced[::2], traced[1::2]))
+        assert leads.count("parent") == leads.count("change"), (w["name"], leads)
 

@@ -9,6 +9,8 @@ from thetaq import (
     GradedSeries,
     LaurentPoly,
     OrderUnderflow,
+    SeriesMatch,
+    SeriesMismatch,
     geometric_factors,
     pochhammer_product,
     series_equal,
@@ -20,7 +22,8 @@ from thetaq import (
 
 def table(series):
     """{(quarter_grade, monomial): (re, im)} for literal comparisons."""
-    return {(g, mono): (c.re, c.im) for g, mono, c in series.terms_abs()}
+    return {(g, mono): (c.re, c.im) for g, terms in series.grades().items()
+            for mono, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +157,8 @@ def test_product_matches_brute_convolution():
     s3 = theta_series(3, 1, (1, 0), order)
 
     def as_dict(series):
-        return {(g, mono): complex(c) for g, mono, c in series.terms_abs()}
+        return {(g, mono): complex(c) for g, terms in series.grades().items()
+                for mono, c in terms.items()}
 
     def oracle(d1, d2, bound):
         out = {}
@@ -169,8 +173,7 @@ def test_product_matches_brute_convolution():
 
     got = s2 * s3
     want = oracle(as_dict(s2), as_dict(s3), got.boundary)
-    assert {k: complex(c) for (k), c in
-            {(g, m): c for g, m, c in got.terms_abs()}.items()} == want
+    assert as_dict(got) == want
 
 
 def test_mul_commutative_and_associative():
@@ -479,14 +482,41 @@ def test_series_equal_reports_lowest_mismatch():
     cases = [
         # the q^1 coefficient
         (theta_series(3, 1, (1, 0), 8), theta_series(4, 1, (1, 0), 8),
-         4, ((2, 0), (-2, 0)), Gaussian(1), Gaussian(-1)),
+         4, (-2, 0), Gaussian(1), Gaussian(-1)),
         # equal stored dicts {0: P} at prefactors 0 and 4 are different series
         (GradedSeries(0, {0: P}, 5), GradedSeries(4, {0: P}, 5),
-         0, ((1, 0),), Gaussian(1), Gaussian(0)),
+         0, (1, 0), Gaussian(1), Gaussian(0)),
+        # the lowest differing grade is stored on the right only
+        (GradedSeries(0, {0: P, 3: P}, 5),
+         GradedSeries(0, {0: P, 1: LaurentPoly({(2, 0): -1, (0, 1): 3}),
+                          3: -P}, 5),
+         4, (0, 1), Gaussian(0), Gaussian(3)),
+        # ... and on the left only
+        (GradedSeries(0, {2: P}, 5), GradedSeries(0, {3: P}, 5),
+         8, (1, 0), Gaussian(1), Gaussian(0)),
+        # a lower monomial agrees, a higher one in the same grade differs
+        (GradedSeries(0, {1: LaurentPoly({(-1, 0): 1, (1, 0): 2, (3, 0): 5})}, 5),
+         GradedSeries(0, {1: LaurentPoly({(-1, 0): 1, (1, 0): Gaussian(2, 1)})}, 5),
+         4, (1, 0), Gaussian(2), Gaussian(2, 1)),
     ]
-    for a, b, grade, monomials, lhs, rhs in cases:
+    for a, b, grade, monomial, lhs, rhs in cases:
         match = series_equal(a, b)
         assert not match.equal
-        assert match.mismatch.quarter_grade == grade
-        assert match.mismatch.monomial in monomials
-        assert (match.mismatch.lhs, match.mismatch.rhs) == (lhs, rhs)
+        assert match.mismatch == SeriesMismatch(grade, monomial, lhs, rhs)
+        swapped = series_equal(b, a)
+        assert swapped.mismatch == SeriesMismatch(grade, monomial, rhs, lhs)
+    # terms above the common boundary are not compared
+    match = series_equal(GradedSeries(0, {0: P}, 2),
+                         GradedSeries(0, {0: P, 3: P}, 5))
+    assert match == SeriesMatch(True, 8, None)
+
+
+def test_grades_reads_absolute_quarter_grades_through_bound():
+    s = theta_series(2, 1, (1, 0), 6)      # q^(1/4) sum q^(k(k+1)) u^(2k+1)
+    grades = s.grades()
+    assert sorted(grades) == [1, 9, 25] and s.boundary == 25
+    assert grades[9] == {(3, 0): Gaussian(1), (-3, 0): Gaussian(1)}
+    assert sorted(s.grades(24)) == [1, 9]
+    assert s.grades(0) == {}
+    assert GradedSeries.zero(12).grades() == {}
+    assert GradedSeries(4, {0: P}, 3).grades() == {4: {(1, 0): Gaussian(1)}}

@@ -270,7 +270,8 @@ def test_thm2_table_means_the_same_thetas_in_both_modes():
         series = theta_series(kind, scale, (a, b), 24)
         total = sum(complex(c) * cmath.exp(1j * math.pi * tau * grade / 4)
                     * cmath.exp(1j * (m * x + n * y))
-                    for grade, (m, n), c in series.terms_abs())
+                    for grade, terms in series.grades().items()
+                    for (m, n), c in terms.items())
         assert abs(total - value) <= 1e-12 * max(1.0, abs(value)), (kind, scale, a, b)
 
 
@@ -533,6 +534,14 @@ def test_classical_residuals_strictly_decreasing():
         assert r[0] > r[1] > r[2]
         assert r[2] < 1e-2
         assert r[0] > 0
+
+
+@pytest.mark.parametrize("dps", [15, 50])
+def test_classical_cot_residual_is_the_tan_residual(dps):
+    # the cot-pair sum is sum t / prod t, so both checks measure one number
+    with mp.workdps(dps):
+        assert (classical_residuals("tan", identities.CLASSICAL_Q)
+                == classical_residuals("cot", identities.CLASSICAL_Q))
 
 
 # log10 of the classical residuals at q = 0.9, 0.99, 0.999 (same for tan, cot)

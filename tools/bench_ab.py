@@ -7,9 +7,9 @@ with `git archive` into a temporary directory, so both sides run from clean
 trees.  For every workload of BENCHMARK.json, at each of SEEDS seeds (below),
 `perfbench/run.py` runs once per side untraced for BENCHMARK.json's
 run_seconds, parent and change alternating, and which side goes first
-alternating with the seed; then each workload runs TRACED_PAIRS times per
-side with `--trace 1`, at the first seeds, which side goes first again
-alternating.  Every run must exit 0 and print its result
+alternating with the seed; then each workload runs four times per side
+(TRACED_PAIRS) with `--trace 1`, at the first seeds, which side goes first
+again alternating, so each side leads two of the four pairs.  Every run must exit 0 and print its result
 line, or the driver stops.  --host records the machine in the output; its
 default notes when the bytecode cache is off (PYTHONDONTWRITEBYTECODE), as
 every set-up then compiles src/ from source.
@@ -55,8 +55,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = 10
 FIRST_SEED = 11
 # traced runs per side and workload: one traced run's per-layer figures are
-# single noisy samples, so each is read as the median of three
-TRACED_PAIRS = 3
+# single noisy samples, so each is read as the median of four, and with an
+# even count each side goes first in half the pairs
+TRACED_PAIRS = 4
 RUN_TIMEOUT_S = 1800
 
 
