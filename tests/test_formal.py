@@ -486,14 +486,12 @@ def test_series_equal_reports_lowest_mismatch():
         # equal stored dicts {0: P} at prefactors 0 and 4 are different series
         (GradedSeries(0, {0: P}, 5), GradedSeries(4, {0: P}, 5),
          0, (1, 0), Gaussian(1), Gaussian(0)),
-        # the lowest differing grade is stored on the right only
+        # the lowest differing grade is stored on one side only (both sides,
+        # as every case also runs swapped)
         (GradedSeries(0, {0: P, 3: P}, 5),
          GradedSeries(0, {0: P, 1: LaurentPoly({(2, 0): -1, (0, 1): 3}),
                           3: -P}, 5),
          4, (0, 1), Gaussian(0), Gaussian(3)),
-        # ... and on the left only
-        (GradedSeries(0, {2: P}, 5), GradedSeries(0, {3: P}, 5),
-         8, (1, 0), Gaussian(1), Gaussian(0)),
         # a lower monomial agrees, a higher one in the same grade differs
         (GradedSeries(0, {1: LaurentPoly({(-1, 0): 1, (1, 0): 2, (3, 0): 5})}, 5),
          GradedSeries(0, {1: LaurentPoly({(-1, 0): 1, (1, 0): Gaussian(2, 1)})}, 5),

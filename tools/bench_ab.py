@@ -9,8 +9,8 @@ trees.  For every workload of BENCHMARK.json, at each of SEEDS seeds (below),
 run_seconds, parent and change alternating, and which side goes first
 alternating with the seed; then each workload runs four times per side
 (TRACED_PAIRS) with `--trace 1`, at the first seeds, which side goes first
-again alternating, so each side leads two of the four pairs.  Every run must exit 0 and print its result
-line, or the driver stops.  --host records the machine in the output; its
+again alternating, so each side leads two of the four pairs.  Every run
+must exit 0 and print its result line, or the driver stops.  --host records the machine in the output; its
 default notes when the bytecode cache is off (PYTHONDONTWRITEBYTECODE), as
 every set-up then compiles src/ from source.
 
