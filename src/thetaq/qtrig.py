@@ -18,8 +18,12 @@ stays well conditioned even when tau' has a huge imaginary part (nome q
 close to 1).  The product path writes every fractional nome power as
 q^a = exp(i*pi*tau*a) from the ModularParam's tau, never from Log q (which
 is i*pi*tau only while |Re tau| < 1), so its branch is right for any Re tau.
-Its digits are not: q^a loses them silently as |Re tau| grows (sin_q at
-w = 0.3 is off by 2.1e-13 relative at tau = 1e4 + i; see ROADMAP item 5).
+Where |Re tau| > 8 the exponents are formed from w in exact rationals and
+Re tau * a is reduced mod 2 before one rounding, so q^a keeps its digits
+(sin_q within 1e-15 of a 300-bit product at tau = 1e12 + i).  The function
+is still ill-conditioned in w there: the phase of q^((w-1/2)^2) has
+derivative 2*pi*|tau|*|w - 1/2|, so the value is right at the double w, not
+at the caller's z/pi before it was rounded.
 
 ssn_q and ccs_q are the quotients sin_{q^2}/sin_q and cos_{q^2}/cos_q; the
 nome-q^2 functions correspond to doubling tau.
@@ -86,16 +90,70 @@ def ssn_ccs(z: complex, p: ModularParam) -> tuple:
     return s / null3, t / null3
 
 
-def _nome_power(p: ModularParam, a: complex) -> complex:
+def _nome_power(p: ModularParam, a) -> complex:
     """q^a as exp(i*pi*tau*a): the branch follows tau, never Log q.
 
-    Raises RangeError when q^a leaves double range (a huge argument, or a
-    large Im tau).
+    a is a complex number, or an _Exact one where |Re tau| > 8: there
+    i*pi*tau*a = pi*(-(x Im a + y Re a) + i (x Re a - y Im a)) at tau = x + iy
+    is formed in rationals, its phase reduced mod 2 exactly, and each part
+    rounded once.  Raises RangeError when q^a leaves double range (a huge
+    argument, or a large Im tau).
     """
     try:
-        return cmath.exp(1j * cmath.pi * p.tau * a)
+        if not isinstance(a, _Exact):
+            return cmath.exp(1j * cmath.pi * p.tau * a)
+        from fractions import Fraction
+        x, y = Fraction(p.tau.real), Fraction(p.tau.imag)
+        return cmath.exp(cmath.pi * complex(-float(x * a.im + y * a.re),
+                                            float((x * a.re - y * a.im) % 2)))
     except (ValueError, OverflowError):
         raise RangeError("q^a overflowed double range for a = %r" % (a,)) from None
+
+
+class _Exact:
+    """A complex number with Fraction parts: the product path's w where
+    |Re tau| > 8, so that the exponents it forms (2 - 2w, 2w, (w - 1/2)^2,
+    +-(1/4 - w), each at w or w + 1/2) are exact.  Its +, - and * take
+    ints, floats and complex numbers, which convert exactly; ** takes 2."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def of(value) -> "_Exact":
+        if isinstance(value, _Exact):
+            return value
+        from fractions import Fraction
+        value = complex(value)
+        return _Exact(Fraction(value.real), Fraction(value.imag))
+
+    def __repr__(self) -> str:
+        return "(%s%s%sj)" % (self.re, "" if self.im < 0 else "+", self.im)
+
+    def __add__(self, other) -> "_Exact":
+        other = _Exact.of(other)
+        return _Exact(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other) -> "_Exact":
+        return self + -1 * _Exact.of(other)
+
+    def __rsub__(self, other) -> "_Exact":
+        return _Exact.of(other) - self
+
+    def __mul__(self, other) -> "_Exact":
+        other = _Exact.of(other)
+        return _Exact(self.re * other.re - self.im * other.im,
+                      self.re * other.im + self.im * other.re)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "_Exact":
+        if n != 2:
+            return NotImplemented
+        return self * self
 
 
 def _finite(value: complex, what: str) -> complex:
@@ -145,9 +203,12 @@ def qtrig_product_any(kind: str, z_over_pi: complex, p: ModularParam) -> complex
     """
     check_qtrig_kind(kind)
     w = complex(z_over_pi)
+    # the exponents are formed from u, exact where a large Re tau makes q^a
+    # ill-conditioned in them (see _nome_power); messages name w
+    u = _Exact.of(w) if abs(p.tau.real) > 8 and cmath.isfinite(w) else w
     side = ""
     try:
-        v = w + 0.5 if kind in ("cos_q", "ccs_q") else w
+        v = u + 0.5 if kind in ("cos_q", "ccs_q") else u
         if kind in ("sin_q", "cos_q"):
             return _sin_q(v, p)
         power = None
@@ -160,9 +221,9 @@ def qtrig_product_any(kind: str, z_over_pi: complex, p: ModularParam) -> complex
                 raise RangeError("nome q^2 underflowed to 0")
             num = _sin_q(v, double)
         else:
-            num, den, power = _sin_q_factors(w, p), _sin_q_factors(w + 0.5, p), 0.25 - w
+            num, den, power = _sin_q_factors(u, p), _sin_q_factors(u + 0.5, p), 0.25 - u
             if kind == "cot_q":
-                num, den, power = den, num, w - 0.25
+                num, den, power = den, num, u - 0.25
         if abs(den) < POLE_RATIO * max(1.0, abs(num)):
             raise PoleError("%s pole at pi*%r" % (kind, w))
         value = num / den

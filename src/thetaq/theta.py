@@ -69,6 +69,18 @@ _LN_DOUBLE_MAX = math.log(sys.float_info.max)
 # ln of the factor by which qpochhammer's untested prefix keeps its terms
 # above the tail test's threshold; see qpochhammer
 PREFIX_MARGIN = 1e-9
+# A product with at least LOG_MIN untested factors multiplies those with
+# |a q^k| > LOG_SWITCH and sums the rest as a log series; see qpochhammer.
+# Per call (x86-64, Python 3.11, 2 vCPUs) the two paths cost the same at
+# 14-17 factors for |a| = 1 and 0.1; at |q| = 0.15 and 19-20 factors the
+# series takes 0.85-0.94 of the time, at |q| = 0.73 and 120 factors 0.35,
+# and 1.3-1.4x at 10 factors or fewer.  Its cost is flat within noise for
+# switches from 1e-2 to 1e-4 at |q| = 0.53 and 0.73, where the factors saved
+# and the series terms added cross; at 0.1 and 1e-6 it is 10-40% higher.
+LOG_SWITCH = 1e-3
+LOG_MIN = 16
+_LN_LOG_SWITCH = math.log(LOG_SWITCH)
+_LN_1M_LOG_SWITCH = math.log1p(-LOG_SWITCH)
 
 
 def _overflow(kind: int, z: complex, path: str) -> RangeError:
@@ -215,6 +227,23 @@ def qpochhammer(a: complex, q: complex, logs: tuple | None = None) -> complex:
     Terms in the prefix exceed 1e-32, far above the subnormals, and a term
     that overflowed to inf or nan fails the test anyway.
 
+    A long product, LOG_MIN <= n <= MAX_TERMS - 2, ends in its logarithm
+    series instead (Gasper and Rahman, Basic Hypergeometric Series, 2nd ed.,
+    2004, ch. 1): it multiplies the factors with |a q^k| > LOG_SWITCH, then
+    the rest, (x;q)_inf at x = a q^k, as exp(-s) with
+
+        s = sum_{m=1}^{M} x^m / (m (1 - q^m)),
+
+    M the least count with |x|^(M+1) / ((1 - |q|) (1 - |x|)) below EPS.
+    That geometric bound on the dropped terms ignores their factors 1/m,
+    which absorb the rounding of ln|x| = ln|a| + k ln|q|, so the log series
+    ends on the same EPS contract as the loop.  The branch is taken only
+    where -ln|q| > 2 PREFIX_MARGIN: then term n lies below the threshold
+    times e^PREFIX_MARGIN, term n + 1 below the threshold, and the tested
+    loop would stop at factor n or n + 1 < MAX_TERMS; so a call returns a
+    value, or raises, exactly when the loop does.  Below LOG_MIN every bit
+    is the loop's.
+
     logs is pochhammer_logs(abs(q)), the nome-only parts of that bound,
     computed here when omitted; ModularParam.q2_logs holds it for q*q, so
     a call at a param's nome q^2 takes one logarithm, of |a|.
@@ -234,12 +263,31 @@ def qpochhammer(a: complex, q: complex, logs: tuple | None = None) -> complex:
                          "a = %r" % (a,)) from None
     if abs_a > 0.0:
         ln_floor, ln_step = logs or pochhammer_logs(aq)
-        slack = math.log(abs_a) - ln_floor - PREFIX_MARGIN
+        ln_a = math.log(abs_a)
+        slack = ln_a - ln_floor - PREFIX_MARGIN
         if slack >= 0.0:
             # n <= MAX_TERMS: short of the first branch's bound, slack /
             # ln_step rounds to at most 255; that branch also takes |a| = inf
             n = (MAX_TERMS if slack >= (MAX_TERMS - 1) * ln_step
                  else int(slack / ln_step) + 1)
+            if LOG_MIN <= n <= MAX_TERMS - 2 and ln_step > 2 * PREFIX_MARGIN:
+                # the factors with |a q^k| > LOG_SWITCH, then the rest as
+                # exp(-sum_m x^m / (m (1 - q^m))) at x = a q^k, to M terms
+                ln_x = ln_a
+                if ln_x > _LN_LOG_SWITCH:
+                    k = int((ln_x - _LN_LOG_SWITCH) / ln_step) + 1
+                    for _ in range(k):
+                        prod *= 1 - term
+                        term *= q
+                    ln_x -= k * ln_step
+                s = 0j
+                power = term
+                qm = q
+                for m in range(1, int((ln_floor + _LN_1M_LOG_SWITCH) / ln_x) + 1):
+                    s += power / (m * (1 - qm))
+                    power *= term
+                    qm *= q
+                return prod * cmath.exp(-s)
             for _ in range(n):
                 prod *= 1 - term
                 term *= q

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 
 import pytest
@@ -96,6 +97,24 @@ def test_traced_layers_are_medians_per_side(bench_ab):
     assert traced["correct"] == [True, True, True, True, False, True]
     assert traced["metrics"] == {"layer.us": [1.31, 1.25], "layer.calls": [4000, 4000]}
     assert bench_ab.TRACED_PAIRS == 4
+
+
+def test_medians_keep_four_significant_digits(bench_ab):
+    # a per-layer time in seconds, a start-up IQR and a rate in thousands
+    # keep four digits each; 0 and non-finite values pass through
+    assert bench_ab.sig(0.000287) == 0.000287
+    assert bench_ab.sig(0.00028749) == 0.0002875
+    assert bench_ab.sig(47325.4) == 47330.0
+    assert bench_ab.sig(4000) == 4000 and bench_ab.sig(0.0) == 0.0
+    assert math.isnan(bench_ab.sig(math.nan))
+    runs = [{"side": side, "workload": "w", "seed": 11, "trace": 1,
+             "result": {"metrics": {"layer.self_s": {"value": value}}, "correct": True}}
+            for side, value in (("parent", 0.000287), ("change", 0.00012345))]
+    assert bench_ab.summarize_traced(runs, "w")["metrics"] == {
+        "layer.self_s": [0.000287, 0.0001234]}
+    line = verdict(bench_ab, [0.0251 + 0.000287 * k for k in range(10)],
+                   [0.024] * 10, {"name": "setup_s", "better": "lower", "bound": 0.25})
+    assert (line["parent_median"], line["parent_iqr"]) == (0.02639, 0.001579)
 
 
 def test_traced_pairs_lead_with_each_side_equally(bench_ab, monkeypatch, tmp_path):

@@ -322,3 +322,71 @@ def test_product_path_values_are_finite_or_typed_errors():
             except ThetaQError:
                 continue
             assert cmath.isfinite(value), (kind, w, p.tau)
+
+
+def _jtheta_quotient(kind, z, p):
+    """The q-trig value at z from mpmath's jtheta at tau' = -1/tau: each
+    quotient pairs thetas with equal q'^(1/4) prefactors, so their branch
+    cancels."""
+    qp = mp.exp(1j * mp.pi * (-1 / mp.mpc(p.tau)))
+    num, den, den_z = {"sin_q": (1, 2, 0), "cos_q": (2, 2, 0), "tan_q": (1, 2, z),
+                       "cot_q": (2, 1, z), "ssn_q": (4, 3, 0), "ccs_q": (3, 3, 0)}[kind]
+    return mp.jtheta(num, z, qp) / mp.jtheta(den, den_z, qp)
+
+
+def test_product_path_at_large_q_matches_jtheta():
+    # |q^2| = 0.73 at Im tau = 0.05 and 0.49 at |q| = 0.7: the q-Pochhammer
+    # factors end in their log series there, and the oracle shares no code
+    # with either path
+    rng = random.Random(26)
+    taus = (0.05j, 0.3 + 0.05j, 0.9 + 0.05j, param_from_nome(0.7).tau)
+    worst = 0.0
+    with mp.workdps(30):
+        for tau in taus:
+            p = make_param(tau)
+            for kind in QTRIG_KINDS:
+                for _ in range(3):
+                    z = complex(rng.uniform(0.15, 1.35), rng.uniform(-0.2, 0.2))
+                    want = complex(_jtheta_quotient(kind, mp.mpc(z), p))
+                    got = qtrig_product_any(kind, z / math.pi, p)
+                    worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    assert worst <= 1e-13, worst
+
+
+def _mp_sin_q_factors(w, tau):
+    q = lambda a: mp.exp(1j * mp.pi * tau * a)
+    return mp.qp(q(2 - 2 * w), q(2)) * mp.qp(q(2 * w), q(2))
+
+
+def _mp_product(kind, w, tau):
+    """The product forms of qtrig_product_any in mpmath, at the exact w and
+    tau: sin_q(pi w) = (q^(2-2w);q^2) (q^(2w);q^2) / (q;q^2)^2 q^((w-1/2)^2)."""
+    q = lambda a, t=tau: mp.exp(1j * mp.pi * t * a)
+    half = mp.mpf(1) / 2
+
+    def sin_q(v, t=tau):
+        return (_mp_sin_q_factors(v, t) / mp.qp(q(1, t), q(2, t)) ** 2
+                * q((v - half) ** 2, t))
+
+    if kind in ("sin_q", "cos_q"):
+        return sin_q(w + half if kind == "cos_q" else w)
+    if kind in ("ssn_q", "ccs_q"):
+        v = w + half if kind == "ccs_q" else w
+        return sin_q(v, 2 * tau) / sin_q(v)
+    value = (_mp_sin_q_factors(w, tau) / _mp_sin_q_factors(w + half, tau)
+             * q(half / 2 - w))
+    return value if kind == "tan_q" else 1 / value
+
+
+def test_product_path_at_large_re_tau_matches_mpmath():
+    # the phase of q^a grows as Re tau * a: formed in floating point it lost
+    # 1e-11 of sin_q at tau = 1e4 + i and 1e-3 at 1e12 + i; the oracle is a
+    # 300-bit product at the same double w and tau
+    with mp.workprec(300):
+        for x in (1e4, 1e8, 1e12):
+            p = make_param(complex(x, 1))
+            for kind in QTRIG_KINDS:
+                for w in (0.3, 0.17, 0.61, 1.13):
+                    want = _mp_product(kind, mp.mpf(w), mp.mpc(p.tau))
+                    got = qtrig_product_any(kind, w, p)
+                    assert abs(got - want) <= 1e-13 * max(1, abs(want)), (x, kind, w)

@@ -23,7 +23,7 @@ from thetaq import (
 )
 from thetaq import theta as theta_module
 from thetaq.params import EPS, MAX_TERMS, pochhammer_logs, theta_term
-from thetaq.theta import PARTNER
+from thetaq.theta import LOG_MIN, PARTNER, PREFIX_MARGIN
 
 TAU = 0.2 + 1.3j
 
@@ -495,18 +495,48 @@ def random_pochhammer_args(rng):
     return a, q
 
 
+def takes_log_series(a, q):
+    """Whether qpochhammer(a, q) ends in its log series: its count n of
+    untested factors lies in [LOG_MIN, MAX_TERMS - 2] and -ln|q| exceeds
+    2 PREFIX_MARGIN."""
+    abs_a = abs(complex(a))
+    if not 0.0 < abs_a < math.inf:
+        return False
+    ln_floor, ln_step = pochhammer_logs(abs(complex(q)))
+    slack = math.log(abs_a) - ln_floor - PREFIX_MARGIN
+    if slack < 0.0 or slack >= (MAX_TERMS - 1) * ln_step:
+        return False
+    return LOG_MIN <= int(slack / ln_step) + 1 <= MAX_TERMS - 2 and ln_step > 2 * PREFIX_MARGIN
+
+
+def check_against_the_tested_loop(a, q, *logs):
+    """qpochhammer(a, q, *logs) has reference_pochhammer's outcome: the same
+    ConvergenceError, or a value.  On the factor path the value keeps its
+    bits; on the log series it is within 1e-13 of max(1, |reference|), and
+    finite where the reference is.  Returns whether the log series ran."""
+    want = outcome(reference_pochhammer, a, q)
+    if not takes_log_series(a, q):
+        assert outcome(qpochhammer, a, q, *logs) == want, (a, q)
+        return False
+    ref, got = reference_pochhammer(a, q), qpochhammer(a, q, *logs)
+    if cmath.isfinite(ref):
+        assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (a, q)
+    else:
+        assert not cmath.isfinite(got), (a, q)
+    return True
+
+
 def test_untested_prefix_keeps_the_bits_of_the_tested_loop():
     # every |q| regime up to 1e-15 from 1, with a = 0, subnormal, infinite or
     # nan; the nome logs given or computed, and 256 factors not enough
     rng = random.Random(12)
-    exhausted = 0
+    exhausted = series = 0
     for _ in range(6000):
         a, q = random_pochhammer_args(rng)
-        want = outcome(reference_pochhammer, a, q)
-        exhausted += want[0] is ConvergenceError
-        assert outcome(qpochhammer, a, q) == want, (a, q)
-        assert outcome(qpochhammer, a, q, pochhammer_logs(abs(q))) == want, (a, q)
-    assert exhausted > 500
+        exhausted += outcome(reference_pochhammer, a, q)[0] is ConvergenceError
+        series += check_against_the_tested_loop(a, q)
+        check_against_the_tested_loop(a, q, pochhammer_logs(abs(q)))
+    assert exhausted > 500 and series > 100
 
 
 def test_untested_prefix_stops_short_of_the_first_tested_stop():
@@ -514,14 +544,47 @@ def test_untested_prefix_stops_short_of_the_first_tested_stop():
     # below ln(EPS (1 - q)): the tested loop stops at factor j, and a prefix
     # margin below -5e-4 would multiply in the factor (1 - a q^j) as well
     rng = random.Random(13)
+    series = 0
     for _ in range(2000):
         q = 10 ** rng.uniform(-6, math.log10(0.9))
         ln_floor, ln_step = pochhammer_logs(q)
         j = rng.randint(0, min(MAX_TERMS - 1, int(-ln_floor / ln_step)))
         a = math.exp(ln_floor - rng.uniform(1e-6, 5e-4) + j * ln_step)
-        want = outcome(reference_pochhammer, a, q)
-        assert outcome(qpochhammer, a, q) == want, (a, q, j)
-        assert outcome(qpochhammer, a, q, (ln_floor, ln_step)) == want, (a, q, j)
+        series += check_against_the_tested_loop(a, q)
+        check_against_the_tested_loop(a, q, (ln_floor, ln_step))
+    assert 100 < series < 1900
+
+
+def test_log_series_keeps_the_convergence_error_next_to_q_1():
+    # at |q| = 1 - 1e-12 a q^j falls by 1e-12 in log per factor, far less than
+    # the prefix margin: the tested loop runs past MAX_TERMS though n is
+    # short of it, so the log series must not stand in for it
+    for q in (1 - 1e-12, cmath.rect(1 - 1e-13, 2.0)):
+        ln_floor, ln_step = pochhammer_logs(abs(q))
+        a = math.exp(ln_floor + PREFIX_MARGIN + 100.5 * ln_step)
+        assert not takes_log_series(a, q)
+        with pytest.raises(ConvergenceError, match="needs more than 256 factors"):
+            qpochhammer(a, q)
+
+
+def test_log_series_is_as_accurate_as_the_tested_loop():
+    # the log series against mpmath.qp at 40 digits, error relative to
+    # max(1, |exact|), at the |q| of the q-trig product path and |a| around 1
+    rng = random.Random(26)
+    worst = {"series": 0.0, "loop": 0.0}
+    cases = 0
+    with mp.workdps(40):
+        while cases < 120:
+            q = cmath.rect(rng.uniform(0.1, 0.86), rng.uniform(-math.pi, math.pi))
+            a = cmath.rect(10 ** rng.uniform(-4, 1), rng.uniform(-math.pi, math.pi))
+            if not takes_log_series(a, q):
+                continue
+            cases += 1
+            exact = mp.qp(mp.mpc(a), mp.mpc(q))
+            scale = max(1, abs(exact))
+            for path, f in (("series", qpochhammer), ("loop", reference_pochhammer)):
+                worst[path] = max(worst[path], float(abs(f(a, q) - exact) / scale))
+    assert worst["series"] <= worst["loop"] < 1e-14, worst
 
 
 def test_theta_product_factor_is_computed_once_per_nome(monkeypatch):

@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import operator
 import os
 import platform
@@ -92,6 +93,14 @@ def run_bench(tree, workload, seed, seconds, trace, tiny) -> dict:
     return json.loads(lines[-1])
 
 
+def sig(value, digits=4):
+    """value rounded to digits significant digits: a median in seconds keeps
+    them as one in thousands of ops/s does.  0 and non-finite values stay."""
+    if not value or not math.isfinite(value):
+        return value
+    return round(value, digits - 1 - math.floor(math.log10(abs(value))))
+
+
 def iqr(values) -> float:
     if len(values) < 2:
         return 0.0
@@ -123,10 +132,10 @@ def summarize(runs, workload, metrics) -> dict:
         wins = sum(better(c, p) for p, c in zip(pv, cv))
         pm, cm = statistics.median(pv), statistics.median(cv)
         bound, spread = spec["bound"], iqr(pv)
-        out[name] = {"parent_median": round(pm, 4), "change_median": round(cm, 4),
+        out[name] = {"parent_median": sig(pm), "change_median": sig(cm),
                      "change_over_parent": round(cm / pm, 4) if pm else None,
                      "change_wins": "%d of %d" % (wins, len(seeds)),
-                     "parent_iqr": round(spread, 4),
+                     "parent_iqr": sig(spread),
                      "worse_beyond_bound": (cm < pm * (1 - bound)) if higher
                      else (cm > pm * (1 + bound)),
                      "gain_shown": len(seeds) >= SEEDS and 10 * wins >= 9 * len(seeds)
@@ -147,8 +156,8 @@ def summarize_traced(runs, workload) -> dict:
              for side in ("parent", "change")}
     names = sides["parent"][0]["metrics"]
     return {"correct": [res["correct"] for side in sides.values() for res in side],
-            "metrics": {name: [round(statistics.median(
-                res["metrics"][name]["value"] for res in side), 4)
+            "metrics": {name: [sig(statistics.median(
+                res["metrics"][name]["value"] for res in side))
                 for side in sides.values()] for name in names}}
 
 
