@@ -17,7 +17,10 @@ qpochhammer's untested prefix at nome q^2, and weak links to the tau' and
 Every infinite sum and product in the package stops on one contract: once
 a geometric tail bound drops below EPS, which lies under a double's
 rounding unit, or with ConvergenceError when MAX_TERMS terms do not get
-there.
+there.  A long q-Pochhammer product sums its tail's logarithm series
+instead of multiplying it out, cut where that series' geometric remainder
+drops below EPS; it raises ConvergenceError exactly where the factor loop
+would (see theta.qpochhammer).
 """
 
 from __future__ import annotations
