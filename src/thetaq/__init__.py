@@ -40,7 +40,6 @@ from .identities import (
     formal_relations,
     identity_info,
     numeric_residual,
-    report_as_dict,
     run_suite,
     thm2_sides,
     verify_numeric,

@@ -22,7 +22,6 @@ from .identities import (
     SamplePlan,
     certificate_text,
     numeric_residual,
-    report_as_dict,
     run_suite,
     sample_point,
     tolerance_for,
@@ -84,7 +83,7 @@ def _report_lines(report: IdentityReport) -> list:
 
 def render_reports(reports: list, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps([report_as_dict(r) for r in reports],
+        return json.dumps([dataclasses.asdict(r) for r in reports],
                           sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
         rows = ["id,mode,samples,certified_order,max_abs_residual,status"]

@@ -493,7 +493,8 @@ def shift_argument(series: GradedSeries, shift: str, var: str) -> GradedSeries:
     lowered by twice the largest downward grade move among stored terms:
     dropped tail terms of theta-type series carry exponents growing like
     the square root of their grade, so the factor two keeps their landing
-    grades strictly above the claimed boundary.  Callers certifying
+    grades strictly above the claimed boundary.  Both are read first; one
+    pass then moves, checks and keeps the terms.  Callers certifying
     identities should still build the input with an order margin (see
     shift_margin).
     """
@@ -506,32 +507,28 @@ def shift_argument(series: GradedSeries, shift: str, var: str) -> GradedSeries:
     idx = 0 if var == "u" else 1
     factor, per_exp = SHIFTS[shift]
     units = [Gaussian(1), factor, factor * factor, factor * factor * factor]
-    moved = []          # (new absolute quarter grade, monomial, coeff)
-    worst_drop = 0
-    for base, terms in series.grades().items():
-        for mono, c in terms.items():
-            delta = per_exp * mono[idx]
-            moved.append((base + delta, mono, c * units[mono[idx] % 4]))
-            if -delta > worst_drop:
-                worst_drop = -delta
-
-    new_prefactor = min(t for t, _, _ in moved)
-    for t, mono, _ in moved:
-        if (t - new_prefactor) % 4:
-            raise GradeMismatch(
-                "shift %s mixes quarter-grade classes at monomial %s"
-                % (shift, monomial_str(mono)))
-    new_boundary = series.boundary - 2 * worst_drop
+    grades = series.grades()
+    # each grade's lowest move; per_exp >= 0, so its least exponent's
+    low = {base: per_exp * min(mono[idx] for mono in terms)
+           for base, terms in grades.items()}
+    new_prefactor = min(base + move for base, move in low.items())
+    new_boundary = series.boundary + 2 * min(0, *low.values())
     new_order = (new_boundary - new_prefactor) // 4
+    acc: dict = {}      # the move depends on the monomial only: no collisions
+    for base, terms in grades.items():
+        for mono, c in terms.items():
+            t = base + per_exp * mono[idx] - new_prefactor
+            if t % 4:
+                raise GradeMismatch(
+                    "shift %s mixes quarter-grade classes at monomial %s"
+                    % (shift, monomial_str(mono)))
+            if t <= 4 * new_order:
+                c *= units[mono[idx] % 4]
+                acc.setdefault(t // 4, {})[mono] = [c.re, c.im]
     if new_order < 0:
         raise OrderUnderflow(
             "shift %s leaves no certified grades (boundary %d < prefactor %d)"
             % (shift, new_boundary, new_prefactor))
-    acc: dict = {}      # the move depends on the monomial only: no collisions
-    for t, mono, c in moved:
-        n = (t - new_prefactor) // 4
-        if n <= new_order:
-            acc.setdefault(n, {})[mono] = [c.re, c.im]
     return _series_from(new_prefactor, acc, new_order)
 
 

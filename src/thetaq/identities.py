@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
@@ -164,11 +164,6 @@ class IdentityReport:
     @property
     def passed(self) -> bool:
         return self.status == "pass"
-
-
-def report_as_dict(report: IdentityReport) -> dict:
-    """The report's fields, exactly; JSON dumps it with sorted keys."""
-    return asdict(report)
 
 
 def sample_point(x: complex, y: Optional[complex], tau: complex) -> dict:

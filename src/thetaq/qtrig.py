@@ -97,24 +97,25 @@ def _nome_power(p: ModularParam, a) -> complex:
     i*pi*tau*a = pi*(-(x Im a + y Re a) + i (x Re a - y Im a)) at tau = x + iy
     is formed in rationals, its phase reduced mod 2 exactly, and each part
     rounded once.  Raises RangeError when q^a leaves double range (a huge
-    argument, or a large Im tau).
+    argument, or a large Im tau); the message names a unless it is exact.
     """
     try:
         if not isinstance(a, _Exact):
             return cmath.exp(1j * cmath.pi * p.tau * a)
-        from fractions import Fraction
-        x, y = Fraction(p.tau.real), Fraction(p.tau.imag)
-        return cmath.exp(cmath.pi * complex(-float(x * a.im + y * a.re),
-                                            float((x * a.re - y * a.im) % 2)))
+        t = _Exact.of(p.tau)
+        return cmath.exp(cmath.pi * complex(-float(t.re * a.im + t.im * a.re),
+                                            float((t.re * a.re - t.im * a.im) % 2)))
     except (ValueError, OverflowError):
-        raise RangeError("q^a overflowed double range for a = %r" % (a,)) from None
+        # an exact a can run to hundreds of digits; callers name w
+        raise RangeError("q^a overflowed double range" + (
+            "" if isinstance(a, _Exact) else " for a = %r" % (a,))) from None
 
 
 class _Exact:
     """A complex number with Fraction parts: the product path's w where
     |Re tau| > 8, so that the exponents it forms (2 - 2w, 2w, (w - 1/2)^2,
-    +-(1/4 - w), each at w or w + 1/2) are exact.  Its +, - and * take
-    ints, floats and complex numbers, which convert exactly; ** takes 2."""
+    +-(1/4 - w), each at w or w + 1/2) are exact.  u + x, u - x, x - u,
+    u * x and x * u take an int, float or complex x exactly; ** takes 2."""
 
     __slots__ = ("re", "im")
 
@@ -128,9 +129,6 @@ class _Exact:
         from fractions import Fraction
         value = complex(value)
         return _Exact(Fraction(value.real), Fraction(value.imag))
-
-    def __repr__(self) -> str:
-        return "(%s%s%sj)" % (self.re, "" if self.im < 0 else "+", self.im)
 
     def __add__(self, other) -> "_Exact":
         other = _Exact.of(other)
@@ -147,7 +145,6 @@ class _Exact:
         return _Exact(self.re * other.re - self.im * other.im,
                       self.re * other.im + self.im * other.re)
 
-    __radd__ = __add__
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "_Exact":
@@ -240,8 +237,5 @@ def qtrig_crosscheck(kind: str, z: complex, p: ModularParam) -> float:
     The product path takes p itself and the argument as z/pi; the theta
     path evaluates at tau' = -1/tau.  Propagates PoleError.
     """
-    check_qtrig_kind(kind)
-    z = complex(z)
     via_theta = qtrig_theta(kind, z, p)
-    via_product = qtrig_product_any(kind, z / cmath.pi, p)
-    return abs(via_theta - via_product)
+    return abs(via_theta - qtrig_product_any(kind, complex(z) / cmath.pi, p))

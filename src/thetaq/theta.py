@@ -227,10 +227,11 @@ def qpochhammer(a: complex, q: complex, logs: tuple | None = None) -> complex:
     Terms in the prefix exceed 1e-32, far above the subnormals, and a term
     that overflowed to inf or nan fails the test anyway.
 
-    A long product, LOG_MIN <= n <= MAX_TERMS - 2, ends in its logarithm
-    series instead (Gasper and Rahman, Basic Hypergeometric Series, 2nd ed.,
-    2004, ch. 1): it multiplies the factors with |a q^k| > LOG_SWITCH, then
-    the rest, (x;q)_inf at x = a q^k, as exp(-s) with
+    One loop multiplies that untested head.  A long product, LOG_MIN <= n
+    <= MAX_TERMS - 2, takes there only the factors with |a q^k| > LOG_SWITCH
+    and ends in its logarithm series instead of the tested tail (Gasper and
+    Rahman, Basic Hypergeometric Series, 2nd ed., 2004, ch. 1), the rest,
+    (x;q)_inf at x = a q^k, as exp(-s) with
 
         s = sum_{m=1}^{M} x^m / (m (1 - q^m)),
 
@@ -246,7 +247,8 @@ def qpochhammer(a: complex, q: complex, logs: tuple | None = None) -> complex:
 
     logs is pochhammer_logs(abs(q)), the nome-only parts of that bound,
     computed here when omitted; ModularParam.q2_logs holds it for q*q, so
-    a call at a param's nome q^2 takes one logarithm, of |a|.
+    a call at a param's nome q^2 takes one logarithm, of |a|.  Unchecked:
+    the logs of another |q| give a wrong value or a false ConvergenceError.
     """
     q = complex(q)
     aq = abs(q)
@@ -270,27 +272,24 @@ def qpochhammer(a: complex, q: complex, logs: tuple | None = None) -> complex:
             # ln_step rounds to at most 255; that branch also takes |a| = inf
             n = (MAX_TERMS if slack >= (MAX_TERMS - 1) * ln_step
                  else int(slack / ln_step) + 1)
-            if LOG_MIN <= n <= MAX_TERMS - 2 and ln_step > 2 * PREFIX_MARGIN:
-                # the factors with |a q^k| > LOG_SWITCH, then the rest as
-                # exp(-sum_m x^m / (m (1 - q^m))) at x = a q^k, to M terms
-                ln_x = ln_a
-                if ln_x > _LN_LOG_SWITCH:
-                    k = int((ln_x - _LN_LOG_SWITCH) / ln_step) + 1
-                    for _ in range(k):
-                        prod *= 1 - term
-                        term *= q
-                    ln_x -= k * ln_step
-                s = 0j
-                power = term
-                qm = q
+            log_tail = LOG_MIN <= n <= MAX_TERMS - 2 and ln_step > 2 * PREFIX_MARGIN
+            head = n
+            if log_tail:
+                # only the k factors with |a q^k| > LOG_SWITCH, then the rest
+                # as exp(-sum_m x^m / (m (1 - q^m))) at x = a q^k, to M terms
+                head = (int((ln_a - _LN_LOG_SWITCH) / ln_step) + 1
+                        if ln_a > _LN_LOG_SWITCH else 0)
+            for _ in range(head):
+                prod *= 1 - term
+                term *= q
+            if log_tail:
+                ln_x = ln_a - head * ln_step
+                s, power, qm = 0j, term, q
                 for m in range(1, int((ln_floor + _LN_1M_LOG_SWITCH) / ln_x) + 1):
                     s += power / (m * (1 - qm))
                     power *= term
                     qm *= q
                 return prod * cmath.exp(-s)
-            for _ in range(n):
-                prod *= 1 - term
-                term *= q
     for _ in range(n, MAX_TERMS):
         if abs(term) / (1.0 - aq) < EPS:
             return prod

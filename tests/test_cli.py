@@ -4,10 +4,11 @@ import math
 
 import pytest
 
-from thetaq import (cli, formal_certify, make_param, qtrig_product_any,
-                    qtrig_theta, theta_eval)
+from thetaq import (cli, formal_certify, make_param, numeric_residual,
+                    qtrig_product_any, qtrig_theta, theta_eval)
 from thetaq.cli import format_value, main, parse_complex, render_reports
 from thetaq.errors import DomainError, GradeMismatch
+from thetaq.identities import PROBE_TAU
 
 
 def run_cli(capsys, *argv):
@@ -211,6 +212,18 @@ def test_verify_pinned_thm2(capsys):
                            "--x", "pi*0.25,0", "--y", "pi*0.25,0")
     assert code == 0
     assert "pass" in out
+
+
+def test_verify_pinned_f_constancy(capsys):
+    # the probe at one x: its y and its quotient's target 1 are fixed
+    code, out, _ = run_cli(capsys, "verify", "--id", "f_constancy", "--x", "0.5,0.1")
+    assert code == 0
+    assert "samples=1 " in out
+    code, out, err = run_cli(capsys, "verify", "--id", "f_constancy",
+                             "--x", "0.5,0.1", "--y", "0.7,0")
+    assert (code, out) == (2, "")
+    assert "takes x only, not y" in err
+    assert numeric_residual("f_constancy", 0.5 + 0.1j, tau=PROBE_TAU) <= 1e-10
 
 
 def test_verify_sampled(capsys):

@@ -27,7 +27,6 @@ from thetaq import (
     numeric_residual,
     qsquared_param,
     qtrig_theta,
-    report_as_dict,
     run_suite,
     series_equal,
     theta_series,
@@ -128,10 +127,10 @@ def test_verify_numeric_passes_registry():
 
 
 def test_verify_numeric_is_deterministic():
-    a = report_as_dict(verify_numeric("thm1_tan", PLAN))
-    b = report_as_dict(verify_numeric("thm1_tan", PLAN))
+    a = dataclasses.asdict(verify_numeric("thm1_tan", PLAN))
+    b = dataclasses.asdict(verify_numeric("thm1_tan", PLAN))
     assert a == b
-    c = report_as_dict(verify_numeric("thm1_tan", SamplePlan(seed=43, count=60)))
+    c = dataclasses.asdict(verify_numeric("thm1_tan", SamplePlan(seed=43, count=60)))
     assert c["params"] != a["params"] or c["max_abs_residual"] != a["max_abs_residual"]
 
 
@@ -195,14 +194,15 @@ def test_only_the_classical_limits_load_mpmath(tmp_path):
 
 
 def test_report_dict_is_exactly_the_report_fields():
-    # report_as_dict is asdict: a field added to IdentityReport enters the
-    # JSON of every report, so the key set is pinned for each report shape
+    # the JSON report is dataclasses.asdict: a field added to IdentityReport
+    # enters the JSON of every report, so the key set is pinned for each
+    # report shape
     keys = {"id", "mode", "status", "samples", "max_abs_residual",
             "certified_order", "params", "failures"}
     for report in (verify_numeric("thm2", SamplePlan(seed=1, count=3)),
                    formal_certify("thm2", 4),
                    verify_numeric("classical_limit_cot")):
-        assert set(report_as_dict(report)) == keys, report.id
+        assert set(dataclasses.asdict(report)) == keys, report.id
 
 
 def test_convergence_failure_is_recorded_not_raised():
@@ -717,8 +717,8 @@ def test_numeric_residual_validation():
 def test_suite_report_independent_of_warm_caches():
     plan = SamplePlan(seed=7, count=20)
     params._make_param.cache_clear()     # every param and its nome state cold
-    cold = [report_as_dict(r) for r in run_suite(plan)]
-    warm = [report_as_dict(r) for r in run_suite(plan)]
+    cold = [dataclasses.asdict(r) for r in run_suite(plan)]
+    warm = [dataclasses.asdict(r) for r in run_suite(plan)]
     assert cold == warm
 
 
@@ -760,7 +760,7 @@ def test_pole_draws_are_resampled(monkeypatch):
     reports = []
     for _ in range(2):
         calls = _poles_on(monkeypatch, "numeric_residual", lambda i: i % 3 == 0)
-        reports.append(report_as_dict(verify_numeric("thm2", plan)))
+        reports.append(dataclasses.asdict(verify_numeric("thm2", plan)))
         monkeypatch.undo()
     assert reports[0] == reports[1]          # same seed, same report
     assert reports[0]["status"] == "pass" and reports[0]["samples"] == 12
@@ -844,13 +844,13 @@ def test_sampler_keeps_the_random_uniform_stream(monkeypatch):
     # one and two variables, and pole resamples that skip draws
     for ident in ("quasi_period_2", "thm2"):
         plan = SamplePlan(seed=11, count=30)
-        want = report_as_dict(reference_verify(ident, plan))
-        assert report_as_dict(verify_numeric(ident, plan)) == want
+        want = dataclasses.asdict(reference_verify(ident, plan))
+        assert dataclasses.asdict(verify_numeric(ident, plan)) == want
     plan = SamplePlan(seed=5, count=12)
     runs = []
     for verify in (verify_numeric, reference_verify):
         calls = _poles_on(monkeypatch, "numeric_residual", lambda i: i % 3 == 0)
-        runs.append((report_as_dict(verify("cor_tan", plan)), calls))
+        runs.append((dataclasses.asdict(verify("cor_tan", plan)), calls))
         monkeypatch.undo()
     assert runs[0] == runs[1] and len(runs[0][1]) == 17
 
@@ -889,7 +889,7 @@ def test_non_finite_residual_fails_the_identity(monkeypatch, pairs):
     assert failure["error"] == "residual is %r" % bad
     x = calls[2]
     assert (failure["x"], failure["y"], failure["tau"]) == ([x.real, x.imag], None, tau)
-    json.dumps(report_as_dict(report), allow_nan=False)
+    json.dumps(dataclasses.asdict(report), allow_nan=False)
 
 
 def _negate(kinds):

@@ -1,6 +1,10 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -305,6 +309,42 @@ def test_overflowed_factor_product_raises_range_error():
         qtrig_product_any("ssn_q", 3 + 0.5j, make_param(30j))
     assert str(caught.value) == ("q^a overflowed double range for a = (-4-1j) at "
                                  "w = (3+0.5j), on the nome-q^2 side of tau = 30j")
+
+
+def test_exact_path_range_error_names_w_and_tau_not_the_exponent():
+    # at |Re tau| > 8 the overflowed exponent is a rational of several
+    # hundred digits; the message leaves it out and names w and tau
+    w = 1e300 / math.pi
+    with pytest.raises(RangeError) as caught:
+        qtrig_product_any("sin_q", w, make_param(1e300 + 1j))
+    text = str(caught.value)
+    assert len(text) < 200, text
+    assert text.endswith(" at w = %r, tau = (1e+300+1j)" % complex(w)), text
+
+
+LAZY_FRACTIONS_PROBE = """
+import math, sys
+from thetaq import QTRIG_KINDS, make_param, qtrig_product_any, qtrig_theta, theta_eval
+p = make_param(0.3 + 1.1j)
+for kind in QTRIG_KINDS:
+    qtrig_theta(kind, 0.7, p)
+    qtrig_product_any(kind, 0.7 / math.pi, p)
+for kind in (1, 2, 3, 4):
+    theta_eval(kind, 0.7, p, method="product")
+light = "fractions" not in sys.modules
+qtrig_product_any("sin_q", 0.3, make_param(1e4 + 1j))
+print(light, "fractions" in sys.modules)
+"""
+
+
+def test_only_a_large_re_tau_imports_fractions():
+    # a fresh interpreter: exact exponents are formed only where |Re tau| > 8,
+    # so no other evaluation pays for the import
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", LAZY_FRACTIONS_PROBE],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.splitlines()[-1] == "True True"
 
 
 def test_product_path_values_are_finite_or_typed_errors():
