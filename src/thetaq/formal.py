@@ -508,11 +508,11 @@ def shift_argument(series: GradedSeries, shift: str, var: str) -> GradedSeries:
     factor, per_exp = SHIFTS[shift]
     units = [Gaussian(1), factor, factor * factor, factor * factor * factor]
     grades = series.grades()
-    # each grade's lowest move; per_exp >= 0, so its least exponent's
-    low = {base: per_exp * min(mono[idx] for mono in terms)
-           for base, terms in grades.items()}
-    new_prefactor = min(base + move for base, move in low.items())
-    new_boundary = series.boundary + 2 * min(0, *low.values())
+    new_prefactor = min(base + per_exp * mono[idx]
+                        for base, terms in grades.items() for mono in terms)
+    # per_exp >= 0, so the largest downward move is the least exponent's
+    least = min(mono[idx] for terms in grades.values() for mono in terms)
+    new_boundary = series.boundary + 2 * min(0, per_exp * least)
     new_order = (new_boundary - new_prefactor) // 4
     acc: dict = {}      # the move depends on the monomial only: no collisions
     for base, terms in grades.items():
