@@ -437,8 +437,9 @@ def tolerance_for(identity: str, tolerance: Optional[float] = None) -> float:
 
 
 def numeric_residual(identity: str, x: complex, y: Optional[complex] = None,
-                     tau: complex = 1.1j) -> float:
-    """Normalized residual of one identity at one sample point.
+                     tau: complex | ModularParam = 1.1j) -> float:
+    """Normalized residual of one identity at one sample point, tau given as
+    a complex number or as its ModularParam.
 
     For constrained identities the third argument is derived from x and y;
     single-variable identities read their variable from x and reject a y.
@@ -454,7 +455,7 @@ def numeric_residual(identity: str, x: complex, y: Optional[complex] = None,
         raise DomainError("identity %s needs both x and y" % identity)
     if info.nvars == 1 and y is not None:
         raise DomainError("identity %s takes x only, not y" % identity)
-    p = make_param(tau)
+    p = tau if isinstance(tau, ModularParam) else make_param(tau)
     worst = 0.0
     for lhs, rhs in info.pairs(complex(x), None if y is None else complex(y), p):
         res = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
@@ -600,16 +601,16 @@ def _verify_classical(identity: str, tolerance: float) -> IdentityReport:
     return report
 
 
-def _draw_samples(name: str, plan: SamplePlan, count: int, box, taus: list,
+def _draw_samples(name: str, plan: SamplePlan, count: int, box, params: list,
                   nvars: int, evaluate: Callable) -> tuple:
     """The sampling loop of every sampled check: (samples, failure).
 
     Draws x, and y when nvars is 2, from box on the stream "<seed>:<name>".
-    evaluate has numeric_residual's signature (name, x, y, tau); each finite
-    value it returns is kept as a sample (value, x, y, tau).  tau cycles
-    through taus, advancing only with a kept sample.  A PoleError draws
-    again, up to 10 * count draws.  failure is None or the one that ended
-    the run: a ConvergenceError, a DomainError or a value that is not
+    evaluate has numeric_residual's signature, called as (name, x, y, p);
+    each finite value it returns is kept as a sample (value, x, y, p.tau).
+    p cycles through params, advancing only with a kept sample.  A PoleError
+    draws again, up to 10 * count draws.  failure is None or the one that
+    ended the run: a ConvergenceError, a DomainError or a value that is not
     finite, at its sample point, or the draws running out.
     """
     draw = _sampler(random.Random("%d:%s" % (plan.seed, name)), box)
@@ -618,20 +619,20 @@ def _draw_samples(name: str, plan: SamplePlan, count: int, box, taus: list,
     two = nvars == 2
     while done < count and attempts < 10 * count:
         attempts += 1
-        tau = taus[done % len(taus)]
+        p = params[done % len(params)]
         x = draw()
         y = draw() if two else None
         try:
-            value = evaluate(name, x, y, tau)
+            value = evaluate(name, x, y, p)
         except PoleError:
             continue
         except (ConvergenceError, DomainError) as exc:
-            return samples, {**sample_point(x, y, tau), "error": str(exc)}
+            return samples, {**sample_point(x, y, p.tau), "error": str(exc)}
         if value - value:           # nan or inf: x - x is 0 for every finite x
-            return samples, {**sample_point(x, y, tau),
+            return samples, {**sample_point(x, y, p.tau),
                              "error": "residual is %r" % value}
         done += 1
-        samples.append((value, x, y, tau))
+        samples.append((value, x, y, p.tau))
     if done < count:
         return samples, {"error": "only %d of %d samples in %d draws; the rest "
                                   "hit poles" % (done, count, attempts)}
@@ -640,8 +641,8 @@ def _draw_samples(name: str, plan: SamplePlan, count: int, box, taus: list,
 
 def _verify_probe(plan: SamplePlan, tolerance: float) -> IdentityReport:
     samples, failure = _draw_samples(
-        "f_constancy", plan, min(plan.count, PROBE_COUNT), PROBE_BOX, [PROBE_TAU], 1,
-        lambda _name, x, _y, tau: constancy_probe(x, PROBE_Y, tau))
+        "f_constancy", plan, min(plan.count, PROBE_COUNT), PROBE_BOX, [make_param(PROBE_TAU)],
+        1, lambda _name, x, _y, p: constancy_probe(x, PROBE_Y, p.tau))
     if not samples:
         return IdentityReport(id="f_constancy", mode="numeric", status="fail",
                               failures=[failure])
@@ -680,8 +681,8 @@ def verify_numeric(identity: str, plan: SamplePlan = DEFAULT_PLAN,
         # its own fixed box and tau, not by per-sample residuals
         return _verify_probe(plan, tolerance)
 
-    taus = [complex(t) for t in plan.tau_set]
-    samples, failure = _draw_samples(identity, plan, plan.count, SAMPLE_BOX, taus,
+    tau_params = [make_param(t) for t in plan.tau_set]
+    samples, failure = _draw_samples(identity, plan, plan.count, SAMPLE_BOX, tau_params,
                                      info.nvars, numeric_residual)
     max_res, worst, failures = 0.0, None, []
     for res, x, y, tau in samples:
@@ -693,7 +694,7 @@ def verify_numeric(identity: str, plan: SamplePlan = DEFAULT_PLAN,
     if failure:
         failures.append(failure)
     params = {"seed": plan.seed, "tolerance": tolerance,
-              "tau_set": [[t.real, t.imag] for t in taus]}
+              "tau_set": [[p.tau.real, p.tau.imag] for p in tau_params]}
     if worst is not None:
         params["worst_sample"] = sample_point(*worst)
     return IdentityReport(id=identity, mode="numeric",

@@ -9,10 +9,10 @@ make_param is memoised per tau (up to PARAM_CACHE_SIZE of them), so the
 tau', 2*tau and nome data that every evaluation derives are built once per
 tau.  Each ModularParam also carries the per-nome context of both numeric
 kernels, filled as they go: ln|q|, the theta term tables (q^(k(k+odd)) with
-the k-only parts of the series tail bound), the theta nulls, the z-free
-product factors (q^2;q^2)_inf and (q;q^2)_inf^2, the logarithms that bound
-qpochhammer's untested prefix at nome q^2, and weak links to the tau' and
-2*tau params -- none of it in equality or repr.
+the k-only parts of the series tail bound) and stop tables, the theta nulls,
+the z-free product factors (q^2;q^2)_inf and (q;q^2)_inf^2, the logarithms
+that bound qpochhammer's untested prefix at nome q^2, and weak links to the
+tau' and 2*tau params -- none of it in equality or repr.
 
 Every infinite sum and product in the package stops on one contract: once
 a geometric tail bound drops below EPS, which lies under a double's
@@ -59,6 +59,8 @@ class ModularParam:
     * ln_abs_q = log|q| (-inf when q underflowed to 0);
     * terms[odd][k] = theta_term(q, ln_abs_q, k, odd), two tables that
       theta_sum grows on demand, to at most MAX_TERMS + 1 entries;
+    * stops[odd][k] = max(stop_threshold(terms[odd][j]), j <= k), the stop
+      tables, grown with terms (stops[0][0] = -inf: no sum stops there);
     * nulls maps kind to theta_sum(kind, 0, self)[0]; see theta.theta_sum_null;
     * products maps "theta" to (q^2;q^2)_inf, the z-free factor of every
       theta product (theta.theta_eval), and "sin_q" to (q;q^2)_inf^2, the
@@ -73,6 +75,7 @@ class ModularParam:
     q_quarter: complex
     ln_abs_q: float = field(init=False, compare=False, repr=False)
     terms: tuple = field(init=False, compare=False, repr=False)
+    stops: tuple = field(init=False, compare=False, repr=False)
     nulls: dict = field(init=False, compare=False, repr=False,
                         default_factory=dict)
     products: dict = field(init=False, compare=False, repr=False,
@@ -86,6 +89,8 @@ class ModularParam:
         object.__setattr__(self, "ln_abs_q", ln_q)
         object.__setattr__(self, "terms", tuple([theta_term(q, ln_q, 0, odd)]
                                                 for odd in (0, 1)))
+        object.__setattr__(self, "stops", ([-math.inf],
+                                           [stop_threshold(self.terms[1][0])]))
         object.__setattr__(self, "q2_logs", pochhammer_logs(abs(q * q)))
 
 
@@ -95,10 +100,55 @@ def theta_term(q: complex, ln_q: float, k: int, odd: int) -> tuple:
         (q^(k(k+odd)), (2k+1+odd) ln|q|, ln 2 + k(k+odd) ln|q|, k + odd/2),
 
     the power and the k-only parts of the tail ratio, the tail's first term
-    and its growth exponent, each formed as theta_sum formed it inline.
+    and its growth exponent, as tail_below_eps reads them.
     """
     return (q ** (k * (k + odd)), (2 * k + 1 + odd) * ln_q,
             LN_2 + (k * (k + odd)) * ln_q, k + odd / 2)
+
+
+def tail_below_eps(entry: tuple, imz2: float) -> bool:
+    """theta_sum's tail test past entry = (power, lnr, lnb, half) at imz2 =
+    2|Im z|: ln_bound + ln r - log1p(-r) < ln EPS, ln r = lnr + imz2 and
+    ln_bound = lnb + half imz2.  Each step is monotone in imz2, so the test
+    passes below one double, stop_threshold(entry), and fails from it on."""
+    _, lnr, lnb, half = entry
+    ln_ratio = lnr + imz2
+    if not ln_ratio < 0.0:
+        return False
+    head = lnb + half * imz2 + ln_ratio
+    return head < LN_EPS and head - math.log1p(-math.exp(ln_ratio)) < LN_EPS
+
+
+def stop_threshold(entry: tuple) -> float:
+    """The least double imz2 >= 0 at which tail_below_eps(entry, imz2) fails:
+    a bisection of [0, -lnr] down to adjacent doubles, first tried on 16 ulps
+    either side of the unrounded root (three fixed-point steps)."""
+    if not tail_below_eps(entry, 0.0):
+        return 0.0
+    _, lnr, lnb, half = entry
+    x = 0.0
+    for _ in range(3):
+        x = (LN_EPS - lnb - lnr + math.log1p(-math.exp(lnr + x))) / (half + 1)
+    lo, hi, span = 0.0, -lnr, 16 * math.ulp(x)
+    if lo < x - span and tail_below_eps(entry, x - span):
+        lo = x - span
+    if lo < x + span < hi and not tail_below_eps(entry, x + span):
+        hi = x + span
+    while (mid := (lo + hi) / 2) != lo and mid != hi:
+        if tail_below_eps(entry, mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def grow_terms(p: ModularParam, odd: int, k: int) -> None:
+    """Store entry k = len(p.stops[odd]) of p.terms[odd], then of p.stops[odd],
+    by slice stores: a thread that stored one first is overwritten with the
+    same entry, and p.terms[odd] is never the shorter."""
+    entry = theta_term(p.q, p.ln_abs_q, k, odd)
+    p.terms[odd][k:k + 1] = (entry,)
+    p.stops[odd][k:k + 1] = (max(p.stops[odd][k - 1], stop_threshold(entry)),)
 
 
 def pochhammer_logs(aq: float) -> tuple:

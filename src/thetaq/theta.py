@@ -23,18 +23,18 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, RangeError
 from .params import (
     EPS,
-    LN_EPS,
     MAX_TERMS,
     THETA_KINDS,
     ModularParam,
     check_kind,
+    grow_terms,
     pochhammer_logs,
-    theta_term,
 )
 
 # Sign of theta_k under z -> z + pi and (up to q^-1 e^-2zi) under z -> z + pi*tau.
@@ -111,22 +111,20 @@ def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
     the difference for kind 1, a sign (-1)^k for kinds 1 and 4, and the
     k = 0 term of kinds 3, 4 is the 1 the sum starts from.  A term with sign
     -1 is subtracted, which in IEEE arithmetic is adding its negation, so
-    each sum keeps the bits of a loop of its own.  It stops once the
-    geometric tail past k, first term 2 |q|^(k(k+odd)) e^((2k+odd)|Im z|)
-    and ratio r = |q|^(2k+1+odd) e^(2|Im z|), is below EPS.  Errors name
-    kind, and the partner only when its sum alone is not finite.
+    each sum keeps the bits of a loop of its own.  It stops at the first k
+    whose geometric tail, first term 2 |q|^(k(k+odd)) e^((2k+odd)|Im z|) and
+    ratio r = |q|^(2k+1+odd) e^(2|Im z|), is below EPS (params.tail_below_eps,
+    in log space so huge |Im z| cannot overflow a float).  Errors name kind,
+    and the partner only when its sum alone is not finite.
 
-    In log space the tail test is ln_bound + ln r - log1p(-r) < ln eps,
-    with ln r = (2k+1+odd) ln|q| + 2|Im z| and ln_bound = ln 2 +
-    k(k+odd) ln|q| + (k + odd/2) 2|Im z|.  The power and the k-only parts of
-    both logarithms are read from the term table p.terms[odd] (see
-    params.theta_term), so every call at one nome shares them; the loop
-    adds only the z terms.  Each term reads table[k] directly, and the
-    table grows by one entry only when that read runs past its end; past
-    MAX_TERMS the read ends the loop with ConvergenceError.  As
-    -log1p(-r) > 0 for r < 1, the test cannot pass before ln_bound + ln r
-    < ln eps does, so log1p and exp run only once that cheaper pre-test
-    passes.
+    That test depends on z only through imz2 = 2|Im z| and passes below one
+    double, params.stop_threshold, so the loop runs no test: the stop table
+    p.stops[odd] holds the running maximum M_k of those thresholds, and the
+    sum stops at the first k with imz2 < M_k, where a loop testing each k
+    would.  Powers come from the term table p.terms[odd] (params.theta_term),
+    shared by every call at one nome.  Both tables grow by one entry while
+    no M_k exceeds imz2; past MAX_TERMS, or at a nan imz2, that ends in
+    ConvergenceError.
     """
     if kind not in THETA_KINDS:
         check_kind(kind)
@@ -147,10 +145,23 @@ def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
         # rounded value: only the innermost summation indices survive
         pair = (up - um, up + um) if odd else (1 + 0j, 1 + 0j)
         return pair if kind % 2 else pair[::-1]
-    # tail bounds live in log space so huge |Im z| cannot overflow a float
-    imz2 = 2.0 * imz   # log of the growth factor |e^(2zi)|^(+-1)
+    imz2 = 2.0 * imz
+    # one len() for the bisection and the test: one read again may count an
+    # entry another thread stored since, and stop a term early
+    stops = p.stops[odd]
+    size = len(stops)
+    n = bisect_right(stops, imz2, 0, size)
+    while n == size:
+        if size > MAX_TERMS:
+            raise ConvergenceError(
+                "theta%d series did not meet eps=%g in %d terms (reduce the "
+                "argument?)" % (kind, EPS, MAX_TERMS))
+        grow_terms(p, odd, size)
+        size += 1
+        n = bisect_right(stops, imz2, n, size)
     # alt = the sum with (-1)^k (theta1's or theta4's), same = its partner's;
     # e^((2k+odd)iz) steps by e^(2iz), which is up squared when odd
+    table = p.terms[odd]
     if odd:
         alt = same = 0j
         step, step_inv = up * up, um * um
@@ -159,17 +170,8 @@ def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
         alt = same = 1 + 0j
         step, step_inv = up, um
         k = 1
-    table = p.terms[odd]
     while True:
-        try:
-            qk, lnr, lnb, half = table[k]
-        except IndexError:
-            if k > MAX_TERMS:
-                break
-            # a slice store: a thread that extended the table first is
-            # overwritten with the same entry
-            table[k:k + 1] = (theta_term(q, p.ln_abs_q, k, odd),)
-            qk, lnr, lnb, half = table[k]
+        qk = table[k][0]
         plus = qk * (up + um)
         same += plus
         term = qk * (up - um) if odd else plus
@@ -177,21 +179,15 @@ def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
             alt -= term
         else:
             alt += term
-        ln_ratio = lnr + imz2
-        if ln_ratio < 0.0:
-            head = lnb + half * imz2 + ln_ratio
-            if head < LN_EPS and head - math.log1p(-math.exp(ln_ratio)) < LN_EPS:
-                if cmath.isfinite(alt) and cmath.isfinite(same):
-                    return (alt, same) if kind in (1, 4) else (same, alt)
-                first = alt if kind in (1, 4) else same
-                raise _overflow(kind if not cmath.isfinite(first) else PARTNER[kind],
-                                z, "series")
+        if k == n:
+            break
         up *= step
         um *= step_inv
         k += 1
-    raise ConvergenceError(
-        "theta%d series did not meet eps=%g in %d terms (reduce the argument?)"
-        % (kind, EPS, MAX_TERMS))
+    if cmath.isfinite(alt) and cmath.isfinite(same):
+        return (alt, same) if kind in (1, 4) else (same, alt)
+    first = alt if kind in (1, 4) else same
+    raise _overflow(kind if not cmath.isfinite(first) else PARTNER[kind], z, "series")
 
 
 def theta_sum_null(kind: int, p: ModularParam) -> complex:
@@ -304,13 +300,16 @@ def theta_eval(kind: int, z: complex, p: ModularParam, *,
                method: str = "series") -> complex:
     """Evaluate theta_kind(z|tau) by the series or the product path.
 
-    The series path is the first half of theta_pair.  The product path
+    The series path is theta_pair's first value alone.  The product path
     forms head * (q^2;q^2) (a e^(2iz);q^2) (a e^(-2iz);q^2) with a = s q^c
     from PRODUCT_FACTOR and head as documented there; the z-free factor
     (q^2;q^2) is computed once per nome, in p.products.
     """
     if method == "series":
-        return theta_pair(kind, z, p)[0]
+        s = theta_sum(kind, complex(z), p)[0]
+        if kind > 2:
+            return s
+        return -1j * p.q_quarter * s if kind == 1 else p.q_quarter * s
     check_kind(kind)
     z = complex(z)
     if method != "product":

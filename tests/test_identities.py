@@ -332,6 +332,21 @@ def test_qtrig_sample_builds_one_param(monkeypatch):
     assert calls == [tau] * 4
 
 
+def test_verify_numeric_resolves_each_tau_once(monkeypatch):
+    # one make_param per plan tau and check, not one per draw; a param and
+    # its complex tau give numeric_residual the same residual
+    plan = SamplePlan(seed=3, count=40)
+    verify_numeric("thm1_tan", plan)
+    calls = _count_calls(monkeypatch, "make_param", (params, qtrig, identities))
+    for ident in ("quasi_period_1", "thm2", "thm1_tan"):
+        calls.clear()
+        verify_numeric(ident, plan)
+        assert calls == list(plan.tau_set), ident
+    for tau in plan.tau_set:
+        assert (numeric_residual("thm2", 0.4, 0.9, make_param(tau))
+                == numeric_residual("thm2", 0.4, 0.9, tau))
+
+
 # the first error of each report whose second tau needs more than MAX_TERMS
 # terms somewhere, the same as when every theta was summed alone, in its own
 # loop (seed 5, count 20): thm2 first sums theta2 at 2*tau, and the thm1
@@ -764,16 +779,22 @@ def test_pole_draws_are_resampled(monkeypatch):
         monkeypatch.undo()
     assert reports[0] == reports[1]          # same seed, same report
     assert reports[0]["status"] == "pass" and reports[0]["samples"] == 12
-    # 12 samples took 17 draws; a pole does not advance the tau cycle
+    # 12 samples took 17 draws; a pole does not advance the tau cycle, and
+    # each draw gets its tau's resolved param
     assert len(calls) == 17
     kept = [args for i, args in enumerate(calls, 1) if i % 3]
-    assert [args[3] for args in kept] == [plan.tau_set[i % 3] for i in range(12)]
+    assert [args[3] for args in kept] == [make_param(plan.tau_set[i % 3])
+                                          for i in range(12)]
+    assert all(isinstance(args[3], params.ModularParam) for args in calls)
 
 
 def test_all_pole_draws_stop_at_ten_times_count(monkeypatch):
     calls = _poles_on(monkeypatch, "numeric_residual", lambda i: True)
-    report = verify_numeric("thm2", SamplePlan(seed=5, count=4))
+    plan = SamplePlan(seed=5, count=4)
+    report = verify_numeric("thm2", plan)
     assert len(calls) == 40
+    # no sample is kept, so every draw stays at the first tau
+    assert all(args[3] is make_param(plan.tau_set[0]) for args in calls)
     assert (report.status, report.samples) == ("fail", 0)
     assert report.failures == [
         {"error": "only 0 of 4 samples in 40 draws; the rest hit poles"}]
@@ -810,7 +831,8 @@ def reference_draw(rng, box):
 
 def reference_verify(identity, plan):
     """verify_numeric's sampling loop, drawing with random.uniform: the
-    stream its hoisted draws must keep, and the report built from it."""
+    stream its hoisted draws must keep, and the report built from it.  Each
+    draw passes its tau's param, as verify_numeric does."""
     info = identity_info(identity)
     tolerance = info.tolerance
     rng = random.Random("%d:%s" % (plan.seed, identity))
@@ -822,7 +844,7 @@ def reference_verify(identity, plan):
         x = reference_draw(rng, identities.SAMPLE_BOX)
         y = reference_draw(rng, identities.SAMPLE_BOX) if info.nvars == 2 else None
         try:
-            res = identities.numeric_residual(identity, x, y, tau)
+            res = identities.numeric_residual(identity, x, y, make_param(tau))
         except PoleError:
             continue
         done += 1

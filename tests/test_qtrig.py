@@ -266,8 +266,10 @@ def test_failed_product_denominator_is_not_cached(monkeypatch):
     value = qtrig_product_any("sin_q", 0.3, p)
     assert p.products == {"sin_q": qpochhammer(p.q, p.q * p.q) ** 2}
     assert value == qtrig_product_any("sin_q", 0.3, warm)
-    # the underflowed-nome DomainError still comes first and caches nothing
-    dead = make_param(1000j)
+    # the underflowed-nome DomainError still comes first and caches nothing;
+    # cold, as the cached param may carry another test's products
+    hot = make_param(1000j)
+    dead = ModularParam(tau=hot.tau, q=hot.q, q_quarter=hot.q_quarter)
     with pytest.raises(DomainError):
         qtrig_product_any("sin_q", 0.3, dead)
     assert dead.products == {}

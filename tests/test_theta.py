@@ -1,6 +1,7 @@
 import cmath
 import collections
 import fractions
+import itertools
 import math
 import random
 import sys
@@ -22,7 +23,7 @@ from thetaq import (
     theta_sum,
 )
 from thetaq import theta as theta_module
-from thetaq.params import EPS, MAX_TERMS, pochhammer_logs, theta_term
+from thetaq.params import EPS, MAX_TERMS, pochhammer_logs, stop_threshold, theta_term
 from thetaq.theta import LOG_MIN, PARTNER, PREFIX_MARGIN
 
 TAU = 0.2 + 1.3j
@@ -271,11 +272,20 @@ def test_product_path_huge_imaginary_argument_raises_convergence_error():
             theta_eval(kind, z, p, method="product")
 
 
+def tail_test(ln_q, k, odd, imz2):
+    """The series tail test at index k and imz2 = 2|Im z|, every part of the
+    bound formed afresh and no pre-test: ln_bound + ln r - log1p(-r) < ln EPS."""
+    ln_ratio = (2 * k + 1 + odd) * ln_q + imz2
+    if not ln_ratio < 0.0:
+        return False
+    ln_bound = math.log(2.0) + (k * (k + odd)) * ln_q + (k + odd / 2) * imz2
+    return ln_bound + ln_ratio - math.log1p(-math.exp(ln_ratio)) < math.log(EPS)
+
+
 def table_free_sum(kind, z, p):
-    """theta_sum's sum of kind alone, without the per-nome term tables or the
-    tail pre-test: q ** (k*(k+odd)) and every part of the tail bound formed
-    afresh for each term, and the full tail test at every k.  Each error is
-    theta_sum's, naming kind."""
+    """theta_sum's sum of kind alone, without the per-nome term or stop
+    tables: q ** (k*(k+odd)) formed afresh for each term, and tail_test run
+    at every k.  Each error is theta_sum's, naming kind."""
     odd = 1 if kind in (1, 2) else 0
     overflow = RangeError("theta%d series overflowed double range at z = %r "
                           "(reduce the argument first)" % (kind, z))
@@ -289,19 +299,16 @@ def table_free_sum(kind, z, p):
     if p.q == 0:
         return (up - um if kind == 1 else up + um) if odd else 1 + 0j
     step, step_inv = (up * up, um * um) if odd else (up, um)
-    ln_q, ln_eps, imz2 = math.log(abs(p.q)), math.log(EPS), 2.0 * abs(z.imag)
+    ln_q, imz2 = math.log(abs(p.q)), 2.0 * abs(z.imag)
     total = 0j if odd else 1 + 0j
     for k in range(1 - odd, MAX_TERMS + 1):
         qk = p.q ** (k * (k + odd))
         term = qk * (up - um) if kind == 1 else qk * (up + um)
         total += -term if kind in (1, 4) and k % 2 else term
-        ln_ratio = (2 * k + 1 + odd) * ln_q + imz2
-        if ln_ratio < 0.0:
-            ln_bound = math.log(2.0) + (k * (k + odd)) * ln_q + (k + odd / 2) * imz2
-            if ln_bound + ln_ratio - math.log1p(-math.exp(ln_ratio)) < ln_eps:
-                if not cmath.isfinite(total):
-                    raise overflow
-                return total
+        if tail_test(ln_q, k, odd, imz2):
+            if not cmath.isfinite(total):
+                raise overflow
+            return total
         up *= step
         um *= step_inv
     raise ConvergenceError("theta%d series did not meet eps=1e-16 in 256 terms "
@@ -393,6 +400,32 @@ def test_theta_sum_keeps_the_bits_of_the_table_free_sum():
     assert len(outcomes) == 3 and min(outcomes.values()) >= 4, outcomes
 
 
+@pytest.mark.parametrize("tau, band", [(0.2 + 1.1j, (0.0, 0.1)), (-0.3 + 0.4j, (0.1, 0.5)),
+                                       (0.1 + 0.08j, (0.5, 1.0))])
+def test_stop_tables_hold_each_threshold(tau, band):
+    # a cold param at small, mid and large |q|, both tables grown past 25
+    # entries (the sums that grow them may overflow); M_k = stops[odd][k] is
+    # where the tail test at k starts to fail
+    p = cold_copy(make_param(tau))
+    assert band[0] < abs(p.q) < band[1]
+    for kind in (1, 3):
+        pair_outcome(sum_bits, kind, complex(0.3, -20 * p.ln_abs_q), p)
+    for odd, stops in enumerate(p.stops):
+        assert len(stops) == len(p.terms[odd]) > 25
+        assert stops == sorted(stops)
+        for k in range(1 - odd, len(stops)):
+            m = stops[k]
+            assert not tail_test(p.ln_abs_q, k, odd, m), (odd, k)
+            if m > 0:
+                assert tail_test(p.ln_abs_q, k, odd, math.nextafter(m, 0.0)), (odd, k)
+            # theta_sum at imz2 on the threshold and one double below it
+            for imz2 in (m, math.nextafter(m, 0.0)):
+                for kind in ((1, 2) if odd else (3, 4)):
+                    z = complex(0.3, imz2 / 2)
+                    assert pair_outcome(sum_bits, kind, z, p) == \
+                        pair_outcome(pair_oracle, kind, z, p), (kind, k, imz2)
+
+
 def cold_copy(p):
     """A ModularParam equal to p whose tables and caches are empty."""
     return ModularParam(tau=p.tau, q=p.q, q_quarter=p.q_quarter)
@@ -433,9 +466,13 @@ def test_concurrent_table_growth_keeps_one_entry_per_k():
             for result in got:
                 assert [result[pt] for pt in points] == values
             assert [len(table) for table in p.terms] == lengths
+            assert [len(stops) for stops in p.stops] == lengths
             for odd, table in enumerate(p.terms):
                 assert table == [theta_term(p.q, p.ln_abs_q, k, odd)
                                  for k in range(len(table))]
+                thresholds = [-math.inf] if odd == 0 else []
+                thresholds += [stop_threshold(entry) for entry in table[1 - odd:]]
+                assert p.stops[odd] == list(itertools.accumulate(thresholds, max))
     finally:
         sys.setswitchinterval(interval)
 
