@@ -139,8 +139,7 @@ def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
     except (ValueError, OverflowError):
         raise _overflow(kind, z, "series") from None
     um = 1 / up
-    q = p.q
-    if not q:
+    if not p.q:
         # nome underflowed (huge Im tau); the q -> 0 limit is the correctly
         # rounded value: only the innermost summation indices survive
         pair = (up - um, up + um) if odd else (1 + 0j, 1 + 0j)
