@@ -10,9 +10,10 @@ tau', 2*tau and nome data that every evaluation derives are built once per
 tau.  Each ModularParam also carries the per-nome context of both numeric
 kernels, filled as they go: ln|q|, the theta term tables (q^(k(k+odd)) with
 the k-only parts of the series tail bound) and stop tables, the theta nulls,
-the z-free product factors (q^2;q^2)_inf and (q;q^2)_inf^2, the logarithms
-that bound qpochhammer's untested prefix at nome q^2, and weak links to the
-tau' and 2*tau params -- none of it in equality or repr.
+the z-free product factors (q^2;q^2)_inf and (q;q^2)_inf^2, the
+PochhammerContext of nome q^2 (the logarithms that bound qpochhammer's
+untested prefix and the coefficients of its log series), i*pi*tau, and weak
+links to the tau' and 2*tau params -- none of it in equality or repr.
 
 Every infinite sum and product in the package stops on one contract: once
 a geometric tail bound drops below EPS, which lies under a double's
@@ -20,7 +21,8 @@ rounding unit, or with ConvergenceError when MAX_TERMS terms do not get
 there.  A long q-Pochhammer product sums its tail's logarithm series
 instead of multiplying it out, cut where that series' geometric remainder
 drops below EPS; it raises ConvergenceError exactly where the factor loop
-would (see theta.qpochhammer).
+would (see theta.qpochhammer), and reads its coefficients from the table of
+a PochhammerContext, built once per nome.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ import cmath
 import functools
 import math
 import numbers
+import sys
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -43,6 +47,26 @@ EPS = 1e-16
 LN_EPS = math.log(EPS)
 MAX_TERMS = 256
 LN_2 = math.log(2.0)
+# log of the largest finite double
+LN_DOUBLE_MAX = math.log(sys.float_info.max)
+# ln of the factor by which qpochhammer's untested prefix keeps its terms
+# above the tail test's threshold; see theta.qpochhammer
+PREFIX_MARGIN = 1e-9
+# A product with at least LOG_MIN untested factors multiplies those with
+# |a q^k| > LOG_SWITCH and sums the rest as a log series by Horner's rule
+# over the coefficients of its PochhammerContext; see theta.qpochhammer.
+# Per call (x86-64, Python 3.11, 2 vCPUs), at |a| = 1 and 0.1, the series
+# takes 0.70-0.77 of the factor loop's time at 16-20 factors, 0.44-0.48 at
+# 40 and 0.20-0.25 at 120, and 0.93-1.08 at 8-10: LOG_MIN sits above the
+# crossing.  At |q| = 0.73 a call takes 3.1 and 2.4 us with this switch,
+# 3.8 and 3.1 with 1e-3 and 4.5 and 3.8 with 1e-4; at 0.53, 2.5 and 2.2
+# against 2.7 and 2.5 with 1e-3; at 0.15, 4-7% more than with 1e-3.
+# Switches from 1e-2 to 5e-2 cost the same within noise, and 1e-1 is up to
+# 18% dearer at |q| = 0.53 and 0.15: fewer factors, more terms.
+LOG_SWITCH = 3e-2
+LOG_MIN = 16
+LN_LOG_SWITCH = math.log(LOG_SWITCH)
+LN_1M_LOG_SWITCH = math.log1p(-LOG_SWITCH)
 
 
 @dataclass(frozen=True)
@@ -66,7 +90,9 @@ class ModularParam:
       theta product (theta.theta_eval), and "sin_q" to (q;q^2)_inf^2, the
       z-free denominator of the q-trig products (qtrig._sin_q), both with
       q^2 = q*q;
-    * q2_logs = pochhammer_logs(abs(q*q)), for qpochhammer at nome q*q;
+    * q2_context = pochhammer_context(q*q), the nome-only data of every
+      qpochhammer call at nome q^2, and i_pi_tau = 1j*pi*tau, from which
+      the product path forms q^a = exp(i_pi_tau*a) (qtrig._nome_power);
     * companions weakly links "prime" and "double" to tau' and 2*tau's params.
     """
 
@@ -80,7 +106,8 @@ class ModularParam:
                         default_factory=dict)
     products: dict = field(init=False, compare=False, repr=False,
                            default_factory=dict)
-    q2_logs: tuple = field(init=False, compare=False, repr=False)
+    q2_context: PochhammerContext = field(init=False, compare=False, repr=False)
+    i_pi_tau: complex = field(init=False, compare=False, repr=False)
     companions: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -91,7 +118,8 @@ class ModularParam:
                                                 for odd in (0, 1)))
         object.__setattr__(self, "stops", ([-math.inf],
                                            [stop_threshold(self.terms[1][0])]))
-        object.__setattr__(self, "q2_logs", pochhammer_logs(abs(q * q)))
+        object.__setattr__(self, "q2_context", pochhammer_context(q * q))
+        object.__setattr__(self, "i_pi_tau", 1j * cmath.pi * self.tau)
 
 
 def theta_term(q: complex, ln_q: float, k: int, odd: int) -> tuple:
@@ -121,19 +149,32 @@ def tail_below_eps(entry: tuple, imz2: float) -> bool:
 
 def stop_threshold(entry: tuple) -> float:
     """The least double imz2 >= 0 at which tail_below_eps(entry, imz2) fails:
-    a bisection of [0, -lnr] down to adjacent doubles, first tried on 16 ulps
-    either side of the unrounded root (three fixed-point steps)."""
+    a bisection down to adjacent doubles of a bracket in [0, -lnr] around x,
+    the unrounded root after three fixed-point steps.  The bracket starts 16
+    ulps either side of x and widens 8-fold per step on each side until the
+    test passes below x and fails above it.  The test is monotone, so any
+    bracket gives the same double."""
     if not tail_below_eps(entry, 0.0):
         return 0.0
     _, lnr, lnb, half = entry
     x = 0.0
     for _ in range(3):
         x = (LN_EPS - lnb - lnr + math.log1p(-math.exp(lnr + x))) / (half + 1)
+    # the test passes at lo and fails at hi throughout
     lo, hi, span = 0.0, -lnr, 16 * math.ulp(x)
-    if lo < x - span and tail_below_eps(entry, x - span):
-        lo = x - span
-    if lo < x + span < hi and not tail_below_eps(entry, x + span):
-        hi = x + span
+    while lo < x - span < hi:
+        if tail_below_eps(entry, x - span):
+            lo = x - span
+            break
+        hi = x - span
+        span *= 8
+    span = 16 * math.ulp(x)
+    while lo < x + span < hi:
+        if not tail_below_eps(entry, x + span):
+            hi = x + span
+            break
+        lo = x + span
+        span *= 8
     while (mid := (lo + hi) / 2) != lo and mid != hi:
         if tail_below_eps(entry, mid):
             lo = mid
@@ -151,10 +192,51 @@ def grow_terms(p: ModularParam, odd: int, k: int) -> None:
     p.stops[odd][k:k + 1] = (max(p.stops[odd][k - 1], stop_threshold(entry)),)
 
 
-def pochhammer_logs(aq: float) -> tuple:
-    """(ln(EPS*(1 - aq)), -ln aq): the nome-only parts of the bound on
-    theta.qpochhammer's untested prefix at |q| = aq < 1 (+inf when aq = 0)."""
-    return math.log(EPS * (1.0 - aq)), -math.log(aq) if aq else math.inf
+class PochhammerContext(NamedTuple):
+    """The nome-only data of theta.qpochhammer at nome q, built once by
+    pochhammer_context(q) and never changed:
+
+    * abs_q = |q|, one_minus = 1 - |q|, the tested tail's denominator;
+    * ln_floor = ln(EPS (1 - |q|)) and ln_step = -ln|q| (+inf when q = 0),
+      which bound the untested prefix, and ln_cap = (MAX_TERMS - 1) ln_step,
+      the slack from which the whole prefix is untested;
+    * series = (0, c_1, ..., c_M) with c_m = 1 / (m (1 - q^m)), the log
+      series' coefficients up to the largest M a call can ask for, or ()
+      where no call at this nome takes the log series.
+    """
+
+    q: complex
+    abs_q: float
+    one_minus: float
+    ln_floor: float
+    ln_step: float
+    ln_cap: float
+    series: tuple
+
+
+def pochhammer_context(q: complex) -> PochhammerContext:
+    """The PochhammerContext of nome q (a complex).  At |q| >= 1 its logs are
+    nan: theta.qpochhammer raises DomainError before it reads them.
+
+    A call takes the log series only where ln_step > 2 PREFIX_MARGIN and its
+    n >= LOG_MIN, so where (LOG_MIN - 1) ln_step <= ln|a| - ln_floor for some
+    finite |a|; the table is built there, with one unit of margin in that
+    count.  The call's x = a q^k has ln|x| <= ln LOG_SWITCH up to a relative
+    1e-12, so its M is at most the M of |x| = LOG_SWITCH plus one; the table
+    keeps one more.
+    """
+    aq = abs(q)
+    ln_floor = math.log(EPS * (1.0 - aq)) if aq < 1 else math.nan
+    ln_step = -math.log(aq) if aq else math.inf
+    series = []
+    if ln_step > 2 * PREFIX_MARGIN and (LN_DOUBLE_MAX - ln_floor) / ln_step > LOG_MIN - 2:
+        series.append(0j)
+        qm = q
+        for m in range(1, int((ln_floor + LN_1M_LOG_SWITCH) / LN_LOG_SWITCH) + 3):
+            series.append(1 / (m * (1 - qm)))
+            qm *= q
+    return PochhammerContext(q, aq, 1.0 - aq, ln_floor, ln_step,
+                             (MAX_TERMS - 1) * ln_step, tuple(series))
 
 
 def check_integer(value, name: str) -> int:

@@ -101,7 +101,7 @@ def _nome_power(p: ModularParam, a) -> complex:
     """
     try:
         if not isinstance(a, _Exact):
-            return cmath.exp(1j * cmath.pi * p.tau * a)
+            return cmath.exp(p.i_pi_tau * a)
         t = _Exact.of(p.tau)
         return cmath.exp(cmath.pi * complex(-float(t.re * a.im + t.im * a.re),
                                             float((t.re * a.re - t.im * a.im) % 2)))
@@ -168,9 +168,9 @@ def _sin_q_factors(w: complex, p: ModularParam) -> complex:
     """
     if p.q == 0 or abs(p.q) >= 1:
         raise DomainError("product form needs 0 < |q| < 1, got |q| = %g" % abs(p.q))
-    q2 = p.q * p.q
-    value = (qpochhammer(_nome_power(p, 2 - 2 * w), q2, p.q2_logs)
-             * qpochhammer(_nome_power(p, 2 * w), q2, p.q2_logs))
+    nome = p.q2_context
+    value = (qpochhammer(_nome_power(p, 2 - 2 * w), nome.q, nome)
+             * qpochhammer(_nome_power(p, 2 * w), nome.q, nome))
     return _finite(value, "sin_q(pi*w) factors")
 
 
@@ -181,7 +181,8 @@ def _sin_q(w: complex, p: ModularParam) -> complex:
     num = _sin_q_factors(w, p)
     den = p.products.get("sin_q")
     if den is None:
-        den = p.products["sin_q"] = qpochhammer(p.q, p.q * p.q, p.q2_logs) ** 2
+        nome = p.q2_context
+        den = p.products["sin_q"] = qpochhammer(p.q, nome.q, nome) ** 2
     return _finite(num / den * _nome_power(p, (w - 0.5) ** 2), "sin_q(pi*w)")
 
 

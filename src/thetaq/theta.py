@@ -22,19 +22,24 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, RangeError
 from .params import (
     EPS,
+    LN_1M_LOG_SWITCH,
+    LN_DOUBLE_MAX,
+    LN_LOG_SWITCH,
+    LOG_MIN,
     MAX_TERMS,
+    PREFIX_MARGIN,
     THETA_KINDS,
     ModularParam,
+    PochhammerContext,
     check_kind,
     grow_terms,
-    pochhammer_logs,
+    pochhammer_context,
 )
 
 # Sign of theta_k under z -> z + pi and (up to q^-1 e^-2zi) under z -> z + pi*tau.
@@ -62,25 +67,6 @@ class ShiftResult:
     new_kind: int
     new_z: complex
     multiplier: complex
-
-
-# log of the largest finite double
-_LN_DOUBLE_MAX = math.log(sys.float_info.max)
-# ln of the factor by which qpochhammer's untested prefix keeps its terms
-# above the tail test's threshold; see qpochhammer
-PREFIX_MARGIN = 1e-9
-# A product with at least LOG_MIN untested factors multiplies those with
-# |a q^k| > LOG_SWITCH and sums the rest as a log series; see qpochhammer.
-# Per call (x86-64, Python 3.11, 2 vCPUs) the two paths cost the same at
-# 14-17 factors for |a| = 1 and 0.1; at |q| = 0.15 and 19-20 factors the
-# series takes 0.85-0.94 of the time, at |q| = 0.73 and 120 factors 0.35,
-# and 1.3-1.4x at 10 factors or fewer.  Its cost is flat within noise for
-# switches from 1e-2 to 1e-4 at |q| = 0.53 and 0.73, where the factors saved
-# and the series terms added cross; at 0.1 and 1e-6 it is 10-40% higher.
-LOG_SWITCH = 1e-3
-LOG_MIN = 16
-_LN_LOG_SWITCH = math.log(LOG_SWITCH)
-_LN_1M_LOG_SWITCH = math.log1p(-LOG_SWITCH)
 
 
 def _overflow(kind: int, z: complex, path: str) -> RangeError:
@@ -132,7 +118,7 @@ def theta_sum(kind: int, z: complex, p: ModularParam) -> tuple:
     imz = abs(z.imag)
     # |e^(iz)|^(2-odd) is the largest factor; past double range exp fails,
     # as it does when (2-odd)*Re z overflows to inf
-    if imz * (2 - odd) > _LN_DOUBLE_MAX:
+    if imz * (2 - odd) > LN_DOUBLE_MAX:
         raise _overflow(kind, z, "series")
     try:
         up = cmath.exp((2 - odd) * 1j * z)    # e^((2k+odd)iz), stepped with k
@@ -200,7 +186,8 @@ def theta_sum_null(kind: int, p: ModularParam) -> complex:
     return value
 
 
-def qpochhammer(a: complex, q: complex, logs: tuple | None = None) -> complex:
+def qpochhammer(a: complex, q: complex,
+                nome: PochhammerContext | None = None) -> complex:
     """The q-shifted factorial (a;q)_inf = prod_{n>=0} (1 - a q^n).
 
     Truncated once the remaining logarithmic tail |a| |q|^n / (1 - |q|)
@@ -228,8 +215,9 @@ def qpochhammer(a: complex, q: complex, logs: tuple | None = None) -> complex:
     Rahman, Basic Hypergeometric Series, 2nd ed., 2004, ch. 1), the rest,
     (x;q)_inf at x = a q^k, as exp(-s) with
 
-        s = sum_{m=1}^{M} x^m / (m (1 - q^m)),
+        s = sum_{m=1}^{M} c_m x^m,  c_m = 1 / (m (1 - q^m)),
 
+    summed by Horner's rule over the coefficients of the nome's context,
     M the least count with |x|^(M+1) / ((1 - |q|) (1 - |x|)) below EPS.
     That geometric bound on the dropped terms ignores their factors 1/m,
     which absorb the rounding of ln|x| = ln|a| + k ln|q|, so the log series
@@ -240,13 +228,15 @@ def qpochhammer(a: complex, q: complex, logs: tuple | None = None) -> complex:
     value, or raises, exactly when the loop does.  Below LOG_MIN every bit
     is the loop's.
 
-    logs is pochhammer_logs(abs(q)), the nome-only parts of that bound,
-    computed here when omitted; ModularParam.q2_logs holds it for q*q, so
-    a call at a param's nome q^2 takes one logarithm, of |a|.  Unchecked:
-    the logs of another |q| give a wrong value or a false ConvergenceError.
+    nome is the PochhammerContext of q, its logarithms and log-series
+    coefficients (params.pochhammer_context); ModularParam.q2_context holds
+    it for q*q, so a call at a param's nome q^2 takes one logarithm, of |a|.
+    Omitted, or built for another q, it is built here from q.
     """
     q = complex(q)
-    aq = abs(q)
+    if nome is None or nome.q != q:
+        nome = pochhammer_context(q)
+    aq = nome.abs_q
     if aq >= 1:
         raise DomainError("q-Pochhammer needs |q| < 1, got |q| = %g" % aq)
     a = complex(a)
@@ -259,34 +249,32 @@ def qpochhammer(a: complex, q: complex, logs: tuple | None = None) -> complex:
         raise RangeError("q-Pochhammer argument |a| overflowed double range for "
                          "a = %r" % (a,)) from None
     if abs_a > 0.0:
-        ln_floor, ln_step = logs or pochhammer_logs(aq)
+        ln_floor, ln_step = nome.ln_floor, nome.ln_step
         ln_a = math.log(abs_a)
         slack = ln_a - ln_floor - PREFIX_MARGIN
         if slack >= 0.0:
             # n <= MAX_TERMS: short of the first branch's bound, slack /
             # ln_step rounds to at most 255; that branch also takes |a| = inf
-            n = (MAX_TERMS if slack >= (MAX_TERMS - 1) * ln_step
-                 else int(slack / ln_step) + 1)
+            n = MAX_TERMS if slack >= nome.ln_cap else int(slack / ln_step) + 1
             log_tail = LOG_MIN <= n <= MAX_TERMS - 2 and ln_step > 2 * PREFIX_MARGIN
             head = n
             if log_tail:
                 # only the k factors with |a q^k| > LOG_SWITCH, then the rest
-                # as exp(-sum_m x^m / (m (1 - q^m))) at x = a q^k, to M terms
-                head = (int((ln_a - _LN_LOG_SWITCH) / ln_step) + 1
-                        if ln_a > _LN_LOG_SWITCH else 0)
+                # as exp(-sum_m c_m x^m) at x = a q^k, to M terms
+                head = (int((ln_a - LN_LOG_SWITCH) / ln_step) + 1
+                        if ln_a > LN_LOG_SWITCH else 0)
             for _ in range(head):
                 prod *= 1 - term
                 term *= q
             if log_tail:
-                ln_x = ln_a - head * ln_step
-                s, power, qm = 0j, term, q
-                for m in range(1, int((ln_floor + _LN_1M_LOG_SWITCH) / ln_x) + 1):
-                    s += power / (m * (1 - qm))
-                    power *= term
-                    qm *= q
+                c, s = nome.series, 0j
+                for m in range(int((ln_floor + LN_1M_LOG_SWITCH)
+                                   / (ln_a - head * ln_step)), 0, -1):
+                    s = (s + c[m]) * term
                 return prod * cmath.exp(-s)
+    one_minus = nome.one_minus
     for _ in range(n, MAX_TERMS):
-        if abs(term) / (1.0 - aq) < EPS:
+        if abs(term) / one_minus < EPS:
             return prod
         prod *= 1 - term
         term *= q
@@ -316,28 +304,27 @@ def theta_eval(kind: int, z: complex, p: ModularParam, *,
 
     # every kind's product carries e^(2iz) and its inverse, both in range here
     # unless 2*Re z overflows to inf
-    if abs(z.imag) * 2 > _LN_DOUBLE_MAX:
+    if abs(z.imag) * 2 > LN_DOUBLE_MAX:
         raise _overflow(kind, z, "product")
-    q = p.q
-    q2 = q * q
+    nome = p.q2_context
+    q2 = nome.q
     try:
         w = cmath.exp(2j * z)
     except (ValueError, OverflowError):
         raise _overflow(kind, z, "product") from None
     winv = 1 / w
-    logs = p.q2_logs
     base = p.products.get("theta")
     if base is None:
-        base = p.products["theta"] = qpochhammer(q2, q2, logs)
+        base = p.products["theta"] = qpochhammer(q2, q2, nome)
     sign, power = PRODUCT_FACTOR[kind]
-    a = q2 if power == 2 else q
+    a = q2 if power == 2 else p.q
     if sign < 0:
         a = -a
     value = base
     if kind in (1, 2):
         trig = cmath.sin if kind == 1 else cmath.cos
         value = 2 * p.q_quarter * trig(z) * base
-    value = value * qpochhammer(a * w, q2, logs) * qpochhammer(a * winv, q2, logs)
+    value = value * qpochhammer(a * w, q2, nome) * qpochhammer(a * winv, q2, nome)
     # e^(2iz) is in range, but the partial products can still overflow
     if not cmath.isfinite(value):
         raise _overflow(kind, z, "product")

@@ -226,9 +226,9 @@ def test_six_kinds_crosscheck_reuses_the_product_denominators(monkeypatch):
     # (q;q^2)^2 is computed once per nome, for p and for 2*tau's param
     calls = []
 
-    def counted(a, q, *logs):
+    def counted(a, q, *nome):
         calls.append(a)
-        return qpochhammer(a, q, *logs)
+        return qpochhammer(a, q, *nome)
 
     monkeypatch.setattr(qtrig_module, "qpochhammer", counted)
     p = make_param(0.123 + 0.987j)    # a tau (and 2*tau) no other test uses
@@ -251,11 +251,11 @@ def test_failed_product_denominator_is_not_cached(monkeypatch):
     warm = make_param(1.1j)
     p = ModularParam(tau=warm.tau, q=warm.q, q_quarter=warm.q_quarter)   # cold
 
-    def fail_on_denominator(a, q, *logs):
+    def fail_on_denominator(a, q, *nome):
         calls.append(a)
         if a == p.q:
             raise ConvergenceError("injected")
-        return qpochhammer(a, q, *logs)
+        return qpochhammer(a, q, *nome)
 
     monkeypatch.setattr(qtrig_module, "qpochhammer", fail_on_denominator)
     for _ in range(2):

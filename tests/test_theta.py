@@ -15,6 +15,7 @@ from thetaq import (
     DomainError,
     ModularParam,
     RangeError,
+    ThetaQError,
     half_period_shift,
     make_param,
     qpochhammer,
@@ -22,8 +23,18 @@ from thetaq import (
     theta_eval,
     theta_sum,
 )
+from thetaq import params as params_module
+from thetaq import qtrig as qtrig_module
 from thetaq import theta as theta_module
-from thetaq.params import EPS, MAX_TERMS, pochhammer_logs, stop_threshold, theta_term
+from thetaq.params import (
+    EPS,
+    MAX_TERMS,
+    pochhammer_context,
+    stop_threshold,
+    tail_below_eps,
+    theta_term,
+)
+from thetaq.qtrig import QTRIG_KINDS, qsquared_param, qtrig_product_any
 from thetaq.theta import LOG_MIN, PARTNER, PREFIX_MARGIN
 
 TAU = 0.2 + 1.3j
@@ -426,6 +437,28 @@ def test_stop_tables_hold_each_threshold(tau, band):
                         pair_outcome(pair_oracle, kind, z, p), (kind, k, imz2)
 
 
+def test_stop_threshold_widens_its_bracket_around_a_poor_estimate(monkeypatch):
+    # at Im tau = 0.02 and k = 24..29 three fixed-point steps leave the root
+    # 2e7 to 6e7 ulps from the threshold; the bracket widens around it, so no
+    # entry takes the 55 or 56 tests of a bisection of all of [0, -lnr]
+    ln_q = -math.pi * 0.02
+    q = complex(math.exp(ln_q))
+    imz2s = []
+
+    def counted(entry, imz2):
+        imz2s.append(imz2)
+        return tail_below_eps(entry, imz2)
+
+    monkeypatch.setattr(params_module, "tail_below_eps", counted)
+    for odd in (0, 1):
+        for k in range(24, 30):
+            del imz2s[:]
+            m = stop_threshold(theta_term(q, ln_q, k, odd))
+            assert len(imz2s) <= 40, (odd, k, len(imz2s))
+            assert m > 0 and not tail_test(ln_q, k, odd, m), (odd, k)
+            assert tail_test(ln_q, k, odd, math.nextafter(m, 0.0)), (odd, k)
+
+
 def cold_copy(p):
     """A ModularParam equal to p whose tables and caches are empty."""
     return ModularParam(tau=p.tau, q=p.q, q_quarter=p.q_quarter)
@@ -539,23 +572,24 @@ def takes_log_series(a, q):
     abs_a = abs(complex(a))
     if not 0.0 < abs_a < math.inf:
         return False
-    ln_floor, ln_step = pochhammer_logs(abs(complex(q)))
+    nome = pochhammer_context(complex(q))
+    ln_floor, ln_step = nome.ln_floor, nome.ln_step
     slack = math.log(abs_a) - ln_floor - PREFIX_MARGIN
     if slack < 0.0 or slack >= (MAX_TERMS - 1) * ln_step:
         return False
     return LOG_MIN <= int(slack / ln_step) + 1 <= MAX_TERMS - 2 and ln_step > 2 * PREFIX_MARGIN
 
 
-def check_against_the_tested_loop(a, q, *logs):
-    """qpochhammer(a, q, *logs) has reference_pochhammer's outcome: the same
+def check_against_the_tested_loop(a, q, *nome):
+    """qpochhammer(a, q, *nome) has reference_pochhammer's outcome: the same
     ConvergenceError, or a value.  On the factor path the value keeps its
     bits; on the log series it is within 1e-13 of max(1, |reference|), and
     finite where the reference is.  Returns the reference's outcome."""
     want = outcome(reference_pochhammer, a, q)
     if not takes_log_series(a, q):
-        assert outcome(qpochhammer, a, q, *logs) == want, (a, q)
+        assert outcome(qpochhammer, a, q, *nome) == want, (a, q)
         return want
-    ref, got = reference_pochhammer(a, q), qpochhammer(a, q, *logs)
+    ref, got = reference_pochhammer(a, q), qpochhammer(a, q, *nome)
     if cmath.isfinite(ref):
         assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (a, q)
     else:
@@ -565,13 +599,13 @@ def check_against_the_tested_loop(a, q, *logs):
 
 def test_untested_prefix_keeps_the_bits_of_the_tested_loop():
     # every |q| regime up to 1e-15 from 1, with a = 0, subnormal, infinite or
-    # nan; the nome logs given or computed, and 256 factors not enough
+    # nan; the nome context given or built, and 256 factors not enough
     rng = random.Random(12)
     exhausted = series = 0
     for _ in range(6000):
         a, q = random_pochhammer_args(rng)
         want = check_against_the_tested_loop(a, q)
-        check_against_the_tested_loop(a, q, pochhammer_logs(abs(q)))
+        check_against_the_tested_loop(a, q, pochhammer_context(q))
         exhausted += want[0] is ConvergenceError
         series += takes_log_series(a, q)
     assert exhausted > 500 and series > 100
@@ -585,11 +619,12 @@ def test_untested_prefix_stops_short_of_the_first_tested_stop():
     series = 0
     for _ in range(2000):
         q = 10 ** rng.uniform(-6, math.log10(0.9))
-        ln_floor, ln_step = pochhammer_logs(q)
+        nome = pochhammer_context(complex(q))
+        ln_floor, ln_step = nome.ln_floor, nome.ln_step
         j = rng.randint(0, min(MAX_TERMS - 1, int(-ln_floor / ln_step)))
         a = math.exp(ln_floor - rng.uniform(1e-6, 5e-4) + j * ln_step)
         check_against_the_tested_loop(a, q)
-        check_against_the_tested_loop(a, q, (ln_floor, ln_step))
+        check_against_the_tested_loop(a, q, nome)
         series += takes_log_series(a, q)
     assert 100 < series < 1900
 
@@ -599,8 +634,8 @@ def test_log_series_keeps_the_convergence_error_next_to_q_1():
     # the prefix margin: the tested loop runs past MAX_TERMS though n is
     # short of it, so the log series must not stand in for it
     for q in (1 - 1e-12, cmath.rect(1 - 1e-13, 2.0)):
-        ln_floor, ln_step = pochhammer_logs(abs(q))
-        a = math.exp(ln_floor + PREFIX_MARGIN + 100.5 * ln_step)
+        nome = pochhammer_context(complex(q))
+        a = math.exp(nome.ln_floor + PREFIX_MARGIN + 100.5 * nome.ln_step)
         assert not takes_log_series(a, q)
         with pytest.raises(ConvergenceError, match="needs more than 256 factors"):
             qpochhammer(a, q)
@@ -626,12 +661,127 @@ def test_log_series_is_as_accurate_as_the_tested_loop():
     assert worst["series"] <= worst["loop"] < 1e-14, worst
 
 
+def record_product_path(monkeypatch):
+    """(a, q, nome) of every qpochhammer call of theta_eval's product path and
+    of the q-trig products, as a list the calls append to."""
+    calls = []
+
+    def recorded(a, q, *nome):
+        calls.append((a, q, *nome))
+        return qpochhammer(a, q, *nome)
+
+    monkeypatch.setattr(theta_module, "qpochhammer", recorded)
+    monkeypatch.setattr(qtrig_module, "qpochhammer", recorded)
+    return calls
+
+
+def product_path(p, z):
+    """Outcomes of theta_eval's product path, four kinds, and the six q-trig
+    products at z, all at p."""
+    def one(f, *args, **kwargs):
+        try:
+            return value_bits(f(*args, **kwargs))
+        except ThetaQError as exc:
+            return type(exc), str(exc)
+
+    return ([one(theta_eval, kind, z, p, method="product") for kind in (1, 2, 3, 4)]
+            + [one(qtrig_product_any, kind, z / cmath.pi, p) for kind in QTRIG_KINDS])
+
+
+def test_pochhammer_context_is_built_once_per_nome_and_shared(monkeypatch):
+    # the param builds its context of nome q^2, log-series table included;
+    # the theta and q-trig products pass that one object, and no call
+    # builds another
+    calls = record_product_path(monkeypatch)
+    built = []
+
+    def counted_context(q):
+        built.append(q)
+        return pochhammer_context(q)
+
+    monkeypatch.setattr(theta_module, "pochhammer_context", counted_context)
+    p = cold_copy(make_param(0.37 + 0.09j))
+    nome, double = p.q2_context, qsquared_param(p).q2_context
+    assert nome == pochhammer_context(p.q * p.q) and len(nome.series) > 1
+    for kind in (1, 2, 3, 4):
+        theta_eval(kind, 0.3 - 0.1j, p, method="product")
+    theta_calls = len(calls)
+    for kind in QTRIG_KINDS:
+        qtrig_product_any(kind, 0.2 + 0.05j, p)
+    assert built == [] and 0 < theta_calls < len(calls)
+    assert all(c[2] is nome for c in calls[:theta_calls])
+    assert {id(c[2]) for c in calls[theta_calls:]} == {id(nome), id(double)}
+    assert all(c[1] is c[2].q for c in calls)
+
+
+def test_concurrent_first_use_of_the_product_path_keeps_its_bits():
+    # 8 threads take the product path of one cold param at once, with a
+    # thread switch every microsecond, at |q^2| from 0.0019 to 0.73: every
+    # value is the bits of a lone thread's
+    points = (0.3 - 0.1j, 1.1 + 0.25j)
+    taus = [0.05j, 0.3 + 0.05j, 0.55 + 0.3j, 0.9 + 0.3j, 1.0j, 1.5 + 0.12j]
+    want = {tau: [product_path(cold_copy(make_param(tau)), z) for z in points]
+            for tau in taus}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for tau in taus:
+            p = cold_copy(make_param(tau))
+            got = [None] * 8
+            barrier = threading.Barrier(8, timeout=30)
+
+            def work(i, p=p, got=got, barrier=barrier):
+                barrier.wait()
+                order = points[i % 2:] + points[:i % 2]
+                got[i] = {z: product_path(p, z) for z in order}
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for result in got:
+                assert [result[z] for z in points] == want[tau], tau
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_product_path_calls_keep_the_tested_loop_bits_off_the_log_series(monkeypatch):
+    # every qpochhammer call of the products at seeded tau and z: off the log
+    # series the bits and errors of the tested loop, which are the bits of
+    # every call before the context, and on it within 1e-13 of that loop
+    calls = record_product_path(monkeypatch)
+    rng = random.Random(29)
+    for _ in range(150):
+        p = make_param(complex(rng.uniform(-1.5, 1.5), 10 ** rng.uniform(-1.4, 1.4)))
+        product_path(p, complex(rng.uniform(0.15, 1.35), rng.uniform(-0.2, 0.2)))
+    monkeypatch.undo()
+    series = 0
+    for a, q, nome in calls:
+        check_against_the_tested_loop(a, q, nome)
+        series += takes_log_series(a, q)
+    assert 200 < series < len(calls) - 200, (series, len(calls))
+
+
+def test_a_context_of_another_nome_is_replaced():
+    # the logs of |q| = 0.1 would give a value 6.3e-6 off, those of 0.95 a
+    # false ConvergenceError; a context carries its q, so qpochhammer builds
+    # the right one
+    a, q = 0.5 + 0.1j, 0.7
+    assert takes_log_series(a, q)
+    want = value_bits(qpochhammer(a, q))
+    for other in (0.1, 0.95):
+        check_against_the_tested_loop(a, q, pochhammer_context(complex(other)))
+        assert value_bits(qpochhammer(a, q, pochhammer_context(complex(other)))) == want
+
+
 def test_theta_product_factor_is_computed_once_per_nome(monkeypatch):
     calls = []
 
-    def counted(a, q, *logs):
+    def counted(a, q, *nome):
         calls.append(a)
-        return qpochhammer(a, q, *logs)
+        return qpochhammer(a, q, *nome)
 
     monkeypatch.setattr(theta_module, "qpochhammer", counted)
     p = cold_copy(make_param(0.31 + 0.83j))
