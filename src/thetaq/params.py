@@ -34,7 +34,6 @@ import numbers
 import sys
 import weakref
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -90,7 +89,7 @@ class ModularParam:
       theta product (theta.theta_eval), and "sin_q" to (q;q^2)_inf^2, the
       z-free denominator of the q-trig products (qtrig._sin_q), both with
       q^2 = q*q;
-    * q2_context = pochhammer_context(q*q), the nome-only data of every
+    * q2_context = PochhammerContext(q*q), the nome-only data of every
       qpochhammer call at nome q^2, and i_pi_tau = 1j*pi*tau, from which
       the product path forms q^a = exp(i_pi_tau*a) (qtrig._nome_power);
     * companions weakly links "prime" and "double" to tau' and 2*tau's params.
@@ -118,7 +117,7 @@ class ModularParam:
                                                 for odd in (0, 1)))
         object.__setattr__(self, "stops", ([-math.inf],
                                            [stop_threshold(self.terms[1][0])]))
-        object.__setattr__(self, "q2_context", pochhammer_context(q * q))
+        object.__setattr__(self, "q2_context", PochhammerContext(q * q))
         object.__setattr__(self, "i_pi_tau", 1j * cmath.pi * self.tau)
 
 
@@ -192,31 +191,18 @@ def grow_terms(p: ModularParam, odd: int, k: int) -> None:
     p.stops[odd][k:k + 1] = (max(p.stops[odd][k - 1], stop_threshold(entry)),)
 
 
-class PochhammerContext(NamedTuple):
-    """The nome-only data of theta.qpochhammer at nome q, built once by
-    pochhammer_context(q) and never changed:
+class PochhammerContext:
+    """The nome-only data of theta.qpochhammer at nome q (a complex), built
+    once, eagerly, and immutable:
 
     * abs_q = |q|, one_minus = 1 - |q|, the tested tail's denominator;
     * ln_floor = ln(EPS (1 - |q|)) and ln_step = -ln|q| (+inf when q = 0),
       which bound the untested prefix, and ln_cap = (MAX_TERMS - 1) ln_step,
-      the slack from which the whole prefix is untested;
+      the slack from which the whole prefix is untested; at |q| >= 1
+      ln_floor is nan, and qpochhammer raises DomainError before it reads it;
     * series = (0, c_1, ..., c_M) with c_m = 1 / (m (1 - q^m)), the log
       series' coefficients up to the largest M a call can ask for, or ()
       where no call at this nome takes the log series.
-    """
-
-    q: complex
-    abs_q: float
-    one_minus: float
-    ln_floor: float
-    ln_step: float
-    ln_cap: float
-    series: tuple
-
-
-def pochhammer_context(q: complex) -> PochhammerContext:
-    """The PochhammerContext of nome q (a complex).  At |q| >= 1 its logs are
-    nan: theta.qpochhammer raises DomainError before it reads them.
 
     A call takes the log series only where ln_step > 2 PREFIX_MARGIN and its
     n >= LOG_MIN, so where (LOG_MIN - 1) ln_step <= ln|a| - ln_floor for some
@@ -225,18 +211,28 @@ def pochhammer_context(q: complex) -> PochhammerContext:
     1e-12, so its M is at most the M of |x| = LOG_SWITCH plus one; the table
     keeps one more.
     """
-    aq = abs(q)
-    ln_floor = math.log(EPS * (1.0 - aq)) if aq < 1 else math.nan
-    ln_step = -math.log(aq) if aq else math.inf
-    series = []
-    if ln_step > 2 * PREFIX_MARGIN and (LN_DOUBLE_MAX - ln_floor) / ln_step > LOG_MIN - 2:
-        series.append(0j)
-        qm = q
-        for m in range(1, int((ln_floor + LN_1M_LOG_SWITCH) / LN_LOG_SWITCH) + 3):
-            series.append(1 / (m * (1 - qm)))
-            qm *= q
-    return PochhammerContext(q, aq, 1.0 - aq, ln_floor, ln_step,
-                             (MAX_TERMS - 1) * ln_step, tuple(series))
+
+    __slots__ = ("q", "abs_q", "one_minus", "ln_floor", "ln_step", "ln_cap", "series")
+
+    def __init__(self, q: complex) -> None:
+        aq = abs(q)
+        ln_floor = math.log(EPS * (1.0 - aq)) if aq < 1 else math.nan
+        ln_step = -math.log(aq) if aq else math.inf
+        series = []
+        if ln_step > 2 * PREFIX_MARGIN and (LN_DOUBLE_MAX - ln_floor) / ln_step > LOG_MIN - 2:
+            series.append(0j)
+            qm = q
+            for m in range(1, int((ln_floor + LN_1M_LOG_SWITCH) / LN_LOG_SWITCH) + 3):
+                series.append(1 / (m * (1 - qm)))
+                qm *= q
+        for name, value in zip(self.__slots__, (q, aq, 1.0 - aq, ln_floor, ln_step,
+                                                (MAX_TERMS - 1) * ln_step, tuple(series))):
+            object.__setattr__(self, name, value)
+
+    def _immutable(self, *args):
+        raise AttributeError("a PochhammerContext is immutable")
+
+    __setattr__ = __delattr__ = _immutable
 
 
 def check_integer(value, name: str) -> int:

@@ -39,7 +39,6 @@ from .params import (
     PochhammerContext,
     check_kind,
     grow_terms,
-    pochhammer_context,
 )
 
 # Sign of theta_k under z -> z + pi and (up to q^-1 e^-2zi) under z -> z + pi*tau.
@@ -229,13 +228,13 @@ def qpochhammer(a: complex, q: complex,
     is the loop's.
 
     nome is the PochhammerContext of q, its logarithms and log-series
-    coefficients (params.pochhammer_context); ModularParam.q2_context holds
+    coefficients; ModularParam.q2_context holds
     it for q*q, so a call at a param's nome q^2 takes one logarithm, of |a|.
     Omitted, or built for another q, it is built here from q.
     """
     q = complex(q)
     if nome is None or nome.q != q:
-        nome = pochhammer_context(q)
+        nome = PochhammerContext(q)
     aq = nome.abs_q
     if aq >= 1:
         raise DomainError("q-Pochhammer needs |q| < 1, got |q| = %g" % aq)

@@ -29,7 +29,7 @@ from thetaq import theta as theta_module
 from thetaq.params import (
     EPS,
     MAX_TERMS,
-    pochhammer_context,
+    PochhammerContext,
     stop_threshold,
     tail_below_eps,
     theta_term,
@@ -572,7 +572,7 @@ def takes_log_series(a, q):
     abs_a = abs(complex(a))
     if not 0.0 < abs_a < math.inf:
         return False
-    nome = pochhammer_context(complex(q))
+    nome = PochhammerContext(complex(q))
     ln_floor, ln_step = nome.ln_floor, nome.ln_step
     slack = math.log(abs_a) - ln_floor - PREFIX_MARGIN
     if slack < 0.0 or slack >= (MAX_TERMS - 1) * ln_step:
@@ -605,7 +605,7 @@ def test_untested_prefix_keeps_the_bits_of_the_tested_loop():
     for _ in range(6000):
         a, q = random_pochhammer_args(rng)
         want = check_against_the_tested_loop(a, q)
-        check_against_the_tested_loop(a, q, pochhammer_context(q))
+        check_against_the_tested_loop(a, q, PochhammerContext(q))
         exhausted += want[0] is ConvergenceError
         series += takes_log_series(a, q)
     assert exhausted > 500 and series > 100
@@ -619,7 +619,7 @@ def test_untested_prefix_stops_short_of_the_first_tested_stop():
     series = 0
     for _ in range(2000):
         q = 10 ** rng.uniform(-6, math.log10(0.9))
-        nome = pochhammer_context(complex(q))
+        nome = PochhammerContext(complex(q))
         ln_floor, ln_step = nome.ln_floor, nome.ln_step
         j = rng.randint(0, min(MAX_TERMS - 1, int(-ln_floor / ln_step)))
         a = math.exp(ln_floor - rng.uniform(1e-6, 5e-4) + j * ln_step)
@@ -634,7 +634,7 @@ def test_log_series_keeps_the_convergence_error_next_to_q_1():
     # the prefix margin: the tested loop runs past MAX_TERMS though n is
     # short of it, so the log series must not stand in for it
     for q in (1 - 1e-12, cmath.rect(1 - 1e-13, 2.0)):
-        nome = pochhammer_context(complex(q))
+        nome = PochhammerContext(complex(q))
         a = math.exp(nome.ln_floor + PREFIX_MARGIN + 100.5 * nome.ln_step)
         assert not takes_log_series(a, q)
         with pytest.raises(ConvergenceError, match="needs more than 256 factors"):
@@ -697,12 +697,16 @@ def test_pochhammer_context_is_built_once_per_nome_and_shared(monkeypatch):
 
     def counted_context(q):
         built.append(q)
-        return pochhammer_context(q)
+        return PochhammerContext(q)
 
-    monkeypatch.setattr(theta_module, "pochhammer_context", counted_context)
+    monkeypatch.setattr(theta_module, "PochhammerContext", counted_context)
     p = cold_copy(make_param(0.37 + 0.09j))
     nome, double = p.q2_context, qsquared_param(p).q2_context
-    assert nome == pochhammer_context(p.q * p.q) and len(nome.series) > 1
+    fresh = PochhammerContext(p.q * p.q)
+    assert [getattr(nome, f) for f in nome.__slots__] == \
+        [getattr(fresh, f) for f in fresh.__slots__] and len(nome.series) > 1
+    with pytest.raises(AttributeError, match="immutable"):
+        nome.q = fresh.q
     for kind in (1, 2, 3, 4):
         theta_eval(kind, 0.3 - 0.1j, p, method="product")
     theta_calls = len(calls)
@@ -772,8 +776,8 @@ def test_a_context_of_another_nome_is_replaced():
     assert takes_log_series(a, q)
     want = value_bits(qpochhammer(a, q))
     for other in (0.1, 0.95):
-        check_against_the_tested_loop(a, q, pochhammer_context(complex(other)))
-        assert value_bits(qpochhammer(a, q, pochhammer_context(complex(other)))) == want
+        check_against_the_tested_loop(a, q, PochhammerContext(complex(other)))
+        assert value_bits(qpochhammer(a, q, PochhammerContext(complex(other)))) == want
 
 
 def test_theta_product_factor_is_computed_once_per_nome(monkeypatch):
