@@ -149,10 +149,10 @@ def tail_below_eps(entry: tuple, imz2: float) -> bool:
 def stop_threshold(entry: tuple) -> float:
     """The least double imz2 >= 0 at which tail_below_eps(entry, imz2) fails:
     a bisection down to adjacent doubles of a bracket in [0, -lnr] around x,
-    the unrounded root after three fixed-point steps.  The bracket starts 16
-    ulps either side of x and widens 8-fold per step on each side until the
-    test passes below x and fails above it.  The test is monotone, so any
-    bracket gives the same double."""
+    the unrounded root after three fixed-point steps.  The bracket starts one
+    ulp either side of x, where about nine thresholds in ten lie, and widens
+    8-fold per step on each side until the test passes below x and fails
+    above it.  The test is monotone, so any bracket gives the same double."""
     if not tail_below_eps(entry, 0.0):
         return 0.0
     _, lnr, lnb, half = entry
@@ -160,14 +160,14 @@ def stop_threshold(entry: tuple) -> float:
     for _ in range(3):
         x = (LN_EPS - lnb - lnr + math.log1p(-math.exp(lnr + x))) / (half + 1)
     # the test passes at lo and fails at hi throughout
-    lo, hi, span = 0.0, -lnr, 16 * math.ulp(x)
+    lo, hi, span = 0.0, -lnr, math.ulp(x)
     while lo < x - span < hi:
         if tail_below_eps(entry, x - span):
             lo = x - span
             break
         hi = x - span
         span *= 8
-    span = 16 * math.ulp(x)
+    span = math.ulp(x)
     while lo < x + span < hi:
         if not tail_below_eps(entry, x + span):
             hi = x + span

@@ -228,9 +228,9 @@ def qpochhammer(a: complex, q: complex,
     is the loop's.
 
     nome is the PochhammerContext of q, its logarithms and log-series
-    coefficients; ModularParam.q2_context holds
-    it for q*q, so a call at a param's nome q^2 takes one logarithm, of |a|.
-    Omitted, or built for another q, it is built here from q.
+    coefficients; ModularParam.q2_context holds it for q*q, so a call at a
+    param's nome q^2 takes one logarithm, of |a|.  Omitted, or built for
+    another q, it is built here from q.
     """
     q = complex(q)
     if nome is None or nome.q != q:
