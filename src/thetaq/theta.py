@@ -73,6 +73,15 @@ def _overflow(kind: int, z: complex, path: str) -> RangeError:
                       "(reduce the argument first)" % (kind, path, z))
 
 
+def finite_argument(what: str, z) -> complex:
+    """complex(z), or DomainError when z is not finite: a shift count or a
+    multiplier at nan or inf is no number."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError("%s needs a finite z, got z = %r" % (what, z))
+    return z
+
+
 def range_overflow(what: str, z: complex, p: ModularParam) -> RangeError:
     """what (a shift multiplier, e.g. 1/q once q underflowed to 0 above Im tau
     of about 237, or 1/q^(1/4) above about 948) left double range."""
@@ -297,9 +306,10 @@ def theta_eval(kind: int, z: complex, p: ModularParam, *,
             return s
         return -1j * p.q_quarter * s if kind == 1 else p.q_quarter * s
     check_kind(kind)
-    z = complex(z)
     if method != "product":
         raise DomainError("method must be 'series' or 'product', got %r" % (method,))
+    # sin and cos raise a bare ValueError at an infinite z
+    z = finite_argument("the theta product path", z)
 
     # every kind's product carries e^(2iz) and its inverse, both in range here
     # unless 2*Re z overflows to inf
@@ -352,10 +362,11 @@ def reduce_argument(kind: int, z: complex, p: ModularParam) -> ShiftResult:
         theta_kind(z|tau) = m * theta_kind(z_red|tau),
         m = s_pi^a * s_tau^b * q^(-b^2) * e^(-2ib*z_red).
 
-    Raises ConvergenceError when m leaves double range.
+    Raises DomainError when z is not finite and ConvergenceError when m
+    leaves double range.
     """
     check_kind(kind)
-    z = complex(z)
+    z = finite_argument("reduce_argument", z)
     b = round(z.imag / (math.pi * p.tau.imag))
     a = round((z.real - b * math.pi * p.tau.real) / math.pi)
     z_red = z - a * math.pi - b * math.pi * p.tau
@@ -374,11 +385,11 @@ def half_period_shift(kind: int, z: complex, p: ModularParam) -> ShiftResult:
         theta_kind(z + pi*tau/2 | tau) = multiplier * theta_new(z | tau)
 
     with kinds mapped 1->4, 2->3, 3->2, 4->1 and multiplier i*B, B, B, i*B
-    where B = q^(-1/4) e^(-iz); raises ConvergenceError when B leaves
-    double range.
+    where B = q^(-1/4) e^(-iz); raises DomainError when z is not finite and
+    ConvergenceError when B leaves double range.
     """
     check_kind(kind)
-    z = complex(z)
+    z = finite_argument("half_period_shift", z)
     try:
         mult = cmath.exp(-1j * z) / p.q_quarter
     except (ZeroDivisionError, OverflowError):

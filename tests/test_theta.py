@@ -4,6 +4,7 @@ import fractions
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 
@@ -830,3 +831,26 @@ def test_shift_multiplier_out_of_range_raises_convergence_error():
             call()
     # in range, the q -> 0 side still shifts
     assert half_period_shift(2, 0.3, make_param(300j)).new_kind == 3
+
+
+def test_non_finite_argument_raises_domain_error():
+    # round() of a nan or inf shift count raised a bare ValueError or
+    # OverflowError, the half-period multiplier came back nan, and the product
+    # path's sin and cos raised a bare ValueError
+    p = make_param(1.1j)
+    nan, inf = math.nan, math.inf
+    bad = [complex(nan, 0), complex(0, nan), complex(inf, 0), complex(-inf, 0),
+           complex(0, inf), complex(0, -inf), complex(0.3, nan), complex(inf, 0.5)]
+    for z in bad:
+        for kind in (1, 2, 3, 4):
+            for call in (reduce_argument, half_period_shift,
+                         lambda k, z, p: theta_eval(k, z, p, method="product")):
+                with pytest.raises(DomainError, match=r"needs a finite z, got z = %s"
+                                   % re.escape(repr(z))):
+                    call(kind, z, p)
+    # the largest finite z still shifts, or overflows its multiplier as before
+    big = sys.float_info.max
+    assert reduce_argument(3, complex(big, 0.5), p).new_z == 0.5j
+    assert half_period_shift(2, big, p).new_kind == 3
+    with pytest.raises(RangeError, match="period multiplier overflowed"):
+        reduce_argument(1, complex(0, big), p)
