@@ -74,8 +74,7 @@ def _overflow(kind: int, z: complex, path: str) -> RangeError:
 
 
 def finite_argument(what: str, z) -> complex:
-    """complex(z), or DomainError when z is not finite: a shift count or a
-    multiplier at nan or inf is no number."""
+    """complex(z), or DomainError naming what when z is nan or infinite."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError("%s needs a finite z, got z = %r" % (what, z))
