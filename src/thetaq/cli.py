@@ -1,9 +1,11 @@
 """Command-line front end: evaluate, verify, certify, run the full suite.
 
 Complex numbers are written as "re,im"; either component may use a pi*
-literal prefix, so --z pi*0.25,0 is z = pi/4.  Exit codes: 0 pass,
-1 identity failure, 2 domain error, 3 numeric error (convergence/pole),
-4 unsupported mode, 5 internal error (any other exception).
+literal prefix, so --z pi*0.25,0 is z = pi/4.  A value that starts with a
+minus sign takes the "=" form, --z=-0.3,0.1: argparse reads --z -0.3,0.1 as
+an option with no value.  Exit codes: 0 pass, 1 identity failure, 2 domain
+error, 3 numeric error (convergence/pole), 4 unsupported mode, 5 internal
+error (any other exception).
 """
 
 from __future__ import annotations

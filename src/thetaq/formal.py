@@ -53,12 +53,7 @@ class Gaussian:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Gaussian):
             return self.re == other.re and self.im == other.im
-        if isinstance(other, int):
-            return self.re == other and self.im == 0
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
 
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
@@ -163,24 +158,6 @@ class LaurentPoly:
             return LaurentPoly()
         return LaurentPoly._clean({m: c * c0 for m, c in self.terms.items()})
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono in sorted(self.terms):
-            bits.append("%s*%s" % (self.terms[mono], monomial_str(mono)))
-        return " + ".join(bits)
-
-    __repr__ = __str__
-
 
 def _rows(p: LaurentPoly) -> list:
     """The terms of p as flat (a, b, re, im) rows, for _mul_into."""
@@ -260,8 +237,6 @@ class GradedSeries:
             raise OrderUnderflow("series order must be >= 0, got %d" % order)
         clean = {}
         for n, poly in coeffs.items():
-            if not isinstance(poly, LaurentPoly):
-                poly = LaurentPoly(poly)
             if poly.is_zero():
                 continue
             if not 0 <= n <= order:
@@ -363,17 +338,6 @@ class GradedSeries:
                     _mul_into(acc.setdefault(n1 + n2, {}), rows1, r2)
         return _series_from(self.quarter_prefactor + other.quarter_prefactor,
                             acc, order)
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0 + O(%s)" % grade_str(self.boundary + 1)
-        bits = ["%s * (%s)" % (grade_str(g), poly)
-                for g, poly in sorted(
-                    (self.quarter_prefactor + 4 * n, p)
-                    for n, p in self.coeffs.items())]
-        return " + ".join(bits) + " + O(%s)" % grade_str(self.boundary + 1)
-
-    __repr__ = __str__
 
 
 # -- constructors --------------------------------------------------------

@@ -17,7 +17,9 @@ The theta-quotient path cancels the q^(1/4) prefactors analytically, so it
 stays well conditioned even when tau' has a huge imaginary part (nome q
 close to 1).  The product path writes every fractional nome power as
 q^a = exp(i*pi*tau*a) from the ModularParam's tau, never from Log q (which
-is i*pi*tau only while |Re tau| < 1), so its branch is right for any Re tau.
+is i*pi*tau only while |Re tau| < 1).  The branch is checked, not proven: at
+the default plan's tau, at CI's off-plan tau (Re tau 1.3 and 9.3), and in
+tier-1 against mpmath at Re tau up to 1e12.
 Where |Re tau| > 8 the exponents are formed from w in exact rationals and
 Re tau * a is reduced mod 2 before one rounding, so q^a keeps its digits
 (sin_q within 1e-15 of a 300-bit product at tau = 1e12 + i).  The function
@@ -115,7 +117,7 @@ class _Exact:
     """A complex number with Fraction parts: the product path's w where
     |Re tau| > 8, so that the exponents it forms (2 - 2w, 2w, (w - 1/2)^2,
     +-(1/4 - w), each at w or w + 1/2) are exact.  u + x, u - x, x - u,
-    u * x and x * u take an int, float or complex x exactly; ** takes 2."""
+    u * x and x * u take an int, float or complex x exactly."""
 
     __slots__ = ("re", "im")
 
@@ -146,11 +148,6 @@ class _Exact:
                       self.re * other.im + self.im * other.re)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "_Exact":
-        if n != 2:
-            return NotImplemented
-        return self * self
 
 
 def _finite(value: complex, what: str) -> complex:
@@ -183,7 +180,8 @@ def _sin_q(w: complex, p: ModularParam) -> complex:
     if den is None:
         nome = p.q2_context
         den = p.products["sin_q"] = qpochhammer(p.q, nome.q, nome) ** 2
-    return _finite(num / den * _nome_power(p, (w - 0.5) ** 2), "sin_q(pi*w)")
+    d = w - 0.5
+    return _finite(num / den * _nome_power(p, d * d), "sin_q(pi*w)")
 
 
 def qtrig_product_any(kind: str, z_over_pi: complex, p: ModularParam) -> complex:

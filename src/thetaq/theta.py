@@ -362,7 +362,10 @@ def reduce_argument(kind: int, z: complex, p: ModularParam) -> ShiftResult:
         m = s_pi^a * s_tau^b * q^(-b^2) * e^(-2ib*z_red).
 
     Raises DomainError when z is not finite and ConvergenceError when m
-    leaves double range.
+    leaves double range.  Re z is reduced by the double pi, 1.2e-16 off, so
+    z_red is off by about |a| * 1.2e-16 and theta rebuilt from it about as
+    much, relative: at tau = 1.1i and Im z = 0.2, theta1 is off by 1.2e-11
+    at Re z = 1e5 and 9.2e-10 at 1e7, where theta_eval is within 1.4e-16.
     """
     check_kind(kind)
     z = finite_argument("reduce_argument", z)

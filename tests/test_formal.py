@@ -116,6 +116,8 @@ def test_theta_series_validation():
         theta_series(5, 1, (1, 0), 4)
     with pytest.raises(DomainError):
         theta_series(3, 3, (1, 0), 4)
+    with pytest.raises(OrderUnderflow, match="order must be >= 0"):
+        theta_series(3, 1, (1, 0), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +197,13 @@ def test_scale_by_gaussian():
     assert series_equal(doubled, s + s).equal
     rotated = s.scale(Gaussian(0, 1)).scale(Gaussian(0, -1))
     assert series_equal(rotated, s).equal
+    # a zero factor leaves a zero series, still exact through s's boundary
+    zero = s.scale(0)
+    assert zero.is_zero() and zero.boundary == s.boundary
+    assert LaurentPoly.monomial(1, 0, coeff=3).scale(Gaussian(0)).is_zero()
+    for coeff in (1.0, 2j, "1"):
+        with pytest.raises(DomainError, match="coefficients must be Gaussian integers"):
+            s.scale(coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +261,18 @@ def test_shift_underflow_and_grade_mixing():
         LaurentPoly({(1, 0): 1, (2, 0): 1}), 0, 3)
     with pytest.raises(GradeMismatch):
         shift_argument(mixed, "plus_half_pi_tau", "u")
+    with pytest.raises(DomainError, match="unknown shift 'plus_tau'"):
+        shift_argument(lone, "plus_tau", "u")
+    with pytest.raises(DomainError, match="shift variable must be 'u' or 'v', got 'w'"):
+        shift_argument(lone, "plus_pi", "w")
+    # a zero series has no term to move: it comes back as it is
+    zero = GradedSeries.zero(12)
+    assert shift_argument(zero, "plus_pi_tau", "u") is zero
+    # a series needs a nonnegative order, and stores grades 0..order only
+    with pytest.raises(OrderUnderflow, match="series order must be >= 0, got -1"):
+        GradedSeries(0, {}, -1)
+    with pytest.raises(DomainError, match=r"stored grade 4 outside \[0, 3\]"):
+        GradedSeries(0, {4: LaurentPoly.monomial(1, 0)}, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +320,9 @@ def test_factor_validation():
         pochhammer_product([(2, 1, None)], 4)
     with pytest.raises(DomainError):
         pochhammer_product([(1, 0, None)], 4)
+    for first, step in ((0, 1), (1, 0)):
+        with pytest.raises(DomainError, match="need first >= 1 and step >= 1"):
+            geometric_factors(-1, first, step, None, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +531,14 @@ def test_series_equal_reports_lowest_mismatch():
     match = series_equal(GradedSeries(0, {0: P}, 2),
                          GradedSeries(0, {0: P, 3: P}, 5))
     assert match == SeriesMatch(True, 8, None)
+
+
+def test_series_match_repr_shows_the_gaussians():
+    # a failing `assert match.equal, match` prints this repr
+    match = series_equal(theta_series(3, 1, (1, 0), 8), theta_series(4, 1, (1, 0), 8))
+    assert repr(match) == (
+        "SeriesMatch(equal=False, boundary=32, mismatch=SeriesMismatch("
+        "quarter_grade=4, monomial=(-2, 0), lhs=Gaussian(1, 0), rhs=Gaussian(-1, 0)))")
 
 
 def test_grades_reads_absolute_quarter_grades_through_bound():

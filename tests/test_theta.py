@@ -205,6 +205,22 @@ def test_reduce_argument_single_shifts():
     assert abs(res.multiplier - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 18: reduce_argument subtracts a * math.pi, so z_red is off "
+    "by about |a| * 1.2e-16"))
+def test_reduce_argument_at_large_real_z_matches_mpmath():
+    # mpmath at the exact z, in 1,200 bits, enough to reduce Re z = 1e300
+    p = make_param(1.1j)
+    for x in (1e7, 1e13, 1e17, 1e300):
+        z = complex(x, 0.2)
+        for kind in (1, 2, 3, 4):
+            res = reduce_argument(kind, z, p)
+            got = res.multiplier * theta_eval(kind, res.new_z, p)
+            with mp.workprec(1200):
+                want = complex(mp.jtheta(kind, mp.mpc(z), mp.mpc(p.q)))
+            assert abs(got - want) <= 1e-15 * abs(want), (x, kind)
+
+
 def test_reduction_soundness_up_to_three_periods():
     rng = random.Random(77)
     for _ in range(60):
@@ -458,6 +474,10 @@ def test_stop_threshold_widens_its_bracket_around_a_poor_estimate(monkeypatch):
             assert len(imz2s) <= 40, (odd, k, len(imz2s))
             assert m > 0 and not tail_test(ln_q, k, odd, m), (odd, k)
             assert tail_test(ln_q, k, odd, math.nextafter(m, 0.0)), (odd, k)
+    # from tail ratio 1 on the test fails, before log1p(-r) would raise,
+    # even for an entry whose bound alone is far below EPS
+    for imz2 in (1.0, 2.0, math.inf):
+        assert not tail_below_eps((1.0, -1.0, -100.0, 0.0), imz2)
 
 
 def cold_copy(p):
