@@ -527,18 +527,14 @@ def test_series_equal_reports_lowest_mismatch():
         assert match.mismatch == SeriesMismatch(grade, monomial, lhs, rhs)
         swapped = series_equal(b, a)
         assert swapped.mismatch == SeriesMismatch(grade, monomial, rhs, lhs)
+    # a failing `assert match.equal, match` prints this repr
+    assert repr(series_equal(*cases[0][:2])) == (
+        "SeriesMatch(equal=False, boundary=32, mismatch=SeriesMismatch("
+        "quarter_grade=4, monomial=(-2, 0), lhs=Gaussian(1, 0), rhs=Gaussian(-1, 0)))")
     # terms above the common boundary are not compared
     match = series_equal(GradedSeries(0, {0: P}, 2),
                          GradedSeries(0, {0: P, 3: P}, 5))
     assert match == SeriesMatch(True, 8, None)
-
-
-def test_series_match_repr_shows_the_gaussians():
-    # a failing `assert match.equal, match` prints this repr
-    match = series_equal(theta_series(3, 1, (1, 0), 8), theta_series(4, 1, (1, 0), 8))
-    assert repr(match) == (
-        "SeriesMatch(equal=False, boundary=32, mismatch=SeriesMismatch("
-        "quarter_grade=4, monomial=(-2, 0), lhs=Gaussian(1, 0), rhs=Gaussian(-1, 0)))")
 
 
 def test_grades_reads_absolute_quarter_grades_through_bound():
